@@ -26,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -198,8 +199,9 @@ public:
       std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
       return false;
     }
-    std::fprintf(F, "{\n  \"bench\": %s,\n  \"records\": [",
-                 quoted(Bench).c_str());
+    std::fprintf(F, "{\n  \"bench\": %s,\n  \"provenance\": %s,\n"
+                 "  \"records\": [",
+                 quoted(Bench).c_str(), provenance().c_str());
     for (size_t I = 0; I < Records.size(); ++I) {
       const BenchRecord &R = Records[I];
       std::fprintf(F, "%s\n    {\"name\": %s,\n     \"params\": {",
@@ -222,6 +224,36 @@ public:
   }
 
 private:
+  /// Where the numbers came from: the source revision (`git describe`,
+  /// "-dirty" with local edits), build type, compiler and core count.
+  static std::string provenance() {
+    std::string Commit = "unknown";
+    if (std::FILE *P = popen("git -C \"" AQUAVOL_SOURCE_DIR
+                             "\" describe --always --dirty --abbrev=12 "
+                             "2>/dev/null",
+                             "r")) {
+      char Buf[128];
+      if (std::fgets(Buf, sizeof(Buf), P)) {
+        Commit = Buf;
+        while (!Commit.empty() &&
+               (Commit.back() == '\n' || Commit.back() == ' '))
+          Commit.pop_back();
+      }
+      pclose(P);
+    }
+#if defined(__clang__)
+    const std::string Compiler = "Clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string Compiler = "GNU " __VERSION__;
+#else
+    const std::string Compiler = "unknown";
+#endif
+    return "{\"commit\": " + quoted(Commit) +
+           ", \"build_type\": " + quoted(AQUAVOL_BUILD_TYPE) +
+           ", \"compiler\": " + quoted(Compiler) + ", \"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) + "}";
+  }
+
   static std::string quoted(const std::string &S) {
     std::string Out = "\"";
     for (char C : S) {

@@ -15,6 +15,7 @@
 #ifndef AQUA_CORE_MACHINESPEC_H
 #define AQUA_CORE_MACHINESPEC_H
 
+#include <cmath>
 #include <cstdint>
 
 namespace aqua::core {
@@ -37,9 +38,13 @@ struct MachineSpec {
   double LeastCountNl = 0.1;
   ResourceLimits Limits;
 
-  /// Number of least-count units in the maximum capacity.
+  /// Number of whole least-count units that fit in the maximum capacity.
+  /// Floored, so a rounded volume within it never exceeds MaxCapacityNl;
+  /// the 1e-9 relative slack keeps whole multiples (1000 / 0.1) exact
+  /// despite the quotient's float error.
   std::int64_t capacityUnits() const {
-    return static_cast<std::int64_t>(MaxCapacityNl / LeastCountNl + 0.5);
+    return static_cast<std::int64_t>(
+        std::floor(MaxCapacityNl / LeastCountNl * (1.0 + 1e-9)));
   }
 
   /// Converts nanoliters to (unrounded) least-count units.

@@ -20,8 +20,8 @@
 ///    (SparseMatrix); per-solve state is only the bound arrays, the basis,
 ///    and a sparse LU factorization of the basis (BasisLU) maintained by
 ///    product-form eta updates with cheap periodic refactorization. The
-///    RVol bases factor with ~1.3x fill, so FTRAN/BTRAN are O(m + nnz)
-///    and the engine never materializes an m x m inverse.
+///    RVol bases factor without fill, so FTRAN/BTRAN are O(m + nnz) and
+///    the engine never materializes an m x m inverse.
 ///
 ///  * The engine is *restartable*: bounds can be changed between solves
 ///    (`setLower`/`setUpper`) and the previous optimal basis reused. A
@@ -196,6 +196,10 @@ private:
   void installLogicalBasis();
   bool installBasis(const Basis &B);
   bool refactorize();
+  /// Factors BasicCol into Base, timing it into lp.refactor_sec.
+  bool factorBase();
+  /// Empties the eta file and restarts the refactorization clocks.
+  void clearEtas();
   void computeBasicValues();
   double nonbasicValue(int Col) const;
   double colLower(int Col) const;
@@ -277,25 +281,30 @@ private:
   /// current basis inverse is the product of the eta file applied on top:
   /// B^-1 = E_k ... E_1 B0^-1.
   BasisLU Base;
-  /// One product-form eta per pivot since the last refactorization:
-  /// the FTRAN column W of the entering variable, split into the pivot
-  /// element (Piv = W[Row]) and the off-pivot nonzeros (dense scatter
-  /// Val plus pattern Pat, Row excluded). Appending an eta is O(nnz(W));
-  /// the dense rank-one update it replaces was O(m * nnz(pivot row)).
+  /// One product-form eta per pivot since the last refactorization: the
+  /// FTRAN column W of the entering variable, split into the pivot element
+  /// (Piv = W[Row]) and the off-pivot nonzeros, packed as (index, value)
+  /// pairs in EtaIdx/EtaVal[Begin, End) (Row excluded). Appending an eta
+  /// is O(nnz(W)) and allocates nothing once the file has grown.
   struct Eta {
     int Row;
     double Piv;
-    std::vector<double> Val;
-    std::vector<int> Pat;
+    int Begin, End;
   };
   std::vector<Eta> Etas;
-  /// Total off-pivot nonzeros across the eta file, and the approximate
-  /// flop count burned replaying it since the last factorization reset.
-  /// The pivot loops apply the rent-or-buy refactorization rule: once
-  /// ReplayOps exceeds a small multiple of the last sparse-LU factor
-  /// price (Base.factorCost(), typically O(nnz)), they refactorize --
-  /// self-tuning against the actual fill the elimination produced.
-  std::size_t EtaNnzTotal = 0;
+  std::vector<int> EtaIdx;
+  std::vector<double> EtaVal;
+  /// Row-wise view of the same entries for sparse BTRAN seeds: the newest
+  /// entry of row I is EtaRowHead[I] (-1 if none) and EtaNext links each
+  /// entry to the row's next older one. Cursor is BTRAN's per-seed-row
+  /// position in those lists.
+  std::vector<int> EtaNext, EtaRowHead;
+  mutable std::vector<int> Cursor;
+  /// Approximate flop count burned replaying the eta file since the last
+  /// factorization reset. The pivot loops apply the rent-or-buy
+  /// refactorization rule: once ReplayOps exceeds a small multiple of the
+  /// last factor's counted work (Base.factorCost()), they refactorize --
+  /// self-tuning against what the factorization actually cost.
   mutable std::size_t ReplayOps = 0;
   std::vector<double> XB; // Basic values per row.
 

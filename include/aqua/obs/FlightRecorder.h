@@ -14,7 +14,7 @@
 /// string), dumped on demand (`aquad --flight-out`) and at exit.
 ///
 /// The ring overwrites oldest-first; overwrites are counted and mirrored
-/// to the `obs.flight.dropped` metric, and every recorded digest bumps
+/// to the `obs.flight.overwritten` metric, and every recorded digest bumps
 /// `service.request_digests`.
 ///
 //===----------------------------------------------------------------------===//

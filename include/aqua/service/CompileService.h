@@ -369,11 +369,15 @@ private:
   /// only trusted if the guarded graph is still alive *and* is the same
   /// object the request carries (a recycled address cannot satisfy both).
   /// Per-slot spin flags: repeat submissions of one graph contend only
-  /// for a pointer-compare + shared_ptr copy.
+  /// for a pointer-compare + shared_ptr copy. The memo is single-flight:
+  /// the first miss publishes a Pending future for its graph, and
+  /// submissions that arrive while it canonicalizes wait on that future
+  /// instead of canonicalizing again.
   struct CanonSlot {
     mutable std::atomic_flag Lock = ATOMIC_FLAG_INIT;
     std::weak_ptr<const ir::AssayGraph> Guard;
     std::shared_ptr<const ir::CanonicalForm> Canon;
+    std::shared_future<std::shared_ptr<const ir::CanonicalForm>> Pending;
   };
   std::array<CanonSlot, 64> CanonMemo;
 

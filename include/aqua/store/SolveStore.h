@@ -82,6 +82,7 @@
 #include "aqua/store/Env.h"
 #include "aqua/support/Error.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -198,7 +199,11 @@ public:
   /// Rewrites all quiescent segments (no live writer) into one compacted
   /// segment, dropping superseded records, then deletes the inputs.
   /// Returns success with nothing to do when another process holds the
-  /// compaction lock.
+  /// compaction lock, or when the quiescent segments are already one
+  /// segment with no superseded record. After such a no-op pass, further
+  /// calls return without taking the store lock until a put or a change
+  /// to the directory, so a caller may compact in a loop without locking
+  /// readers and writers out.
   Status compact();
 
   /// Every currently indexed key (unordered).
@@ -266,6 +271,9 @@ private:
   /// segment \p SegIndex, then drops its entries from the in-memory
   /// Index (the mapped table supersedes them).
   void buildIndexLocked(int SegIndex);
+  /// Whether compacting \p SegIndex alone would rewrite it byte for byte:
+  /// it is sealed and holds no superseded or duplicate record.
+  bool isCompactLocked(int SegIndex) const;
   /// Seals \p SegIndex with a prebuilt entry list (compaction output).
   void sealWithEntriesLocked(int SegIndex, const std::vector<IdxEntry> &Entries);
   /// Probes sealed segments' mapped indexes for \p Key; fills \p View on
@@ -304,6 +312,13 @@ private:
   /// until a refresh ran (or when the Env cannot track generations).
   bool HaveDirGeneration = false;
   std::uint64_t LastDirGeneration = 0;
+
+  /// Calls to put, counted under Mutex and read without it.
+  std::atomic<std::uint64_t> Puts{0};
+  /// Left by the last compaction pass that had nothing to do and saw no
+  /// live writer: Puts + 1 at that pass (0: none since the last real
+  /// pass) and the directory generation read before it.
+  std::atomic<std::uint64_t> QuietPuts{0}, QuietDirGeneration{0};
 
   std::uint64_t Appends = 0, AppendedBytes = 0, Gets = 0, Hits = 0;
   std::uint64_t CorruptRecords = 0, TornTails = 0, Refreshes = 0;

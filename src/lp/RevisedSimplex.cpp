@@ -12,12 +12,17 @@
 // kind (LE: [0,inf), GE: (-inf,0], EQ: [0,0]). The basis always has
 // dimension m = numRows; finite variable bounds never add rows.
 //
-// The basis is held as a sparse Markowitz LU (BasisLU) plus a product-form
-// eta file appended on every pivot; FTRAN/BTRAN replay the etas on top of
-// the O(m + nnz) LU solves. The RVol bases factor with ~1.3x fill, so a
-// refactorization costs about one FTRAN and the rent-or-buy rule re-factors
-// every few pivots -- the eta file stays short, per-pivot work stays
-// output-sensitive, and no m x m array is ever materialized.
+// The basis is held as a sparse LU (BasisLU) plus a product-form eta file
+// appended on every pivot; FTRAN/BTRAN replay the etas on top of the
+// O(m + nnz) LU solves. The rent-or-buy rule refactorizes once eta replay
+// has cost as much as the last factor's counted work (factorCost()), and
+// the triangular-first LU keeps that count honest: a factor of enzyme_n6's
+// optimal basis costs ~14 LU FTRANs (the Markowitz LU it replaced cost ~90
+// while its count claimed about one). The rule re-factors every ~23
+// pivots (33 times in an n6 solve, 30 before), and a solve spends about a
+// tenth of its time factoring instead of about a third. The eta file
+// stays short, per-pivot work stays output-sensitive, and no m x m array
+// is ever materialized.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +73,11 @@ struct SimplexMetrics {
   /// snapshot, skipping the O(m^2) dual recomputation.
   obs::Counter &WarmDualInherits =
       obs::metrics().counter("lp.warm_dual_inherits");
+  /// Wall time of each basis factorization (refactorizations and logical
+  /// installs).
+  obs::Histogram &RefactorSec = obs::metrics().histogram(
+      "lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
+                          1e-2, 3e-2, 1e-1});
 };
 
 SimplexMetrics &met() {
@@ -197,6 +207,7 @@ RevisedSimplex::RevisedSimplex(const Model &Model,
   DyVal.assign(NumRows, 0.0);
   DyMark.assign(NumRows, 0);
   RhoVec.assign(NumRows, 0.0);
+  EtaRowHead.assign(NumRows, -1);
 }
 
 double RevisedSimplex::colLower(int Col) const {
@@ -303,13 +314,10 @@ void RevisedSimplex::installLogicalBasis() {
     BasicCol[R] = NumStruct + R;
     RowOfBasic[NumStruct + R] = R;
   }
-  Etas.clear();
-  EtaNnzTotal = 0;
-  ReplayOps = 0;
-  SinceRefactor = 0;
+  clearEtas();
   // The all-logical basis is the identity: its factorization is m trivial
   // singleton pivots and cannot fail.
-  Base.factor(*Cols, NumStruct, BasicCol);
+  factorBase();
 }
 
 bool RevisedSimplex::installBasis(const Basis &B) {
@@ -365,16 +373,29 @@ bool RevisedSimplex::refactorize() {
   if (NumRows == 0)
     return true;
   met().Refactorizations.add();
-  // Sparse Markowitz LU of the current basis. The duplicate-logical and
-  // kernel-singularity failures of the old dense path both surface as
-  // factor() returning false.
-  if (!Base.factor(*Cols, NumStruct, BasicCol))
+  // Sparse LU of the current basis. A duplicated logical or a singular
+  // kernel surfaces as factor() returning false.
+  if (!factorBase())
     return false;
+  clearEtas();
+  return true;
+}
+
+bool RevisedSimplex::factorBase() {
+  WallTimer Timer;
+  bool Ok = Base.factor(*Cols, NumStruct, BasicCol);
+  met().RefactorSec.observe(Timer.seconds());
+  return Ok;
+}
+
+void RevisedSimplex::clearEtas() {
   Etas.clear();
-  EtaNnzTotal = 0;
+  EtaIdx.clear();
+  EtaVal.clear();
+  EtaNext.clear();
+  std::fill(EtaRowHead.begin(), EtaRowHead.end(), -1);
   ReplayOps = 0;
   SinceRefactor = 0;
-  return true;
 }
 
 void RevisedSimplex::computeBasicValues() {
@@ -404,20 +425,13 @@ void RevisedSimplex::computeDuals(const std::vector<double> &CostB,
                                   std::vector<double> &Y) const {
   // With an eta file in play the row-space seed passes through the
   // transposed etas (newest first) before hitting the base inverse.
-  const std::vector<double> *Src = &CostB;
-  std::vector<double> Tmp;
-  if (!Etas.empty()) {
-    Tmp = CostB;
-    for (auto It = Etas.rbegin(); It != Etas.rend(); ++It) {
-      const Eta &E = *It;
-      double Acc = Tmp[E.Row];
-      for (int I : E.Pat)
-        Acc -= Tmp[I] * E.Val[I];
-      Tmp[E.Row] = Acc / E.Piv;
-    }
-    Src = &Tmp;
+  Y = CostB;
+  for (auto It = Etas.rbegin(); It != Etas.rend(); ++It) {
+    double Acc = Y[It->Row];
+    for (int K = It->Begin; K < It->End; ++K)
+      Acc -= Y[EtaIdx[K]] * EtaVal[K];
+    Y[It->Row] = Acc / It->Piv;
   }
-  Y = *Src;
   Base.btran(Y);
 }
 
@@ -429,23 +443,22 @@ void RevisedSimplex::applyPivot(int LeaveRow, int EnterCol,
                                 const std::vector<double> &W,
                                 const std::vector<int> &Pat) {
   // Product-form update: record the FTRAN column as an eta instead of
-  // touching the dense base inverse -- O(nnz(W)) where the in-place
-  // rank-one update was O(nnz(W) * nnz(pivot row)), which goes quadratic
-  // once B^-1 fills in. FTRAN/BTRAN replay the eta file on top of B0^-1;
-  // the periodic refactorization absorbs it back into the dense base.
+  // touching the base inverse -- O(nnz(W)) appended to the packed eta
+  // file. FTRAN/BTRAN replay the eta file on top of B0^-1; the periodic
+  // refactorization absorbs it back into the base.
   Eta E;
   E.Row = LeaveRow;
   E.Piv = W[LeaveRow];
-  E.Val.assign(NumRows, 0.0);
-  E.Pat.reserve(Pat.size());
+  E.Begin = E.End = static_cast<int>(EtaIdx.size());
   for (int I : Pat) {
     if (I == LeaveRow || std::fabs(W[I]) < tol::Zero)
       continue;
-    E.Val[I] = W[I];
-    E.Pat.push_back(I);
+    EtaIdx.push_back(I);
+    EtaVal.push_back(W[I]);
+    EtaNext.push_back(EtaRowHead[I]);
+    EtaRowHead[I] = E.End++;
   }
-  EtaNnzTotal += E.Pat.size();
-  Etas.push_back(std::move(E));
+  Etas.push_back(E);
   int OldCol = BasicCol[LeaveRow];
   RowOfBasic[OldCol] = -1;
   BasicCol[LeaveRow] = EnterCol;
@@ -462,9 +475,9 @@ void RevisedSimplex::applyEtas(std::vector<double> &V) const {
       continue;
     double Tp = T / E.Piv;
     V[E.Row] = Tp;
-    for (int I : E.Pat)
-      V[I] -= E.Val[I] * Tp;
-    Work += E.Pat.size();
+    for (int K = E.Begin; K < E.End; ++K)
+      V[EtaIdx[K]] -= EtaVal[K] * Tp;
+    Work += E.End - E.Begin;
   }
   ReplayOps += Work;
 }
@@ -475,17 +488,31 @@ void RevisedSimplex::btran(std::vector<double> &YVal,
                            std::vector<int> &RhoPat) const {
   // y^T B^-1 = ((y^T E_k) E_k-1 ... E_1) B0^-1. A transposed eta changes
   // only component Row, so the seed gains at most one nonzero per eta.
+  // The seed is usually far sparser than an eta (a couple of rows against
+  // hundreds), so the replay walks the seed, not the etas: each seed row
+  // keeps a cursor into its newest-first list of eta entries, and eta k
+  // reads the row's entry only if the cursor sits inside k's range.
   std::size_t Work = 0;
+  Cursor.clear();
+  for (int I : YPat)
+    Cursor.push_back(EtaRowHead[I]);
   for (auto It = Etas.rbegin(); It != Etas.rend(); ++It) {
     const Eta &E = *It;
     double Acc = YVal[E.Row];
-    for (int I : YPat)
-      if (I != E.Row)
-        Acc -= YVal[I] * E.Val[I];
+    for (std::size_t P = 0; P < YPat.size(); ++P) {
+      int &J = Cursor[P];
+      while (J >= E.End) // A row added mid-replay starts at newer etas.
+        J = EtaNext[J];
+      if (J >= E.Begin) {
+        Acc -= YVal[YPat[P]] * EtaVal[J];
+        J = EtaNext[J];
+      }
+    }
     Acc /= E.Piv;
     if (YVal[E.Row] == 0.0 && Acc != 0.0 && !YMark[E.Row]) {
       YMark[E.Row] = 1;
       YPat.push_back(E.Row);
+      Cursor.push_back(EtaRowHead[E.Row]);
     }
     YVal[E.Row] = Acc;
     Work += YPat.size();
@@ -955,12 +982,11 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       ++Iterations;
       met().Pivots.add();
       PricesFresh = false;
-      // Rent-or-buy factorization reset: refactorization with the sparse
-      // LU costs about one FTRAN, so once the flops burned replaying the
-      // eta file exceed a few times the measured factor price, pay it
-      // again. The configured interval is only a drift-control ceiling.
-      if (ReplayOps >=
-              4 * (Base.factorCost() + static_cast<std::size_t>(NumRows)) ||
+      // Rent-or-buy factorization reset: once the work burned replaying
+      // the eta file reaches the last factor's counted work -- the
+      // break-even point of the ski-rental rule -- pay for a fresh factor.
+      // The configured interval is only a drift-control ceiling.
+      if (ReplayOps >= Base.factorCost() + static_cast<std::size_t>(NumRows) ||
           SinceRefactor >= std::max(1, Opts.RefactorInterval)) {
         if (!refactorize())
           return RevisedStatus::NumericFail;
@@ -1302,9 +1328,8 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
     ++Iterations;
     met().Pivots.add();
     // Same rent-or-buy factorization reset as the primal loop: refactor
-    // once eta replay has burned a few times the measured factor price.
-    if (ReplayOps >=
-            4 * (Base.factorCost() + static_cast<std::size_t>(NumRows)) ||
+    // once eta replay has burned the last factor's counted work.
+    if (ReplayOps >= Base.factorCost() + static_cast<std::size_t>(NumRows) ||
         SinceRefactor >= std::max(1, Opts.RefactorInterval)) {
       if (!refactorize())
         return RevisedStatus::NumericFail;

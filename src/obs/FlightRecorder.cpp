@@ -61,7 +61,8 @@ namespace {
 
 struct FlightMetrics {
   obs::Counter &Digests = obs::metrics().counter("service.request_digests");
-  obs::Counter &Dropped = obs::metrics().counter("obs.flight.dropped");
+  obs::Counter &Overwritten =
+      obs::metrics().counter("obs.flight.overwritten");
 };
 
 FlightMetrics &flightMet() {
@@ -89,7 +90,7 @@ void FlightRecorder::record(RequestDigest D) {
     Ring.push_back(std::move(D));
   } else {
     Ring[Recorded % Capacity] = std::move(D);
-    M.Dropped.add();
+    M.Overwritten.add();
   }
   ++Recorded;
 }

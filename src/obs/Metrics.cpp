@@ -288,6 +288,8 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
     R.counter(Name);
   R.histogram("lp.bb.nodes_per_worker",
               {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000});
+  R.histogram("lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
+                                  3e-3, 1e-2, 3e-2, 1e-1});
 
   // AquaCore simulator (Simulator.cpp). The volume gauges accumulate
   // nanoliters and feed the paper's Table 2 volume/waste columns.
@@ -329,6 +331,6 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
   // Live telemetry (Snapshot.cpp, FlightRecorder.cpp) and per-request
   // digests (CompileService.cpp).
   for (const char *Name : {"obs.snapshot.writes", "obs.snapshot.errors",
-                           "obs.flight.dropped", "service.request_digests"})
+                           "obs.flight.overwritten", "service.request_digests"})
     R.counter(Name);
 }

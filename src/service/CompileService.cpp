@@ -484,32 +484,68 @@ CompileService::canonicalForm(const std::shared_ptr<const ir::AssayGraph> &Share
   auto P = reinterpret_cast<std::uintptr_t>(Shared.get());
   CanonSlot &SL =
       CanonMemo[((P >> 4) * 0x9e3779b97f4a7c15ULL) % CanonMemo.size()];
-  {
+  using CanonPtr = std::shared_ptr<const ir::CanonicalForm>;
+  auto LockSlot = [&SL] {
     while (SL.Lock.test_and_set(std::memory_order_acquire)) {
     }
-    std::shared_ptr<const ir::AssayGraph> Live = SL.Guard.lock();
-    std::shared_ptr<const ir::CanonicalForm> Canon;
-    if (Live.get() == Shared.get() && SL.Canon)
-      Canon = SL.Canon;
-    SL.Lock.clear(std::memory_order_release);
-    if (Canon) {
-      // ABA-safe: the guard resolved to a *live* graph at the same
-      // address as the request's -- shared_ptr liveness means it is the
-      // same immutable object, so its canonical form is still valid.
-      CanonMemoHitCount.fetch_add(1, std::memory_order_relaxed);
-      met().CanonMemoHits.add();
-      return Canon;
+  };
+  // Whatever the slot held is displaced into these and destroyed after
+  // the flag clears.
+  std::shared_ptr<const ir::AssayGraph> Live, Held;
+  std::weak_ptr<const ir::AssayGraph> OldGuard;
+  CanonPtr Canon, OldCanon;
+  std::shared_future<CanonPtr> Wait, OldPending;
+  std::promise<CanonPtr> Promise;
+  LockSlot();
+  // ABA-safe: the guard resolves to a *live* graph at the same address
+  // as the request's -- shared_ptr liveness means it is the same
+  // immutable object, so its canonical form (or the one being computed
+  // for it) is still valid.
+  Live = SL.Guard.lock();
+  if (Live.get() == Shared.get()) {
+    Canon = SL.Canon;
+    Wait = SL.Pending;
+  }
+  if (!Canon && !Wait.valid()) {
+    // Miss: claim the slot (last claimer wins) so that submissions of
+    // this graph arriving meanwhile wait for this canonicalization.
+    OldGuard = std::move(SL.Guard);
+    OldCanon = std::move(SL.Canon);
+    OldPending = std::move(SL.Pending);
+    SL.Guard = Shared;
+    SL.Canon.reset();
+    SL.Pending = Promise.get_future().share();
+  }
+  SL.Lock.clear(std::memory_order_release);
+  if (Canon || Wait.valid()) {
+    if (!Canon)
+      Canon = Wait.get();
+    CanonMemoHitCount.fetch_add(1, std::memory_order_relaxed);
+    met().CanonMemoHits.add();
+    return Canon;
+  }
+  try {
+    Canon = std::make_shared<const ir::CanonicalForm>(ir::canonicalize(G));
+  } catch (...) {
+    // Waiters see the same failure; the slot forgets the graph.
+    Promise.set_exception(std::current_exception());
+    LockSlot();
+    if ((Held = SL.Guard.lock()).get() == Shared.get() && !SL.Canon) {
+      OldGuard = std::move(SL.Guard);
+      OldPending = std::move(SL.Pending);
+      SL.Guard.reset();
+      SL.Pending = {};
     }
+    SL.Lock.clear(std::memory_order_release);
+    throw;
   }
-  auto Canon = std::make_shared<const ir::CanonicalForm>(ir::canonicalize(G));
-  while (SL.Lock.test_and_set(std::memory_order_acquire)) {
+  Promise.set_value(Canon);
+  LockSlot();
+  if ((Held = SL.Guard.lock()).get() == Shared.get() && !SL.Canon) {
+    SL.Canon = Canon;
+    OldPending = std::move(SL.Pending);
+    SL.Pending = {};
   }
-  // Displace whatever the slot held (last writer wins); destruction of
-  // the displaced form happens after the flag clears.
-  std::weak_ptr<const ir::AssayGraph> OldGuard = std::move(SL.Guard);
-  std::shared_ptr<const ir::CanonicalForm> OldCanon = std::move(SL.Canon);
-  SL.Guard = Shared;
-  SL.Canon = Canon;
   SL.Lock.clear(std::memory_order_release);
   return Canon;
 }

@@ -648,6 +648,7 @@ Status SolveStore::put(const ir::Fingerprint &Key, std::string_view Payload) {
                                 "record bound",
                                 Payload.size(), Opts.MaxPayloadBytes));
   std::lock_guard<std::mutex> Lock(Mutex);
+  Puts.fetch_add(1, std::memory_order_release);
   if (Status S = ensureWriterLocked(); !S.ok())
     return S;
   Segment &Seg = Segments[WriterSegment];
@@ -811,8 +812,37 @@ std::uint64_t SolveStore::refresh() {
   return refreshLocked();
 }
 
+bool SolveStore::isCompactLocked(int SegIndex) const {
+  const Segment &Seg = Segments[SegIndex];
+  if (!Seg.Sealed || !Seg.Data)
+    return false;
+  for (const auto &[Key, Loc] : Index)
+    if (Loc.Segment == SegIndex)
+      return false;
+  std::vector<IdxEntry> Entries;
+  sealedEntriesLocked(SegIndex, Entries);
+  std::uint64_t Bytes = SegmentHeaderBytes;
+  for (const IdxEntry &En : Entries)
+    Bytes += RecordHeaderBytes + En.PayloadLen + RecordTrailerBytes;
+  return Bytes == Seg.Data->bytes().size();
+}
+
 Status SolveStore::compact() {
+  // Nothing to do since the last no-op pass: no put of ours, and no file
+  // created, removed or renamed by anyone. Checked without Mutex, so a
+  // compactor polling in a loop does not starve readers and writers of
+  // it (std::mutex is not fair).
+  if (std::uint64_t Quiet = QuietPuts.load(std::memory_order_acquire);
+      Quiet != 0 && Quiet == Puts.load(std::memory_order_acquire) + 1) {
+    auto Gen = E.dirGeneration(Dir);
+    if (Gen.ok() && *Gen == QuietDirGeneration.load(std::memory_order_relaxed))
+      return Status::success();
+  }
   std::lock_guard<std::mutex> Lock(Mutex);
+  QuietPuts.store(0, std::memory_order_relaxed);
+  // Read before the listing, like refreshLocked: a change racing with
+  // this pass leaves the recorded generation stale, never too new.
+  auto GenBefore = E.dirGeneration(Dir);
   // One compactor per store directory, across processes.
   auto LockFile = E.openAppend(path("LOCK"));
   if (!LockFile.ok())
@@ -833,6 +863,7 @@ Status SolveStore::compact() {
   // A segment is compactable iff no live writer holds its lock.
   std::vector<int> Victims;
   std::vector<std::unique_ptr<WritableFile>> VictimLocks;
+  bool LiveWriters = false;
   for (std::size_t I = 0; I < Segments.size(); ++I) {
     Segment &Seg = Segments[I];
     if (Seg.Name.empty() || !E.exists(path(Seg.Name)))
@@ -841,13 +872,23 @@ Status SolveStore::compact() {
     if (!Handle.ok())
       continue;
     bool Acquired = false;
-    if (!(*Handle)->tryLockExclusive(Acquired).ok() || !Acquired)
+    if (!(*Handle)->tryLockExclusive(Acquired).ok() || !Acquired) {
+      LiveWriters = true;
       continue; // A live writer owns it; leave it alone.
+    }
     Victims.push_back(static_cast<int>(I));
     VictimLocks.push_back(std::move(*Handle));
   }
-  if (Victims.size() < 1)
+  if (Victims.empty() || (Victims.size() == 1 && isCompactLocked(Victims[0]))) {
+    // A rewrite would copy the store as it is. With no live writer, a
+    // later pass can only have work after a put or a directory change.
+    if (!LiveWriters && GenBefore.ok()) {
+      QuietDirGeneration.store(*GenBefore, std::memory_order_relaxed);
+      QuietPuts.store(Puts.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
+    }
     return Status::success();
+  }
 
   // Write every surviving record of the victim segments into a temp file,
   // then atomically rename it into place. A crash before the rename leaves
@@ -869,18 +910,12 @@ Status SolveStore::compact() {
       !S.ok())
     return Abort(S);
 
-  // Collect the surviving records of every victim: from the in-memory
-  // Index for scan-served segments, from the mapped slot table for sealed
-  // ones. Duplicate keys across victims collapse arbitrarily -- the
-  // pipeline is deterministic, so duplicate payloads are identical.
+  // Collect the surviving records of every victim: from the mapped slot
+  // table for sealed ones, then from the in-memory Index for scan-served
+  // ones, which override them, as they do on get (a re-put after the last
+  // seal lives in the Index). Other duplicates collapse as on get too:
+  // the higher segment wins.
   std::unordered_map<ir::Fingerprint, RecordLoc, KeyHash> Surviving;
-  for (const auto &[Key, Loc] : Index) {
-    for (int V : Victims)
-      if (Loc.Segment == V) {
-        Surviving.insert_or_assign(Key, Loc);
-        break;
-      }
-  }
   std::vector<IdxEntry> VictimEntries;
   for (int V : Victims) {
     VictimEntries.clear();
@@ -891,6 +926,13 @@ Status SolveStore::compact() {
       Key.Lo = En.Lo;
       Surviving.insert_or_assign(Key, RecordLoc{V, En.Offset, En.PayloadLen});
     }
+  }
+  for (const auto &[Key, Loc] : Index) {
+    for (int V : Victims)
+      if (Loc.Segment == V) {
+        Surviving.insert_or_assign(Key, Loc);
+        break;
+      }
   }
 
   std::vector<std::pair<ir::Fingerprint, RecordLoc>> Moved;

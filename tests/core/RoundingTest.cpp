@@ -41,6 +41,41 @@ TEST(Rounding, ExactMultiplesRoundWithoutError) {
   EXPECT_EQ(I.NodeUnits[M], 400);
 }
 
+TEST(Rounding, CapacityUnitsNeverExceedCapacity) {
+  MachineSpec Spec;
+  Spec.MaxCapacityNl = 401.9196;
+  Spec.LeastCountNl = 0.025; // 16076.784 units: floor, not nearest.
+  EXPECT_EQ(Spec.capacityUnits(), 16076);
+  EXPECT_LE(Spec.capacityUnits() * Spec.LeastCountNl, Spec.MaxCapacityNl);
+  // Whole multiples stay exact despite the quotient's float error.
+  Spec.MaxCapacityNl = 1000.0;
+  Spec.LeastCountNl = 0.1;
+  EXPECT_EQ(Spec.capacityUnits(), 10000);
+  EXPECT_EQ(MachineSpec{}.capacityUnits(), 1000);
+
+  // A mix filled to capacity whose inputs both round up lands 0.0054 nl
+  // over it in nanoliters; the rounding must flag that as an overflow.
+  AssayGraph G;
+  NodeId A = G.addInput("A");
+  NodeId B = G.addInput("B");
+  NodeId M = G.addMix("M", {{A, 1}, {B, 3}});
+  G.addUnary(NodeKind::Sense, "out", M);
+  Spec.MaxCapacityNl = 401.9196;
+  Spec.LeastCountNl = 0.025;
+  VolumeAssignment V;
+  V.NodeVolumeNl.assign(G.numNodeSlots(), 0.0);
+  V.EdgeVolumeNl.assign(G.numEdgeSlots(), 0.0);
+  V.NodeVolumeNl[A] = 100.98;   // 4039.2 units -> 4039
+  V.NodeVolumeNl[B] = 300.9396; // 12037.584 units -> 12038
+  V.NodeVolumeNl[M] = 401.9196;
+  for (EdgeId E : G.liveEdges())
+    V.EdgeVolumeNl[E] = V.NodeVolumeNl[G.edge(E).Src];
+  IntegerAssignment I = roundToLeastCount(G, V, Spec);
+  ASSERT_EQ(I.NodeUnits[M], 16077);
+  EXPECT_GT(I.NodeUnits[M] * Spec.LeastCountNl, Spec.MaxCapacityNl);
+  EXPECT_TRUE(I.Overflow);
+}
+
 TEST(Rounding, GlucoseErrorBelowTwoPercent) {
   // Section 4.2: "Averaged across the glucose and enzyme assays, the error
   // was no more than 2%", with max 100 nl and least count 0.1 nl.

@@ -177,6 +177,36 @@ TEST(SolveStore, CompactionMergesAndDropsSuperseded) {
   EXPECT_EQ(S2->stats().Keys, 3u);
 }
 
+TEST(SolveStore, CompactionOfACompactStoreRewritesNothing) {
+  MemEnv E;
+  auto S = openOrDie("db", E);
+  ASSERT_TRUE(S->put(key(1, 0), "one").ok());
+  ASSERT_TRUE(S->put(key(2, 0), "two").ok());
+  ASSERT_TRUE(S->compact().ok());
+  const std::vector<std::string> Files = E.listDir("db").get();
+  // One clean segment: further passes leave every file and count alone.
+  for (int I = 0; I < 3; ++I)
+    ASSERT_TRUE(S->compact().ok());
+  EXPECT_EQ(S->stats().Compactions, 1u);
+  EXPECT_EQ(E.listDir("db").get(), Files);
+  // A put, or a segment written by another store, is work again.
+  ASSERT_TRUE(S->put(key(1, 0), "one again").ok());
+  ASSERT_TRUE(S->compact().ok());
+  EXPECT_EQ(S->stats().Compactions, 2u);
+  {
+    auto Other = openOrDie("db", E);
+    ASSERT_TRUE(Other->put(key(3, 0), "three").ok());
+  }
+  ASSERT_TRUE(S->compact().ok());
+  EXPECT_EQ(S->stats().Compactions, 3u);
+  EXPECT_EQ(S->stats().Segments, 1u);
+  std::string Out;
+  ASSERT_TRUE(S->get(key(1, 0), Out));
+  EXPECT_EQ(Out, "one again");
+  ASSERT_TRUE(S->get(key(3, 0), Out));
+  EXPECT_EQ(Out, "three");
+}
+
 TEST(SolveStore, CompactionSkipsLiveWriterSegments) {
   MemEnv E;
   auto A = openOrDie("db", E);
