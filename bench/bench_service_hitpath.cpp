@@ -4,18 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The PR-10 read path under a microscope: what does a *hit* cost, and how
-// does it scale? Three phases over the LP-bound volume sweep:
+// The read path under a microscope: what does a *hit* cost, and how does
+// it scale? Four phases over the LP-bound volume sweep:
 //
 //  1. l1_scaling       -- one in-process service, cache pre-warmed, then
 //                         1/2/4/8 client threads hammer compileNow on the
 //                         warm keys. Every request must be an L1 hit (hard
 //                         gate: zero misses) served by the seqlock read
-//                         path with the canonical-form memo engaged. The
+//                         path with the front-end memo engaged. The
 //                         timing gate asks for 8T/1T throughput scaling
 //                         against a hardware-aware target (3x on >= 4
 //                         cores; see DESIGN 12.5 for the re-basing rule) --
 //                         a single-core box can only prove non-regression.
+//  1b. source_hit      -- the shape aquad serves: the paper assays sent as
+//                         source text under the same 16-capacity sweep, at
+//                         1 and 4 threads. Hard gates: pure hits, and every
+//                         request a front-end memo hit (no parse, lower or
+//                         canonicalization). Records source_over_graph_p50,
+//                         the same-run ratio of the source-hit p50 to the
+//                         graph-hit p50 at one thread, which CI gates.
 //  2. mp_warm_hitpath  -- the fleet shape: one process populates a shared
 //                         persistent store, then 4 forked workers each
 //                         re-serve the sweep for many rounds. Round one is
@@ -34,16 +41,21 @@
 // Latencies are recorded per request into log2-nanosecond histograms
 // (merged across threads and, via the report pipe, across processes), so
 // the JSON carries p50/p99 without any per-request allocation on the
-// measured path.
+// measured path. The in-process phases also keep every sample in a
+// pre-sized buffer, so the source/graph ratio compares exact medians
+// rather than power-of-two bucket midpoints.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "aqua/assays/ExtraAssays.h"
+#include "aqua/assays/PaperAssays.h"
 #include "aqua/ir/AssayGraph.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/service/CompileService.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -146,6 +158,64 @@ double scalingTarget(unsigned Hw) {
   return 0.5;
 }
 
+/// One timed in-process run: \p Threads clients each send \p PerThread
+/// requests, cycling through \p Requests from a per-thread offset.
+struct HammerResult {
+  double WallSec = 0.0;
+  LatencyHist Hist;
+  double ExactP50Us = 0.0;
+  std::uint64_t Failures = 0;
+  std::uint64_t Hits = 0, Misses = 0, MemoHits = 0, SeqlockRetries = 0;
+};
+
+HammerResult hammer(service::CompileService &Service,
+                    const std::vector<service::CompileRequest> &Requests,
+                    int Threads, int PerThread) {
+  service::ServiceStats Before = Service.stats();
+  std::atomic<bool> Go{false};
+  std::atomic<std::uint64_t> Failures{0};
+  std::vector<LatencyHist> Hists(Threads);
+  std::vector<std::vector<std::uint64_t>> Samples(Threads);
+  for (auto &S : Samples)
+    S.reserve(PerThread);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire)) {
+      }
+      for (int I = 0; I < PerThread; ++I) {
+        const service::CompileRequest &R = Requests[(T + I) % Requests.size()];
+        std::uint64_t Start = nowNs();
+        bool Ok = Service.compileNow(R).Ok;
+        std::uint64_t Ns = nowNs() - Start;
+        Hists[T].add(Ns);
+        Samples[T].push_back(Ns);
+        if (!Ok)
+          Failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  WallTimer Wall;
+  Go.store(true, std::memory_order_release);
+  for (std::thread &Th : Pool)
+    Th.join();
+  HammerResult Out;
+  Out.WallSec = Wall.seconds();
+  service::ServiceStats After = Service.stats();
+  std::vector<std::uint64_t> All;
+  for (int T = 0; T < Threads; ++T) {
+    Out.Hist.merge(Hists[T]);
+    All.insert(All.end(), Samples[T].begin(), Samples[T].end());
+  }
+  std::nth_element(All.begin(), All.begin() + All.size() / 2, All.end());
+  Out.ExactP50Us = All.empty() ? 0.0 : All[All.size() / 2] / 1e3;
+  Out.Failures = Failures.load();
+  Out.Hits = After.CacheHits - Before.CacheHits;
+  Out.Misses = After.Cache.Misses - Before.Cache.Misses;
+  Out.MemoHits = After.CanonMemoHits - Before.CanonMemoHits;
+  Out.SeqlockRetries = After.Cache.SeqlockRetries - Before.Cache.SeqlockRetries;
+  return Out;
+}
+
 /// What a forked warm-path worker reports back through its pipe.
 struct HitWorkerReport {
   std::uint64_t Requests = 0;
@@ -167,6 +237,24 @@ std::string makeTempDir() {
 
 } // namespace
 
+/// The hit-phase correctness gate: no failures, no misses, every request
+/// a cache hit and a front-end memo hit. Prints what broke it.
+bool pureHits(const HammerResult &H, std::uint64_t Total, const char *Phase,
+              int Threads) {
+  if (H.Failures == 0 && H.Misses == 0 && H.Hits == Total &&
+      H.MemoHits == Total)
+    return true;
+  std::fprintf(stderr,
+               "%s %dT not pure hit traffic: %llu misses, %llu/%llu hits, "
+               "%llu memo hits, %llu failures\n",
+               Phase, Threads, static_cast<unsigned long long>(H.Misses),
+               static_cast<unsigned long long>(H.Hits),
+               static_cast<unsigned long long>(Total),
+               static_cast<unsigned long long>(H.MemoHits),
+               static_cast<unsigned long long>(H.Failures));
+  return false;
+}
+
 int main() {
   const int Slots = 16;
   const unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
@@ -178,6 +266,7 @@ int main() {
   JsonReporter Json("service_hitpath");
   header("Read-path throughput: L1 seqlock hits and the mmap'd L2 index");
   std::printf("  hardware_concurrency: %u\n", Hw);
+  double GraphP50Us = 0.0;
 
   // ---- Phase 1: in-process L1 hit scaling, 1 -> 8 client threads.
   {
@@ -193,79 +282,40 @@ int main() {
     const int PerThread = 8000;
     double Rps1 = 0.0, Rps8 = 0.0;
     for (int Threads : {1, 2, 4, 8}) {
-      service::ServiceStats Before = Service.stats();
       MetricsDelta Delta;
-      std::atomic<bool> Go{false};
-      std::atomic<std::uint64_t> Failures{0};
-      std::vector<LatencyHist> Hists(Threads);
-      std::vector<std::thread> Pool;
-      for (int T = 0; T < Threads; ++T)
-        Pool.emplace_back([&, T] {
-          while (!Go.load(std::memory_order_acquire)) {
-          }
-          for (int I = 0; I < PerThread; ++I) {
-            const service::CompileRequest &R =
-                Requests[(T + I) % Slots];
-            std::uint64_t Start = nowNs();
-            bool Ok = Service.compileNow(R).Ok;
-            Hists[T].add(nowNs() - Start);
-            if (!Ok)
-              Failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      WallTimer Wall;
-      Go.store(true, std::memory_order_release);
-      for (std::thread &Th : Pool)
-        Th.join();
-      double WallSec = Wall.seconds();
-      service::ServiceStats After = Service.stats();
-
-      LatencyHist Merged;
-      for (const LatencyHist &H : Hists)
-        Merged.merge(H);
+      HammerResult H = hammer(Service, Requests, Threads, PerThread);
       std::uint64_t Total = static_cast<std::uint64_t>(Threads) * PerThread;
-      double Rps = WallSec > 0 ? Total / WallSec : 0.0;
-      if (Threads == 1)
+      double Rps = H.WallSec > 0 ? Total / H.WallSec : 0.0;
+      if (Threads == 1) {
         Rps1 = Rps;
+        GraphP50Us = H.ExactP50Us;
+      }
       if (Threads == 8)
         Rps8 = Rps;
-      std::uint64_t Misses = After.Cache.Misses - Before.Cache.Misses;
-      std::uint64_t Hits = After.CacheHits - Before.CacheHits;
-      std::uint64_t MemoHits = After.CanonMemoHits - Before.CanonMemoHits;
       std::printf("  l1 %dT: %8.0f req/s  p50 %6.1f us  p99 %6.1f us  "
                   "(%llu hits, %llu seqlock retries)\n",
-                  Threads, Rps, Merged.quantileUs(0.50),
-                  Merged.quantileUs(0.99),
-                  static_cast<unsigned long long>(Hits),
-                  static_cast<unsigned long long>(
-                      After.Cache.SeqlockRetries - Before.Cache.SeqlockRetries));
+                  Threads, Rps, H.Hist.quantileUs(0.50),
+                  H.Hist.quantileUs(0.99),
+                  static_cast<unsigned long long>(H.Hits),
+                  static_cast<unsigned long long>(H.SeqlockRetries));
       BenchRecord &Rec = Json.add("l1_scaling");
       Rec.param("threads", std::to_string(Threads))
           .metric("requests", static_cast<double>(Total))
-          .metric("wall_sec", WallSec)
+          .metric("wall_sec", H.WallSec)
           .metric("throughput_rps", Rps)
-          .metric("p50_us", Merged.quantileUs(0.50))
-          .metric("p99_us", Merged.quantileUs(0.99))
-          .metric("hits", static_cast<double>(Hits))
-          .metric("misses", static_cast<double>(Misses))
-          .metric("canon_memo_hits", static_cast<double>(MemoHits))
-          .metric("failures", static_cast<double>(Failures.load()));
+          .metric("p50_us", H.Hist.quantileUs(0.50))
+          .metric("p99_us", H.Hist.quantileUs(0.99))
+          .metric("exact_p50_us", H.ExactP50Us)
+          .metric("hits", static_cast<double>(H.Hits))
+          .metric("misses", static_cast<double>(H.Misses))
+          .metric("canon_memo_hits", static_cast<double>(H.MemoHits))
+          .metric("failures", static_cast<double>(H.Failures));
       Delta.addTo(Rec, "d_");
       // Hard gates (not timing): the hammer must be pure L1 hit traffic
-      // with the canonical-form memo engaged -- otherwise this bench is
+      // with the front-end memo engaged -- otherwise this bench is
       // measuring solves, not the read path.
-      if (Failures.load() != 0 || Misses != 0 || Hits != Total ||
-          MemoHits != Total) {
-        std::fprintf(stderr,
-                     "l1 %dT not pure hit traffic: %llu misses, %llu/%llu "
-                     "hits, %llu memo hits, %llu failures\n",
-                     Threads, static_cast<unsigned long long>(Misses),
-                     static_cast<unsigned long long>(Hits),
-                     static_cast<unsigned long long>(Total),
-                     static_cast<unsigned long long>(MemoHits),
-                     static_cast<unsigned long long>(Failures.load()));
+      if (!pureHits(H, Total, "l1", Threads))
         return 1;
-      }
     }
 
     double Scaling = Rps1 > 0 ? Rps8 / Rps1 : 0.0;
@@ -283,6 +333,71 @@ int main() {
                    Target);
       return 1;
     }
+  }
+
+  // ---- Phase 1b: the same hits, sent as source text (what aquad sends).
+  {
+    std::vector<service::CompileRequest> Sources;
+    const char *Texts[] = {assays::glucoseSource(), assays::glycomicsSource(),
+                           assays::enzymeSource(), assays::bradfordSource()};
+    for (int I = 0; I < Slots; ++I)
+      for (const char *Text : Texts) {
+        service::CompileRequest R;
+        R.Name = "source" + std::to_string(I);
+        R.Source = Text;
+        R.Spec.MaxCapacityNl = 100.0 - 0.5 * I;
+        Sources.push_back(std::move(R));
+      }
+    service::ServiceOptions Options;
+    Options.Threads = 1;
+    service::CompileService Service(Options);
+    for (const service::CompileRequest &R : Sources) {
+      service::CompileResponse W = Service.compileNow(R);
+      if (!W.Ok) {
+        std::fprintf(stderr, "source warmup failed for %s: %s\n",
+                     R.Name.c_str(), W.Error.c_str());
+        return 1;
+      }
+    }
+    const int PerThread = 8000;
+    double SourceP50Us = 0.0;
+    for (int Threads : {1, 4}) {
+      HammerResult H = hammer(Service, Sources, Threads, PerThread);
+      std::uint64_t Total = static_cast<std::uint64_t>(Threads) * PerThread;
+      double Rps = H.WallSec > 0 ? Total / H.WallSec : 0.0;
+      if (Threads == 1)
+        SourceP50Us = H.ExactP50Us;
+      std::printf("  source %dT: %8.0f req/s  p50 %6.1f us  p99 %6.1f us  "
+                  "(%llu hits, %llu memo hits)\n",
+                  Threads, Rps, H.Hist.quantileUs(0.50),
+                  H.Hist.quantileUs(0.99),
+                  static_cast<unsigned long long>(H.Hits),
+                  static_cast<unsigned long long>(H.MemoHits));
+      Json.add("source_hit")
+          .param("threads", std::to_string(Threads))
+          .param("keys", std::to_string(Sources.size()))
+          .metric("requests", static_cast<double>(Total))
+          .metric("wall_sec", H.WallSec)
+          .metric("throughput_rps", Rps)
+          .metric("p50_us", H.Hist.quantileUs(0.50))
+          .metric("p99_us", H.Hist.quantileUs(0.99))
+          .metric("exact_p50_us", H.ExactP50Us)
+          .metric("hits", static_cast<double>(H.Hits))
+          .metric("misses", static_cast<double>(H.Misses))
+          .metric("canon_memo_hits", static_cast<double>(H.MemoHits))
+          .metric("failures", static_cast<double>(H.Failures));
+      if (!pureHits(H, Total, "source", Threads))
+        return 1;
+    }
+    // A same-run ratio, so it holds on a loaded runner; CI fails above 4.
+    double Ratio = GraphP50Us > 0 ? SourceP50Us / GraphP50Us : 0.0;
+    std::printf("  source/graph hit p50 (1T, exact): %.2f us / %.2f us = "
+                "%.2fx\n",
+                SourceP50Us, GraphP50Us, Ratio);
+    Json.add("source_hit_summary")
+        .metric("graph_p50_us_1t", GraphP50Us)
+        .metric("source_p50_us_1t", SourceP50Us)
+        .metric("source_over_graph_p50", Ratio);
   }
 
   // ---- Phase 2: forked workers re-serving a pre-populated shared store.

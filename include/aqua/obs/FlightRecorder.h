@@ -7,7 +7,7 @@
 /// \file
 /// A bounded ring of *request digests*: one compact record per completed
 /// (or shed) CompileService request, carrying the trace id, phase
-/// durations, cache outcome, and shed cause. Where the span tracer answers
+/// durations, cache outcome, front-end path, and shed cause. Where the span tracer answers
 /// "what did this process spend its time on", the flight recorder answers
 /// "what happened to the last N requests" -- cheap enough to leave on in
 /// production (one mutex push per request, no allocation beyond the name
@@ -46,8 +46,17 @@ enum class ShedCause : std::uint8_t {
   DeadlineExpired, ///< Dropped at dequeue: deadline already passed.
 };
 
+/// What the front end (parse, lower, canonicalize) cost a request.
+enum class FrontEndPath : std::uint8_t {
+  None,    ///< Never reached the front end (shed).
+  Memo,    ///< Reused a memoized graph and canonical form.
+  Lowered, ///< Parsed and lowered source text, then canonicalized.
+  Graph,   ///< Canonicalized a pre-lowered graph.
+};
+
 const char *requestOutcomeName(RequestOutcome O);
 const char *shedCauseName(ShedCause C);
+const char *frontEndPathName(FrontEndPath P);
 
 /// One request's post-mortem record.
 struct RequestDigest {
@@ -55,6 +64,7 @@ struct RequestDigest {
   std::string Name; ///< Request name (assay/program identifier).
   RequestOutcome Outcome = RequestOutcome::Miss;
   ShedCause Cause = ShedCause::None;
+  FrontEndPath FrontEnd = FrontEndPath::None;
   bool Ok = true; ///< False when compilation failed (or was shed).
   double QueueWaitSec = 0;
   double SolveSec = 0;   ///< Solve+codegen time (misses only).

@@ -44,6 +44,7 @@
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Manager.h"
 #include "aqua/ir/Canonical.h"
+#include "aqua/obs/FlightRecorder.h"
 #include "aqua/service/SolveCache.h"
 #include "aqua/store/SolveStore.h"
 
@@ -133,9 +134,10 @@ struct CompileResponse {
 struct ServiceOptions {
   /// Worker threads (clamped to >= 1).
   int Threads = 4;
-  /// Master switch for the memoizing cache *and* single-flight dedup;
-  /// off means every request runs the full pipeline (the baseline the
-  /// throughput bench compares against).
+  /// Master switch for the memoizing cache, single-flight dedup *and* the
+  /// front-end memo; off means every request runs the full pipeline,
+  /// parse to codegen (the baseline the throughput bench compares
+  /// against).
   bool EnableCache = true;
   CacheConfig Cache;
   /// Directory of the persistent solve store to attach as a write-through
@@ -172,11 +174,13 @@ struct ServiceStats {
   /// Cache hits satisfied by the persistent L2 store.
   std::uint64_t CacheHitsL2 = 0;
   std::uint64_t SingleFlightJoins = 0;
-  /// Requests whose canonical form was reused from the graph-identity
-  /// memo instead of re-running WL canonicalization (the dominant cost of
-  /// a cache hit). Only shared `CompileRequest::Graph` submissions can
-  /// memo-hit.
+  /// Requests served by the front-end memo: a repeated source text (or a
+  /// resubmitted shared graph) that skipped parse, lower and WL
+  /// canonicalization, the dominant costs of a cache hit.
   std::uint64_t CanonMemoHits = 0;
+  /// Keys the front-end memo holds now (at most
+  /// CompileService::FrontEndMemoCapacity).
+  std::size_t FrontEndMemoEntries = 0;
   /// Cache misses that reused a same-structure donor basis (warm-miss).
   std::uint64_t WarmMissHits = 0;
   /// Requests rejected by admission control, by reason.
@@ -276,6 +280,10 @@ public:
   /// The attached persistent store; null when persistence is disabled.
   const store::SolveStore *store() const { return Store.get(); }
 
+  /// Keys the front-end memo holds at most (see DESIGN §7 for the
+  /// footprint behind the number).
+  static constexpr std::size_t FrontEndMemoCapacity = 256;
+
 private:
   struct Job {
     CompileRequest Request;
@@ -299,12 +307,19 @@ private:
   /// Delivers \p R for \p J: a slot write + countdown for batched jobs, a
   /// promise fulfilment otherwise.
   static void finishJob(Job &J, CompileResponse &&R);
-  /// Returns the canonical form of \p G, reusing the memoized form when
-  /// \p Shared identifies a graph canonicalized before (repeat
-  /// submissions of one shared DAG -- the dominant hit-path cost).
-  std::shared_ptr<const ir::CanonicalForm>
-  canonicalForm(const std::shared_ptr<const ir::AssayGraph> &Shared,
-                const ir::AssayGraph &G);
+  /// What the front end makes of a request: the lowered graph and its
+  /// canonical form, or (both null) the lowering error.
+  struct FrontEnd {
+    std::shared_ptr<const ir::AssayGraph> Graph;
+    std::shared_ptr<const ir::CanonicalForm> Canon;
+    std::string Error;
+  };
+  using FrontEndFuture = std::shared_future<FrontEnd>;
+  /// Lowers (source text) and canonicalizes \p Request, or reuses the
+  /// memoized result of an earlier request with the same key. \p Path
+  /// receives which of the two the request paid for.
+  FrontEndFuture frontEnd(const CompileRequest &Request,
+                          obs::FrontEndPath &Path);
   /// Runs the pipeline for one admitted request. \p QueueWaitSec feeds the
   /// request digest; \p EndFlow ends the submit-side flow arc inside the
   /// request span (true only when submit began one, i.e. queued paths).
@@ -322,7 +337,8 @@ private:
   /// Records the request's flight-recorder digest.
   static void recordDigest(const CompileRequest &Request,
                            const CompileResponse &R, double QueueWaitSec,
-                           double SolveSec);
+                           double SolveSec,
+                           obs::FrontEndPath Path = obs::FrontEndPath::None);
   /// Records \p Artifact's LP basis (if any) as the donor for its
   /// structure key.
   void publishDonor(const ir::Fingerprint &StructKey,
@@ -363,23 +379,29 @@ private:
   std::mutex DonorMutex;
   std::unordered_map<std::string, Donor> Donors;
 
-  /// Canonical-form memo keyed on graph *identity*: a fixed table of
-  /// slots mapping a live `shared_ptr<const AssayGraph>` to its
-  /// CanonicalForm. The weak_ptr guard makes reuse ABA-safe -- a slot is
-  /// only trusted if the guarded graph is still alive *and* is the same
-  /// object the request carries (a recycled address cannot satisfy both).
-  /// Per-slot spin flags: repeat submissions of one graph contend only
-  /// for a pointer-compare + shared_ptr copy. The memo is single-flight:
-  /// the first miss publishes a Pending future for its graph, and
-  /// submissions that arrive while it canonicalizes wait on that future
-  /// instead of canonicalizing again.
-  struct CanonSlot {
-    mutable std::atomic_flag Lock = ATOMIC_FLAG_INIT;
-    std::weak_ptr<const ir::AssayGraph> Guard;
-    std::shared_ptr<const ir::CanonicalForm> Canon;
-    std::shared_future<std::shared_ptr<const ir::CanonicalForm>> Pending;
+  /// Front-end memo: a repeated request skips parse, lower and WL
+  /// canonicalization. A source-text request is keyed by its exact bytes
+  /// (hash, then full compare), a graph request by its graph object's
+  /// identity; the entry holds that graph, so an identity match can never
+  /// be a recycled address. An entry is a future, so concurrent first
+  /// submissions of a key wait on one lowering, which runs outside the
+  /// shard lock. Failed lowerings are dropped, not memoized. LRU within
+  /// each shard.
+  struct MemoEntry {
+    std::uint64_t Hash = 0;
+    std::string Source;                          ///< Source-text key.
+    std::shared_ptr<const ir::AssayGraph> Keyed; ///< Graph key.
+    FrontEndFuture Result;
+    std::uint64_t LastUse = 0;
   };
-  std::array<CanonSlot, 64> CanonMemo;
+  struct MemoShard {
+    mutable std::mutex Mutex; ///< Guards Entries and Tick.
+    std::vector<MemoEntry> Entries;
+    std::uint64_t Tick = 0;
+  };
+  static constexpr std::size_t MemoShards = 8;
+  static constexpr std::size_t MemoWays = FrontEndMemoCapacity / MemoShards;
+  std::array<MemoShard, MemoShards> Memo;
 
   std::atomic<std::uint64_t> Submitted{0};
   std::atomic<std::uint64_t> Completed{0};

@@ -11,7 +11,8 @@
 //     "recorded": <uint>, "dropped": <uint>,
 //     "digests": [
 //       { "trace": "0x<hex>", "name": <string>, "outcome": <string>,
-//         "cause": <string>, "ok": <bool>, "queueWaitSec": <number>,
+//         "cause": <string>, "frontend": <string>, "ok": <bool>,
+//         "queueWaitSec": <number>,
 //         "solveSec": <number>, "latencySec": <number>,
 //         "wallMicros": <uint> }, ...
 //     ]
@@ -53,6 +54,20 @@ const char *aqua::obs::shedCauseName(ShedCause C) {
     return "queue_full";
   case ShedCause::DeadlineExpired:
     return "deadline";
+  }
+  return "unknown";
+}
+
+const char *aqua::obs::frontEndPathName(FrontEndPath P) {
+  switch (P) {
+  case FrontEndPath::None:
+    return "none";
+  case FrontEndPath::Memo:
+    return "memo";
+  case FrontEndPath::Lowered:
+    return "lowered";
+  case FrontEndPath::Graph:
+    return "graph";
   }
   return "unknown";
 }
@@ -169,7 +184,7 @@ std::string FlightRecorder::json() const {
   std::uint64_t Dropped = droppedCount();
 
   std::string Out = "{\n  \"schema\": \"aqua.flight.v1\",\n";
-  char Buf[256];
+  char Buf[320];
   std::snprintf(Buf, sizeof(Buf),
                 "  \"recorded\": %llu, \"dropped\": %llu,\n  \"digests\": [",
                 static_cast<unsigned long long>(Recorded),
@@ -184,11 +199,12 @@ std::string FlightRecorder::json() const {
     Out += Buf;
     appendQuoted(Out, D.Name);
     std::snprintf(Buf, sizeof(Buf),
-                  ", \"outcome\": \"%s\", \"cause\": \"%s\", \"ok\": %s, "
+                  ", \"outcome\": \"%s\", \"cause\": \"%s\", "
+                  "\"frontend\": \"%s\", \"ok\": %s, "
                   "\"queueWaitSec\": %.9g, \"solveSec\": %.9g, "
                   "\"latencySec\": %.9g, \"wallMicros\": %llu}",
                   requestOutcomeName(D.Outcome), shedCauseName(D.Cause),
-                  D.Ok ? "true" : "false", D.QueueWaitSec, D.SolveSec,
+                  frontEndPathName(D.FrontEnd), D.Ok ? "true" : "false", D.QueueWaitSec, D.SolveSec,
                   D.LatencySec, static_cast<unsigned long long>(D.WallMicros));
     Out += Buf;
   }

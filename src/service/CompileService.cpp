@@ -156,10 +156,12 @@ CompileResponse CompileService::shedResponse(const CompileRequest &Request,
 
 void CompileService::recordDigest(const CompileRequest &Request,
                                   const CompileResponse &R,
-                                  double QueueWaitSec, double SolveSec) {
+                                  double QueueWaitSec, double SolveSec,
+                                  obs::FrontEndPath Path) {
   obs::RequestDigest D;
   D.TraceId = Request.TraceId;
   D.Name = Request.Name;
+  D.FrontEnd = Path;
   if (R.Shed == ShedReason::QueueFull) {
     D.Outcome = obs::RequestOutcome::Shed;
     D.Cause = obs::ShedCause::QueueFull;
@@ -474,80 +476,103 @@ std::size_t CompileService::queueDepth() const {
   return Queue.size();
 }
 
-std::shared_ptr<const ir::CanonicalForm>
-CompileService::canonicalForm(const std::shared_ptr<const ir::AssayGraph> &Shared,
-                              const ir::AssayGraph &G) {
-  if (!Shared) {
-    // Front-end-lowered graph: unique to this request, nothing to reuse.
-    return std::make_shared<const ir::CanonicalForm>(ir::canonicalize(G));
-  }
-  auto P = reinterpret_cast<std::uintptr_t>(Shared.get());
-  CanonSlot &SL =
-      CanonMemo[((P >> 4) * 0x9e3779b97f4a7c15ULL) % CanonMemo.size()];
-  using CanonPtr = std::shared_ptr<const ir::CanonicalForm>;
-  auto LockSlot = [&SL] {
-    while (SL.Lock.test_and_set(std::memory_order_acquire)) {
+CompileService::FrontEndFuture
+CompileService::frontEnd(const CompileRequest &Request,
+                         obs::FrontEndPath &Path) {
+  const bool FromSource = !Request.Graph;
+  Path = FromSource ? obs::FrontEndPath::Lowered : obs::FrontEndPath::Graph;
+  auto Run = [&] {
+    FrontEnd FE;
+    if (FromSource) {
+      AQUA_TRACE_SPAN("service.frontend", "service");
+      auto Lowered = lang::compileAssay(Request.Source);
+      if (!Lowered.ok()) {
+        FE.Error = Lowered.message();
+        return FE;
+      }
+      FE.Graph =
+          std::make_shared<const ir::AssayGraph>(std::move(Lowered->Graph));
+    } else {
+      FE.Graph = Request.Graph;
     }
+    FE.Canon =
+        std::make_shared<const ir::CanonicalForm>(ir::canonicalize(*FE.Graph));
+    return FE;
   };
-  // Whatever the slot held is displaced into these and destroyed after
-  // the flag clears.
-  std::shared_ptr<const ir::AssayGraph> Live, Held;
-  std::weak_ptr<const ir::AssayGraph> OldGuard;
-  CanonPtr Canon, OldCanon;
-  std::shared_future<CanonPtr> Wait, OldPending;
-  std::promise<CanonPtr> Promise;
-  LockSlot();
-  // ABA-safe: the guard resolves to a *live* graph at the same address
-  // as the request's -- shared_ptr liveness means it is the same
-  // immutable object, so its canonical form (or the one being computed
-  // for it) is still valid.
-  Live = SL.Guard.lock();
-  if (Live.get() == Shared.get()) {
-    Canon = SL.Canon;
-    Wait = SL.Pending;
+  std::promise<FrontEnd> Promise;
+  FrontEndFuture Mine = Promise.get_future().share();
+  // Cache off means the full pipeline on every request, front end included.
+  if (!Options.EnableCache) {
+    Promise.set_value(Run());
+    return Mine;
   }
-  if (!Canon && !Wait.valid()) {
-    // Miss: claim the slot (last claimer wins) so that submissions of
-    // this graph arriving meanwhile wait for this canonicalization.
-    OldGuard = std::move(SL.Guard);
-    OldCanon = std::move(SL.Canon);
-    OldPending = std::move(SL.Pending);
-    SL.Guard = Shared;
-    SL.Canon.reset();
-    SL.Pending = Promise.get_future().share();
+
+  // compileAssay is a pure function of the source bytes, so equal bytes
+  // may share one lowering; a graph is immutable, so one object may share
+  // one canonical form.
+  std::uint64_t Hash =
+      FromSource ? std::hash<std::string_view>{}(Request.Source)
+                 : (reinterpret_cast<std::uintptr_t>(Request.Graph.get()) >>
+                    4) * 0x9e3779b97f4a7c15ULL;
+  MemoShard &Shard = Memo[(Hash >> 32) % MemoShards];
+  auto Matches = [&](const MemoEntry &E) {
+    return E.Hash == Hash && (FromSource ? !E.Keyed && E.Source == Request.Source
+                                         : E.Keyed == Request.Graph);
+  };
+  // Dropped entries die after the shard lock is released.
+  MemoEntry Displaced;
+  FrontEndFuture Result;
+  {
+    std::lock_guard<std::mutex> Lock(Shard.Mutex);
+    ++Shard.Tick;
+    auto &Entries = Shard.Entries;
+    auto It = std::find_if(Entries.begin(), Entries.end(), Matches);
+    if (It != Entries.end()) {
+      It->LastUse = Shard.Tick;
+      Result = It->Result;
+    } else {
+      MemoEntry *Slot;
+      if (Entries.size() < MemoWays) {
+        Slot = &Entries.emplace_back();
+      } else {
+        Slot = &*std::min_element(Entries.begin(), Entries.end(),
+                                  [](const MemoEntry &A, const MemoEntry &B) {
+                                    return A.LastUse < B.LastUse;
+                                  });
+        Displaced = std::move(*Slot);
+      }
+      *Slot = MemoEntry{Hash, FromSource ? Request.Source : std::string(),
+                        FromSource ? nullptr : Request.Graph,
+                        Mine, Shard.Tick};
+    }
   }
-  SL.Lock.clear(std::memory_order_release);
-  if (Canon || Wait.valid()) {
-    if (!Canon)
-      Canon = Wait.get();
+  if (Result.valid()) {
+    Path = obs::FrontEndPath::Memo;
     CanonMemoHitCount.fetch_add(1, std::memory_order_relaxed);
     met().CanonMemoHits.add();
-    return Canon;
+    return Result;
   }
-  try {
-    Canon = std::make_shared<const ir::CanonicalForm>(ir::canonicalize(G));
-  } catch (...) {
-    // Waiters see the same failure; the slot forgets the graph.
-    Promise.set_exception(std::current_exception());
-    LockSlot();
-    if ((Held = SL.Guard.lock()).get() == Shared.get() && !SL.Canon) {
-      OldGuard = std::move(SL.Guard);
-      OldPending = std::move(SL.Pending);
-      SL.Guard.reset();
-      SL.Pending = {};
+  auto Forget = [&] {
+    MemoEntry Dropped;
+    std::lock_guard<std::mutex> Lock(Shard.Mutex);
+    auto It = std::find_if(Shard.Entries.begin(), Shard.Entries.end(), Matches);
+    if (It != Shard.Entries.end()) {
+      Dropped = std::move(*It);
+      Shard.Entries.erase(It);
     }
-    SL.Lock.clear(std::memory_order_release);
+  };
+  try {
+    FrontEnd FE = Run();
+    bool Failed = !FE.Graph;
+    Promise.set_value(std::move(FE));
+    if (Failed)
+      Forget(); // Waiters already joined see the error; later ones retry.
+  } catch (...) {
+    Promise.set_exception(std::current_exception());
+    Forget();
     throw;
   }
-  Promise.set_value(Canon);
-  LockSlot();
-  if ((Held = SL.Guard.lock()).get() == Shared.get() && !SL.Canon) {
-    SL.Canon = Canon;
-    OldPending = std::move(SL.Pending);
-    SL.Pending = {};
-  }
-  SL.Lock.clear(std::memory_order_release);
-  return Canon;
+  return Mine;
 }
 
 void CompileService::publishDonor(const ir::Fingerprint &StructKey,
@@ -655,40 +680,35 @@ CompileResponse CompileService::process(const CompileRequest &Request,
   R.TraceId = Request.TraceId;
   double Latency = 0.0;
   double SolveSec = 0.0;
+  obs::FrontEndPath Path = obs::FrontEndPath::None;
   {
     ScopedTimer Timer(Latency);
 
-    // ----- Front end: parse + lower, unless a DAG was supplied.
-    std::shared_ptr<const ir::AssayGraph> Graph = Request.Graph;
-    if (!Graph) {
-      AQUA_TRACE_SPAN("service.frontend", "service");
-      auto Lowered = lang::compileAssay(Request.Source);
-      if (!Lowered.ok()) {
-        R.Error = Lowered.message();
-      } else {
-        Graph = std::make_shared<const ir::AssayGraph>(
-            std::move(Lowered->Graph));
-      }
-    }
-
-    if (Graph) {
-      // ----- Canonical fingerprint: the cache and dedup key. The
-      // structure key (volume inputs masked) keys the warm-start donor
-      // index.
-      ir::Fingerprint StructKey;
-      {
-        AQUA_TRACE_SPAN("service.fingerprint", "service");
-        // WL canonicalization dominates the cost of a cache hit; repeat
-        // submissions of a shared DAG reuse the memoized form and pay
-        // only the (cheap) fingerprint mixes.
-        std::shared_ptr<const ir::CanonicalForm> Canon =
-            canonicalForm(Request.Graph, *Graph);
+    // ----- Front end and canonical fingerprint: the cache and dedup
+    // key. Parse, lower and WL canonicalization dominate the cost of a
+    // cache hit; a repeated source text or shared DAG reuses the memoized
+    // graph and form and pays only the (cheap) fingerprint mixes. The
+    // structure key (volume inputs masked) keys the warm-start donor
+    // index.
+    FrontEndFuture Front;
+    ir::Fingerprint StructKey;
+    {
+      obs::SpanGuard FpSpan("service.fingerprint", "service");
+      Front = frontEnd(Request, Path);
+      FpSpan.arg("frontend", obs::frontEndPathName(Path));
+      if (const auto &Canon = Front.get().Canon) {
         R.Key = requestFingerprint(*Canon, Request.Spec, Request.Manage,
                                    Request.Layout);
         if (Options.WarmMiss)
           StructKey = structureFingerprint(*Canon, Request.Spec,
                                            Request.Manage, Request.Layout);
       }
+    }
+    const FrontEnd &FE = Front.get();
+    if (!FE.Graph)
+      R.Error = FE.Error;
+
+    if (const ir::AssayGraph *Graph = FE.Graph.get()) {
       const ir::Fingerprint *SK = Options.WarmMiss ? &StructKey : nullptr;
 
       bool FromL2 = false;
@@ -775,7 +795,7 @@ CompileResponse CompileService::process(const CompileRequest &Request,
                       : R.CacheHitL2 ? "hit_l2"
                       : R.CacheHit   ? "hit"
                                      : "miss");
-  recordDigest(Request, R, QueueWaitSec, SolveSec);
+  recordDigest(Request, R, QueueWaitSec, SolveSec, Path);
   return R;
 }
 
@@ -788,6 +808,10 @@ ServiceStats CompileService::stats() const {
   S.CacheHitsL2 = CacheHitsL2.load(std::memory_order_relaxed);
   S.SingleFlightJoins = SingleFlightJoins.load(std::memory_order_relaxed);
   S.CanonMemoHits = CanonMemoHitCount.load(std::memory_order_relaxed);
+  for (const MemoShard &Shard : Memo) {
+    std::lock_guard<std::mutex> Lock(Shard.Mutex);
+    S.FrontEndMemoEntries += Shard.Entries.size();
+  }
   S.WarmMissHits = WarmMissHits.load(std::memory_order_relaxed);
   S.ShedQueueFull = ShedQueueFull.load(std::memory_order_relaxed);
   S.ShedDeadline = ShedDeadline.load(std::memory_order_relaxed);

@@ -105,6 +105,28 @@ TEST(FlightRecorder, JsonParsesAndCarriesDigests) {
   EXPECT_EQ(Last.strOr("outcome", ""), "shed");
   EXPECT_EQ(Last.strOr("cause", ""), "queue_full");
   EXPECT_EQ(Last.strOr("trace", ""), "0xbad");
+  EXPECT_EQ(Last.strOr("frontend", ""), "none");
+}
+
+TEST(FlightRecorder, DigestsCarryTheFrontEndPath) {
+  // Whether a request paid for parse/lower/canonicalize is part of its
+  // post-mortem record.
+  FlightRecorder R(8);
+  const FrontEndPath Paths[] = {FrontEndPath::Memo, FrontEndPath::Lowered,
+                                FrontEndPath::Graph};
+  for (FrontEndPath P : Paths) {
+    RequestDigest D = digest(1, "req", RequestOutcome::Hit);
+    D.FrontEnd = P;
+    R.record(std::move(D));
+  }
+  auto Doc = json::parse(R.json());
+  ASSERT_TRUE(Doc.ok()) << Doc.message();
+  const auto &Digests = Doc->find("digests")->array();
+  ASSERT_EQ(Digests.size(), 3u);
+  EXPECT_EQ(Digests[0].strOr("frontend", ""), "memo");
+  EXPECT_EQ(Digests[1].strOr("frontend", ""), "lowered");
+  EXPECT_EQ(Digests[2].strOr("frontend", ""), "graph");
+  EXPECT_STREQ(frontEndPathName(FrontEndPath::None), "none");
 }
 
 TEST(FlightRecorder, ClearResetsCounts) {

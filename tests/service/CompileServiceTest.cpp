@@ -9,7 +9,9 @@
 #include "aqua/assays/ExtraAssays.h"
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/codegen/AISParser.h"
+#include "aqua/obs/FlightRecorder.h"
 #include "aqua/obs/Metrics.h"
+#include "aqua/service/ArtifactCodec.h"
 
 #include <gtest/gtest.h>
 
@@ -386,4 +388,166 @@ TEST(CompileService, SharedGraphSubmissionsReuseTheCanonicalMemo) {
   EXPECT_TRUE(Fresh.Ok) << Fresh.Error;
   EXPECT_EQ(Fresh.Key, Responses[0].Key);
   EXPECT_TRUE(Fresh.CacheHit);
+}
+
+namespace {
+
+/// The front-end path of the most recent digest in the global recorder.
+obs::FrontEndPath lastFrontEnd() {
+  std::vector<obs::RequestDigest> D = obs::FlightRecorder::global().snapshot();
+  return D.empty() ? obs::FrontEndPath::None : D.back().FrontEnd;
+}
+
+CompileRequest glucoseAtCapacity(double CapacityNl) {
+  CompileRequest R = sourceRequest("glucose", assays::glucoseSource());
+  R.Spec.MaxCapacityNl = CapacityNl;
+  return R;
+}
+
+} // namespace
+
+TEST(CompileService, RepeatedSourceSkipsTheFrontEndUnderEverySpec) {
+  // One source under N specs: every request after the first reuses the
+  // memoized lowering and canonical form, and the answers are exactly
+  // what a service that never saw the source before computes.
+  const double Caps[] = {100, 125, 150, 200, 250, 300};
+  const std::size_t N = std::size(Caps);
+  CompileService Service;
+  for (std::size_t I = 0; I < N; ++I) {
+    CompileResponse R = Service.compileNow(glucoseAtCapacity(Caps[I]));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_FALSE(R.CacheHit) << "distinct specs are distinct cache keys";
+    EXPECT_EQ(lastFrontEnd(), I == 0 ? obs::FrontEndPath::Lowered
+                                     : obs::FrontEndPath::Memo);
+    CompileService Fresh;
+    CompileResponse F = Fresh.compileNow(glucoseAtCapacity(Caps[I]));
+    ASSERT_TRUE(F.Ok) << F.Error;
+    EXPECT_EQ(Fresh.stats().CanonMemoHits, 0u);
+    EXPECT_EQ(R.Key, F.Key);
+    EXPECT_EQ(encodeArtifact(*R.Artifact), encodeArtifact(*F.Artifact));
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CanonMemoHits, N - 1);
+  EXPECT_EQ(S.FrontEndMemoEntries, 1u);
+}
+
+TEST(CompileService, ReformattedSourceMissesTheMemoButHitsTheCache) {
+  // The memo keys on bytes, the cache on structure: whitespace or a
+  // comment is a new memo key that lowers to the same fingerprint.
+  CompileService Service;
+  std::string Source = assays::glucoseSource();
+  CompileResponse First = Service.compileNow(
+      sourceRequest("glucose", Source.c_str()));
+  ASSERT_TRUE(First.Ok) << First.Error;
+  std::string Spaced = "\n  " + Source + "\n\n";
+  std::string Commented = "-- plate 7\n" + Source;
+  for (const std::string &Variant : {Spaced, Commented}) {
+    CompileResponse R =
+        Service.compileNow(sourceRequest("variant", Variant.c_str()));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_TRUE(R.CacheHit);
+    EXPECT_EQ(R.Key, First.Key);
+    EXPECT_EQ(lastFrontEnd(), obs::FrontEndPath::Lowered);
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CanonMemoHits, 0u);
+  EXPECT_EQ(S.FrontEndMemoEntries, 3u);
+}
+
+TEST(CompileService, SourcesThatFailToParseAreNotMemoized) {
+  CompileService Service;
+  std::string FirstError;
+  for (int I = 0; I < 3; ++I) {
+    CompileResponse R =
+        Service.compileNow(sourceRequest("broken", "ASSAY ( nonsense"));
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Artifact, nullptr);
+    ASSERT_FALSE(R.Error.empty());
+    if (I == 0)
+      FirstError = R.Error;
+    EXPECT_EQ(R.Error, FirstError);
+    EXPECT_EQ(lastFrontEnd(), obs::FrontEndPath::Lowered);
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CanonMemoHits, 0u);
+  EXPECT_EQ(S.FrontEndMemoEntries, 0u);
+  EXPECT_EQ(S.Failed, 3u);
+}
+
+TEST(CompileService, ConcurrentFirstSubmissionsOfOneSourceLowerOnce) {
+  // A batch of one never-seen source across four workers: one lowering,
+  // every other request waits on it instead of lowering again.
+  const std::size_t N = 16;
+  ServiceOptions Options;
+  Options.Threads = 4;
+  CompileService Service(Options);
+  std::vector<CompileRequest> Batch;
+  for (std::size_t I = 0; I < N; ++I)
+    Batch.push_back(
+        glucoseAtCapacity(100.0 + 25.0 * static_cast<double>(I % 4)));
+  std::vector<CompileResponse> Responses =
+      Service.compileBatch(std::move(Batch));
+  for (const CompileResponse &R : Responses)
+    EXPECT_TRUE(R.Ok) << R.Error;
+  ServiceStats S = Service.stats();
+  EXPECT_GE(S.CanonMemoHits, N - 1);
+  EXPECT_EQ(S.FrontEndMemoEntries, 1u);
+}
+
+TEST(CompileService, FrontEndMemoStaysWithinCapacity) {
+  // Twice the capacity of distinct sources (a numbered comment makes each
+  // one new bytes over the same assay). The memo keeps at most its
+  // capacity; the first source, long evicted, still compiles to the same
+  // artifact.
+  const std::size_t Distinct = 2 * CompileService::FrontEndMemoCapacity;
+  CompileService Service;
+  std::string First;
+  for (std::size_t I = 0; I < Distinct; ++I) {
+    std::string Source =
+        "-- variant " + std::to_string(I) + "\n" + assays::glucoseSource();
+    CompileResponse R =
+        Service.compileNow(sourceRequest("variant", Source.c_str()));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    if (I == 0)
+      First = encodeArtifact(*R.Artifact);
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CanonMemoHits, 0u);
+  EXPECT_LE(S.FrontEndMemoEntries, CompileService::FrontEndMemoCapacity);
+  std::string Source = "-- variant 0\n" + std::string(assays::glucoseSource());
+  CompileResponse Again =
+      Service.compileNow(sourceRequest("variant", Source.c_str()));
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_EQ(Service.stats().CanonMemoHits, 0u)
+      << "the oldest source must have been evicted";
+  EXPECT_EQ(lastFrontEnd(), obs::FrontEndPath::Lowered);
+  EXPECT_EQ(encodeArtifact(*Again.Artifact), First);
+}
+
+TEST(CompileService, CacheOffBypassesTheFrontEndMemo) {
+  // Cache off is the full-pipeline baseline: no request, source or
+  // shared graph, may skip the front end.
+  ServiceOptions Options;
+  Options.Threads = 2;
+  Options.EnableCache = false;
+  CompileService Service(Options);
+  auto Shared =
+      std::make_shared<const ir::AssayGraph>(assays::buildGlucoseAssay());
+  std::vector<CompileRequest> Batch;
+  for (int I = 0; I < 4; ++I) {
+    Batch.push_back(sourceRequest("glucose", assays::glucoseSource()));
+    CompileRequest G;
+    G.Name = "shared";
+    G.Graph = Shared;
+    Batch.push_back(std::move(G));
+  }
+  for (const CompileResponse &R : Service.compileBatch(std::move(Batch)))
+    EXPECT_TRUE(R.Ok) << R.Error;
+  CompileResponse Last = Service.compileNow(graphRequest(
+      "fresh", assays::buildGlucoseAssay()));
+  EXPECT_TRUE(Last.Ok) << Last.Error;
+  EXPECT_EQ(lastFrontEnd(), obs::FrontEndPath::Graph);
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CanonMemoHits, 0u);
+  EXPECT_EQ(S.FrontEndMemoEntries, 0u);
 }
