@@ -28,8 +28,8 @@
 
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/codegen/Codegen.h"
-#include "aqua/core/Manager.h"
 #include "aqua/runtime/Simulator.h"
+#include "aqua/service/Pipeline.h"
 #include "aqua/vm/Compiler.h"
 #include "aqua/vm/VM.h"
 
@@ -109,18 +109,12 @@ Outcome runNaive(Engine E, const AssayGraph &G) {
 }
 
 Outcome runManaged(Engine E, const AssayGraph &Raw) {
-  MachineSpec Spec;
-  ManagerResult VM = manageVolumes(Raw, Spec);
-  if (!VM.Feasible)
+  service::CompileArtifact A = service::compileGraph(Raw, {}, {}, {});
+  if (!A.Ok)
     return {};
-  VolumeAssignment Metered = integerToNl(VM.Graph, VM.Rounded, Spec);
-  codegen::CodegenOptions CG;
-  CG.Mode = codegen::VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto P = codegen::generateAIS(VM.Graph, {}, CG);
   runtime::SimOptions SO;
-  SO.Graph = &VM.Graph;
-  return timeProgram(E, *P, SO);
+  SO.Graph = &A.VM.Graph;
+  return timeProgram(E, A.Program, SO);
 }
 
 } // namespace

@@ -33,9 +33,9 @@
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/DagSolve.h"
 #include "aqua/core/Formulation.h"
-#include "aqua/core/Manager.h"
 #include "aqua/core/Partition.h"
 #include "aqua/runtime/Simulator.h"
+#include "aqua/service/Pipeline.h"
 #include "aqua/vm/Compiler.h"
 #include "aqua/vm/VM.h"
 
@@ -88,24 +88,18 @@ FormulationOptions glycomicsLPOptions(const PartitionPlan &Plan,
 /// seconds, instructions per run}, or {-1, 0} when management fails.
 std::pair<double, std::uint64_t> timeManagedRun(const AssayGraph &Raw,
                                                 bool UseVm) {
-  MachineSpec Spec;
-  ManagerResult VM = manageVolumes(Raw, Spec);
-  if (!VM.Feasible)
+  service::CompileArtifact A = service::compileGraph(Raw, {}, {}, {});
+  if (!A.Ok)
     return {-1.0, 0};
-  VolumeAssignment Metered = integerToNl(VM.Graph, VM.Rounded, Spec);
-  codegen::CodegenOptions CG;
-  CG.Mode = codegen::VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto P = codegen::generateAIS(VM.Graph, {}, CG);
   runtime::SimOptions SO;
-  SO.Graph = &VM.Graph;
+  SO.Graph = &A.VM.Graph;
   runtime::SimResult S;
   double Sec;
   if (UseVm) {
     vm::CompileOptions CO;
     CO.Spec = SO.Spec;
     CO.Graph = SO.Graph;
-    auto Prog = vm::compile(*P, CO);
+    auto Prog = vm::compile(A.Program, CO);
     if (!Prog.ok())
       return {-1.0, 0};
     vm::RunOptions RO;
@@ -120,7 +114,7 @@ std::pair<double, std::uint64_t> timeManagedRun(const AssayGraph &Raw,
         },
         9);
   } else {
-    Sec = medianSeconds([&] { S = runtime::simulate(*P, SO); }, 9);
+    Sec = medianSeconds([&] { S = runtime::simulate(A.Program, SO); }, 9);
   }
   return {Sec, static_cast<std::uint64_t>(S.InstructionsExecuted)};
 }

@@ -22,12 +22,12 @@
 #include "aqua/codegen/AISParser.h"
 #include "aqua/codegen/Codegen.h"
 #include "aqua/codegen/Schedule.h"
-#include "aqua/core/Manager.h"
 #include "aqua/core/Report.h"
 #include "aqua/lang/Lower.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Trace.h"
 #include "aqua/runtime/Simulator.h"
+#include "aqua/service/Pipeline.h"
 
 #include <cstdio>
 #include <cstring>
@@ -166,71 +166,54 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  const ir::AssayGraph *Graph = &Lowered->Graph;
-  core::ManagerResult VM;
-  core::VolumeAssignment Metered;
-  codegen::CodegenOptions CG;
+  service::CompileArtifact Artifact;
   if (!Relative) {
-    bool HasUnknown = false;
-    for (ir::NodeId N : Lowered->Graph.liveNodes())
-      if (Lowered->Graph.node(N).UnknownVolume)
-        HasUnknown = true;
-    if (HasUnknown) {
-      std::fprintf(stderr,
-                   "aquac: note: assay has run-time-unknown volumes; "
-                   "emitting relative AIS (use the partition API for "
-                   "deferred dispensing)\n");
-      Relative = true;
-    }
+    Artifact = service::compileGraph(Lowered->Graph, Spec, {}, {});
+  } else if (auto Prog = codegen::generateAIS(Lowered->Graph); Prog.ok()) {
+    Artifact.Ok = true;
+    Artifact.Program = std::move(*Prog);
+  } else {
+    Artifact.Error = Prog.message();
   }
-  if (!Relative) {
-    VM = core::manageVolumes(Lowered->Graph, Spec);
-    if (!VM.Feasible) {
-      std::fprintf(stderr,
-                   "aquac: no feasible volume assignment; decision log:\n%s",
-                   VM.Log.c_str());
-      return 1;
-    }
-    Graph = &VM.Graph;
-    Metered = core::integerToNl(VM.Graph, VM.Rounded, Spec);
-    CG.Mode = codegen::VolumeMode::Managed;
-    CG.Volumes = &Metered;
+  if (!Artifact.Ok) {
+    std::fprintf(stderr, "aquac: %s\n", Artifact.Error.c_str());
+    return 1;
   }
+  if (!Relative && !Artifact.Managed)
+    std::fprintf(stderr, "aquac: note: assay has run-time-unknown volumes; "
+                         "emitting relative AIS (use the partition API for "
+                         "deferred dispensing)\n");
+  const ir::AssayGraph *Graph =
+      Artifact.Managed ? &Artifact.VM.Graph : &Lowered->Graph;
 
   if (PrintSchedule) {
-    const ir::AssayGraph &SchedGraph =
-        Relative ? Lowered->Graph : VM.Graph;
-    auto Sched = codegen::scheduleAssay(SchedGraph);
+    auto Sched = codegen::scheduleAssay(*Graph);
     if (!Sched.ok()) {
       std::fprintf(stderr, "aquac: %s\n", Sched.message().c_str());
       return 1;
     }
-    std::printf("%s", Sched->str(SchedGraph).c_str());
+    std::printf("%s", Sched->str(*Graph).c_str());
     return 0;
   }
 
   if (Report) {
-    if (Relative) {
+    if (!Artifact.Managed) {
       std::fprintf(stderr, "aquac: --report needs managed volumes\n");
       return 1;
     }
-    core::VolumeReport Rep = core::buildVolumeReport(VM.Graph, VM.Volumes);
+    core::VolumeReport Rep =
+        core::buildVolumeReport(Artifact.VM.Graph, Artifact.VM.Volumes);
     std::printf("%s", Rep.str().c_str());
     return 0;
   }
 
-  auto Prog = codegen::generateAIS(*Graph, {}, CG);
-  if (!Prog.ok()) {
-    std::fprintf(stderr, "aquac: %s\n", Prog.message().c_str());
-    return 1;
-  }
-  std::printf("%s", Prog->str().c_str());
+  std::printf("%s", Artifact.Program.str().c_str());
 
   if (Simulate) {
     runtime::SimOptions SO;
     SO.Spec = Spec;
     SO.Graph = Graph;
-    runtime::SimResult S = runtime::simulate(*Prog, SO);
+    runtime::SimResult S = runtime::simulate(Artifact.Program, SO);
     std::printf("\n; simulation: %s, %d instructions, %d regenerations, "
                 "%.0f s wet time\n",
                 S.Completed ? "completed" : S.Error.c_str(),

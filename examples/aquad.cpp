@@ -78,6 +78,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -212,8 +213,9 @@ int parseInt(const char *Flag, const char *Text) {
 double parseNl(const char *Flag, const char *Text) {
   char *End = nullptr;
   double V = std::strtod(Text, &End);
-  if (End == Text || *End || !(V > 0)) {
-    std::fprintf(stderr, "aquad: %s expects a positive volume in nl, got '%s'\n",
+  if (End == Text || *End || !(std::isfinite(V) && V > 0)) {
+    std::fprintf(stderr,
+                 "aquad: %s expects a finite positive volume in nl, got '%s'\n",
                  Flag, Text);
     std::exit(2);
   }

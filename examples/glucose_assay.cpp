@@ -14,9 +14,9 @@
 
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/codegen/Codegen.h"
-#include "aqua/core/Manager.h"
 #include "aqua/lang/Lower.h"
 #include "aqua/runtime/Simulator.h"
+#include "aqua/service/Pipeline.h"
 
 #include <cstdio>
 
@@ -32,35 +32,24 @@ int main() {
     return 1;
   }
 
-  // ----- Volume management (Figure 6 hierarchy).
-  core::MachineSpec Spec;
-  core::ManagerResult VM = core::manageVolumes(Lowered->Graph, Spec);
+  // ----- Volume management (Figure 6 hierarchy) and metered AIS.
+  service::CompileArtifact A =
+      service::compileGraph(Lowered->Graph, {}, {}, {});
+  const core::ManagerResult &VM = A.VM;
   std::printf("=== Volume management ===\n%s", VM.Log.c_str());
-  if (!VM.Feasible) {
-    std::fprintf(stderr, "no feasible volume assignment\n");
+  if (!A.Ok) {
+    std::fprintf(stderr, "%s\n", A.Error.c_str());
     return 1;
   }
   std::printf("method: %s, min dispense %.2f nl, rounding error %.2f%%\n\n",
               VM.Method == core::SolveMethod::DagSolve ? "DAGSolve" : "LP",
               VM.MinDispenseNl, VM.Rounded.MeanRatioErrorPct);
-
-  // ----- Managed AIS (metered volumes).
-  core::VolumeAssignment Metered =
-      core::integerToNl(VM.Graph, VM.Rounded, Spec);
-  codegen::CodegenOptions CG;
-  CG.Mode = codegen::VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto Managed = codegen::generateAIS(VM.Graph, {}, CG);
-  if (!Managed.ok()) {
-    std::fprintf(stderr, "codegen error: %s\n", Managed.message().c_str());
-    return 1;
-  }
-  std::printf("=== Managed AIS ===\n%s\n", Managed->str().c_str());
+  std::printf("=== Managed AIS ===\n%s\n", A.Program.str().c_str());
 
   runtime::SimOptions SO;
   SO.Graph = &VM.Graph;
   SO.EnableRegeneration = false; // Managed runs don't need the backstop.
-  runtime::SimResult ManagedRun = runtime::simulate(*Managed, SO);
+  runtime::SimResult ManagedRun = runtime::simulate(A.Program, SO);
   std::printf("=== Managed execution ===\n");
   std::printf("completed: %s, regenerations: %d, wet time: %.0f s\n",
               ManagedRun.Completed ? "yes" : "no", ManagedRun.Regenerations,

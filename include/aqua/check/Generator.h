@@ -105,9 +105,6 @@ struct GenProgram {
     return static_cast<double>(YieldNum) / static_cast<double>(YieldDen);
   }
 
-  /// True when some statement leaves its output volume statically unknown.
-  bool hasUnknownVolumes() const;
-
   /// Wet statements counting loop bodies once (the shrinker's size metric).
   int numStatements() const { return static_cast<int>(Stmts.size()); }
 };

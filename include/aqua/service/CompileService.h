@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reusable, thread-safe assay-compilation service: the single-shot
-/// `parse -> lower -> manage -> codegen` pipeline of `examples/aquac.cpp`
-/// turned into a long-lived server object that accepts batches of requests
-/// and exploits the redundancy of real workloads (the same glucose panel
-/// submitted plate after plate) three ways:
+/// A reusable, thread-safe assay-compilation service: a long-lived server
+/// object that accepts batches of requests, lowers their source text, runs
+/// each graph through the one compile pipeline, `compileGraph`
+/// (Pipeline.h), and exploits the redundancy of real workloads (the same
+/// glucose panel submitted plate after plate) three ways:
 ///
 ///  1. a fixed-size worker pool drains a shared queue, so independent
 ///     requests compile concurrently;
@@ -325,11 +325,10 @@ private:
   /// request span (true only when submit began one, i.e. queued paths).
   CompileResponse process(const CompileRequest &Request,
                           double QueueWaitSec = 0.0, bool EndFlow = false);
-  /// The uncached pipeline tail: manage + codegen on a lowered graph.
+  /// The uncached pipeline tail: compileGraph on a lowered graph.
   /// \p StructKey, when non-null, keys the warm-start donor lookup (a
   /// same-structure sibling's optimal LP basis) and the publication of
-  /// this solve's basis for future siblings. \p SolveSecOut, when
-  /// non-null, receives the wall time of this solve.
+  /// this solve's basis; \p SolveSecOut, when non-null, gets its wall time.
   std::shared_ptr<const CompileArtifact>
   solveAndGenerate(const CompileRequest &Request, const ir::AssayGraph &G,
                    const ir::Fingerprint *StructKey = nullptr,

@@ -52,9 +52,8 @@
 #ifndef AQUA_SERVICE_SOLVECACHE_H
 #define AQUA_SERVICE_SOLVECACHE_H
 
-#include "aqua/codegen/AIS.h"
-#include "aqua/core/Manager.h"
 #include "aqua/ir/Canonical.h"
+#include "aqua/service/Pipeline.h"
 
 #include <array>
 #include <atomic>
@@ -71,31 +70,6 @@ class SolveStore;
 } // namespace aqua::store
 
 namespace aqua::service {
-
-/// The memoized product of one compile: everything downstream of the
-/// canonical request key. Immutable once published to the cache.
-struct CompileArtifact {
-  /// False when the pipeline failed deterministically (infeasible volume
-  /// assignment, codegen resource exhaustion); such failures are cached
-  /// too -- re-solving an infeasible assay is as wasteful as re-solving a
-  /// feasible one.
-  bool Ok = false;
-  /// Diagnostic when !Ok (the manager's decision log or codegen error).
-  std::string Error;
-  /// True when the assay went through volume management (no statically
-  /// unknown volumes); false for relative-mode compiles.
-  bool Managed = false;
-  /// Hierarchy result; meaningful when Managed.
-  core::ManagerResult VM;
-  /// Metered per-edge volumes (nl) for VM.Graph; meaningful when Managed.
-  core::VolumeAssignment Metered;
-  /// The generated AIS program; meaningful when Ok.
-  codegen::AISProgram Program;
-
-  /// Rough heap footprint for the byte budget (strings + vectors; not
-  /// exact, but monotone in the real cost).
-  std::size_t approxBytes() const;
-};
 
 /// Cache sizing and sharding.
 struct CacheConfig {

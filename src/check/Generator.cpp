@@ -401,15 +401,6 @@ std::string GenProgram::render() const {
   return Out;
 }
 
-bool GenProgram::hasUnknownVolumes() const {
-  for (const GenStmt &S : Stmts)
-    if ((S.K == GenStmt::Kind::Separate ||
-         S.K == GenStmt::Kind::Concentrate) &&
-        !S.HasYield)
-      return true;
-  return false;
-}
-
 GenProgram aqua::check::generateProgram(std::uint64_t Seed,
                                         const GenConfig &Config) {
   Generator G(Seed, Config);

@@ -18,6 +18,7 @@
 #include "aqua/runtime/Simulator.h"
 #include "aqua/service/ArtifactCodec.h"
 #include "aqua/service/CompileService.h"
+#include "aqua/service/Pipeline.h"
 #include "aqua/service/RequestKey.h"
 #include "aqua/store/Env.h"
 #include "aqua/support/StringUtils.h"
@@ -340,11 +341,13 @@ public:
         fail(Oracle::Graph, format("lowered graph: %s", S.message().c_str()));
     }
 
-    bool HasUnknown = false;
-    for (NodeId N : G.liveNodes())
-      if (G.node(N).UnknownVolume)
-        HasUnknown = true;
-    R.Managed = !HasUnknown;
+    // The pipeline aquad serves, run once; the oracles below cross-check
+    // its artifact against the layers it is built from.
+    const service::CompileArtifact A =
+        service::compileGraph(G, Opts.Spec, Opts.Manage, Opts.Layout);
+    R.Managed = A.Managed;
+    R.Feasible = A.VM.Feasible;
+    R.Method = A.VM.Method;
 
     lp::Solution LPSol;
     bool LPOptimal = false;
@@ -360,21 +363,15 @@ public:
     if (R.Managed && on(Oracle::Presolve))
       checkPresolve(G);
 
-    core::ManagerResult VM;
-    if (R.Managed) {
-      VM = core::manageVolumes(G, Opts.Spec, Opts.Manage);
-      R.Feasible = VM.Feasible;
-      R.Method = VM.Method;
-      if (on(Oracle::Solvers) && LPOptimal && !VM.Feasible)
-        fail(Oracle::Solvers,
-             "plain LP on the untransformed graph is Optimal but the "
-             "manager hierarchy reports infeasible");
-      if (VM.Feasible)
-        checkManaged(VM);
-    }
+    if (on(Oracle::Solvers) && LPOptimal && !R.Feasible)
+      fail(Oracle::Solvers,
+           "plain LP on the untransformed graph is Optimal but the "
+           "manager hierarchy reports infeasible");
+    if (R.Feasible)
+      checkManaged(A.VM);
 
     if (on(Oracle::Simulation) || on(Oracle::Vm))
-      checkSimulation(G, VM);
+      checkSimulation(G, A);
 
     if (on(Oracle::Metamorphic))
       checkMetamorphic(G);
@@ -383,7 +380,7 @@ public:
       checkStore(Source);
 
     if (Skeleton)
-      checkSkeleton(Source, G, VM, *Skeleton);
+      checkSkeleton(Source, G, A.VM, *Skeleton);
 
     return std::move(R);
   }
@@ -899,19 +896,14 @@ private:
   /// Runs the generated AIS on the PLoC simulator and cross-checks sensed
   /// compositions against the exact prediction.
   void checkSimulation(const AssayGraph &Lowered,
-                       const core::ManagerResult &VM) {
-    const AssayGraph *G = &Lowered;
-    core::VolumeAssignment Metered;
-    codegen::CodegenOptions CG;
+                       const service::CompileArtifact &A) {
     bool ManagedRun = R.Managed && R.Feasible;
-    if (ManagedRun) {
-      G = &VM.Graph;
-      Metered = core::integerToNl(VM.Graph, VM.Rounded, Opts.Spec);
-      CG.Mode = codegen::VolumeMode::Managed;
-      CG.Volumes = &Metered;
-    }
-
-    auto Prog = codegen::generateAIS(*G, Opts.Layout, CG);
+    const AssayGraph *G = ManagedRun ? &A.VM.Graph : &Lowered;
+    // An infeasible assay has no managed program; its relative one runs.
+    Expected<codegen::AISProgram> Prog =
+        R.Managed && !R.Feasible ? codegen::generateAIS(Lowered, Opts.Layout)
+        : A.Ok ? Expected<codegen::AISProgram>(A.Program)
+               : Expected<codegen::AISProgram>::error(A.Error);
     if (!Prog.ok())
       return; // Resource exhaustion is a legitimate compile outcome.
 
@@ -977,7 +969,7 @@ private:
             ? predictSenseCompositions(
                   *G,
                   [&](EdgeId E) {
-                    return Frac::ratio(VM.Rounded.EdgeUnits[E], 1);
+                    return Frac::ratio(A.VM.Rounded.EdgeUnits[E], 1);
                   },
                   Predicted)
             : predictSenseCompositions(
@@ -1270,7 +1262,8 @@ private:
       fail(Oracle::Cache, "identical resubmission produced a different "
                           "request fingerprint");
 
-    // The service's solve must agree with the direct pipeline bit for bit.
+    // The service's solve (memo, cache, warm-start donor) must agree with
+    // a direct compileGraph bit for bit.
     if (R.Managed && R1.Artifact->Managed) {
       if (R1.Artifact->VM.Feasible != VM.Feasible)
         fail(Oracle::Cache, "service and direct pipeline disagree on "

@@ -108,10 +108,10 @@ private:
 
   bool simplifyLoops() {
     bool Changed = false;
+    // accept() replaces Current: re-index Current.Stmts[I] after each call.
     for (size_t I = 0; I < Current.Stmts.size(); ++I) {
-      GenStmt &S = Current.Stmts[I];
-      if (S.K == GenStmt::Kind::DilutionLoop) {
-        if (S.Trips > 2) {
+      if (Current.Stmts[I].K == GenStmt::Kind::DilutionLoop) {
+        if (Current.Stmts[I].Trips > 2) {
           GenProgram Candidate = Current;
           Candidate.Stmts[I].Trips = 2;
           Changed |= accept(std::move(Candidate));
@@ -123,6 +123,7 @@ private:
         }
       }
       // A yield hint is simpler than a statically-unknown volume.
+      const GenStmt &S = Current.Stmts[I];
       if ((S.K == GenStmt::Kind::Separate ||
            S.K == GenStmt::Kind::Concentrate) &&
           !S.HasYield) {

@@ -6,7 +6,6 @@
 
 #include "aqua/service/CompileService.h"
 
-#include "aqua/core/Rounding.h"
 #include "aqua/lang/Lower.h"
 #include "aqua/obs/FlightRecorder.h"
 #include "aqua/obs/Log.h"
@@ -58,13 +57,6 @@ struct ServiceMetrics {
 ServiceMetrics &met() {
   static ServiceMetrics M;
   return M;
-}
-
-bool hasUnknownVolumes(const ir::AssayGraph &G) {
-  for (ir::NodeId N : G.liveNodes())
-    if (G.node(N).UnknownVolume)
-      return true;
-  return false;
 }
 
 std::uint64_t wallMicrosNow() {
@@ -594,66 +586,34 @@ CompileService::solveAndGenerate(const CompileRequest &Request,
                                  const ir::Fingerprint *StructKey,
                                  double *SolveSecOut) {
   double Sec = 0.0;
-  auto Artifact = std::make_shared<CompileArtifact>();
+  std::shared_ptr<CompileArtifact> Artifact;
   {
     obs::SpanGuard Span("service.solve", "service");
     ScopedTimer Timer(Sec);
-    if (hasUnknownVolumes(G)) {
-      // Run-time-unknown volumes: no static assignment exists; emit
-      // relative AIS (the partition API handles deferred dispensing).
-      auto Prog = codegen::generateAIS(G, Request.Layout, {});
-      if (Prog.ok()) {
-        Artifact->Ok = true;
-        Artifact->Program = std::move(*Prog);
-      } else {
-        Artifact->Error = Prog.message();
-      }
-    } else {
-      Artifact->Managed = true;
-      core::ManagerOptions Manage = Request.Manage;
-      if (StructKey) {
-        // Capture this solve's optimal basis for future same-structure
-        // siblings, and repair a sibling's basis if one is on file. The
-        // warm start cannot change the optimum -- only how many pivots
-        // reaching it takes -- so the artifact stays bit-compatible with
-        // a cold solve.
-        Manage.LPOptions.CaptureBasis = true;
-        std::lock_guard<std::mutex> Lock(DonorMutex);
-        auto It = Donors.find(StructKey->str());
-        if (It != Donors.end()) {
-          Manage.LPOptions.WarmStart = It->second.Basis;
-          Manage.LPOptions.WarmShapeHash = It->second.ShapeHash;
-        }
-      }
-      Artifact->VM = core::manageVolumes(G, Request.Spec, Manage);
-      Span.arg("warm", Artifact->VM.LpWarmStarted ? "1" : "0");
-      if (Artifact->VM.LpWarmStarted) {
-        WarmMissHits.fetch_add(1, std::memory_order_relaxed);
-        met().WarmMissHits.add();
-      }
-      if (StructKey)
-        publishDonor(*StructKey, *Artifact);
-      if (!Artifact->VM.Feasible) {
-        Artifact->Error =
-            "no feasible volume assignment; decision log:\n" +
-            Artifact->VM.Log;
-      } else {
-        Artifact->Metered = core::integerToNl(Artifact->VM.Graph,
-                                              Artifact->VM.Rounded,
-                                              Request.Spec);
-        codegen::CodegenOptions CG;
-        CG.Mode = codegen::VolumeMode::Managed;
-        CG.Volumes = &Artifact->Metered;
-        auto Prog =
-            codegen::generateAIS(Artifact->VM.Graph, Request.Layout, CG);
-        if (Prog.ok()) {
-          Artifact->Ok = true;
-          Artifact->Program = std::move(*Prog);
-        } else {
-          Artifact->Error = Prog.message();
-        }
+    core::ManagerOptions Manage = Request.Manage;
+    if (StructKey) {
+      // Capture this solve's optimal basis for future same-structure
+      // siblings, and repair a sibling's basis if one is on file. The
+      // warm start cannot change the optimum -- only how many pivots
+      // reaching it takes -- so the artifact stays bit-compatible with a
+      // cold solve.
+      Manage.LPOptions.CaptureBasis = true;
+      std::lock_guard<std::mutex> Lock(DonorMutex);
+      auto It = Donors.find(StructKey->str());
+      if (It != Donors.end()) {
+        Manage.LPOptions.WarmStart = It->second.Basis;
+        Manage.LPOptions.WarmShapeHash = It->second.ShapeHash;
       }
     }
+    Artifact = std::make_shared<CompileArtifact>(
+        compileGraph(G, Request.Spec, Manage, Request.Layout));
+    Span.arg("warm", Artifact->VM.LpWarmStarted ? "1" : "0");
+    if (Artifact->VM.LpWarmStarted) {
+      WarmMissHits.fetch_add(1, std::memory_order_relaxed);
+      met().WarmMissHits.add();
+    }
+    if (StructKey)
+      publishDonor(*StructKey, *Artifact);
   }
   addDouble(SolveSec, Sec);
   met().SolveSec.observe(Sec);

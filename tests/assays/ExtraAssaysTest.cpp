@@ -15,10 +15,10 @@
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Manager.h"
 #include "aqua/core/Partition.h"
-#include "aqua/core/Rounding.h"
 #include "aqua/lang/Lower.h"
 #include "aqua/runtime/PartitionExecutor.h"
 #include "aqua/runtime/Simulator.h"
+#include "aqua/service/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -31,21 +31,16 @@ namespace {
 /// Manage + codegen + simulate; expect zero regenerations.
 void runManagedEndToEnd(const AssayGraph &G, size_t ExpectedSenses) {
   MachineSpec Spec;
-  ManagerResult VM = manageVolumes(G, Spec);
-  ASSERT_TRUE(VM.Feasible) << VM.Log;
+  service::CompileArtifact A = service::compileGraph(G, Spec, {}, {});
+  ASSERT_TRUE(A.Ok) << A.Error;
+  ASSERT_TRUE(A.Managed);
+  const ManagerResult &VM = A.VM;
   EXPECT_GE(VM.MinDispenseNl, Spec.LeastCountNl - 1e-9);
   EXPECT_LT(VM.Rounded.MeanRatioErrorPct, 2.0);
 
-  VolumeAssignment Metered = integerToNl(VM.Graph, VM.Rounded, Spec);
-  codegen::CodegenOptions CG;
-  CG.Mode = codegen::VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto P = codegen::generateAIS(VM.Graph, {}, CG);
-  ASSERT_TRUE(P.ok()) << P.message();
-
   runtime::SimOptions SO;
   SO.Graph = &VM.Graph;
-  runtime::SimResult S = runtime::simulate(*P, SO);
+  runtime::SimResult S = runtime::simulate(A.Program, SO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_EQ(S.Regenerations, 0);
   EXPECT_EQ(S.Senses.size(), ExpectedSenses);

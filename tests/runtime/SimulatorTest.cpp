@@ -10,6 +10,7 @@
 #include "aqua/core/DagSolve.h"
 #include "aqua/core/Manager.h"
 #include "aqua/core/Rounding.h"
+#include "aqua/service/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -190,23 +191,18 @@ TEST(Simulator, InputAccountingTracksConsumption) {
 TEST(Simulator, CascadedEnzymeRunsWithExcessDiscard) {
   // Full pipeline on the transformed enzyme graph: cascades' excess goes to
   // the waste port and the assay completes without regeneration.
-  MachineSpec Spec;
-  ManagerResult R = manageVolumes(assays::buildEnzymeAssay(4), Spec);
-  ASSERT_TRUE(R.Feasible);
-  VolumeAssignment Metered = integerToNl(R.Graph, R.Rounded, Spec);
-  CodegenOptions CG;
-  CG.Mode = VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto P = generateAIS(R.Graph, MachineLayout{}, CG);
-  ASSERT_TRUE(P.ok()) << P.message();
+  service::CompileArtifact A =
+      service::compileGraph(assays::buildEnzymeAssay(4), {}, {}, {});
+  ASSERT_TRUE(A.Ok) << A.Error;
+  ASSERT_TRUE(A.Managed);
   int Outputs = 0;
-  for (const Instruction &I : P->Instrs)
+  for (const Instruction &I : A.Program.Instrs)
     if (I.Op == Opcode::Output)
       ++Outputs;
   EXPECT_GT(Outputs, 0);
   SimOptions SO;
-  SO.Graph = &R.Graph;
-  SimResult S = simulate(*P, SO);
+  SO.Graph = &A.VM.Graph;
+  SimResult S = simulate(A.Program, SO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_EQ(S.Regenerations, 0);
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -213,6 +214,23 @@ TEST(CompileService, UnknownVolumeAssaysCompileRelative) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_FALSE(R.Artifact->Managed);
   EXPECT_FALSE(R.Artifact->Program.Instrs.empty());
+}
+
+TEST(CompileService, InvalidMachineSpecFailsTheRequest) {
+  CompileService Service;
+  for (double Bad : {std::nan(""), HUGE_VAL, 0.0, -1.0}) {
+    CompileRequest Cap = sourceRequest("glucose", assays::glucoseSource());
+    Cap.Spec.MaxCapacityNl = Bad;
+    CompileResponse R = Service.compileNow(Cap);
+    EXPECT_FALSE(R.Ok) << "capacity " << Bad;
+    EXPECT_NE(R.Error.find("MaxCapacityNl"), std::string::npos) << R.Error;
+
+    CompileRequest Lc = graphRequest("glycomics", assays::buildGlycomicsAssay());
+    Lc.Spec.LeastCountNl = Bad;
+    R = Service.compileNow(Lc);
+    EXPECT_FALSE(R.Ok) << "least count " << Bad;
+    EXPECT_NE(R.Error.find("LeastCountNl"), std::string::npos) << R.Error;
+  }
 }
 
 TEST(CompileService, MixedBatchKeepsRequestOrder) {

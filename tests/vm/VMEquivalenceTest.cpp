@@ -17,6 +17,7 @@
 #include "aqua/core/DagSolve.h"
 #include "aqua/core/Manager.h"
 #include "aqua/core/Rounding.h"
+#include "aqua/service/Pipeline.h"
 #include "aqua/vm/Compiler.h"
 
 #include <gtest/gtest.h>
@@ -119,17 +120,13 @@ TEST(VMEquivalence, EnzymeRelativeRegenerationHeavy) {
 }
 
 TEST(VMEquivalence, EnzymeManagedCascaded) {
-  ManagerResult R = manageVolumes(assays::buildEnzymeAssay(4), MachineSpec{});
-  ASSERT_TRUE(R.Feasible);
-  VolumeAssignment Metered = integerToNl(R.Graph, R.Rounded, MachineSpec{});
-  CodegenOptions CG;
-  CG.Mode = VolumeMode::Managed;
-  CG.Volumes = &Metered;
-  auto P = generateAIS(R.Graph, MachineLayout{}, CG);
-  ASSERT_TRUE(P.ok());
+  service::CompileArtifact A =
+      service::compileGraph(assays::buildEnzymeAssay(4), {}, {}, {});
+  ASSERT_TRUE(A.Ok) << A.Error;
+  ASSERT_TRUE(A.Managed);
   SimOptions SO;
-  SO.Graph = &R.Graph;
-  runBoth(*P, SO);
+  SO.Graph = &A.VM.Graph;
+  runBoth(A.Program, SO);
 }
 
 TEST(VMEquivalence, GlycomicsYieldStreamAcrossSeeds) {
