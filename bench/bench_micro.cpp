@@ -16,7 +16,8 @@
 #include "aqua/core/Formulation.h"
 #include "aqua/core/Partition.h"
 #include "aqua/lang/Lower.h"
-#include "aqua/runtime/Simulator.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include <benchmark/benchmark.h>
 
@@ -112,10 +113,11 @@ BENCHMARK(BM_PartitionPlan_Glycomics);
 void BM_Simulate_GlucoseNaive(benchmark::State &State) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = codegen::generateAIS(G);
-  runtime::SimOptions SO;
-  SO.Graph = &G;
+  vm::CompileOptions CO;
+  CO.Graph = &G;
+  auto BC = vm::compile(*P, CO).unwrap();
   for (auto _ : State)
-    benchmark::DoNotOptimize(runtime::simulate(*P, SO));
+    benchmark::DoNotOptimize(vm::run(BC));
 }
 BENCHMARK(BM_Simulate_GlucoseNaive);
 

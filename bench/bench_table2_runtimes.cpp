@@ -19,11 +19,8 @@
 // appears to fold unary operations into their producers); the growth trend
 // across assays is the comparable quantity.
 //
-// A second section times *execution* of the managed programs on both
-// engines (tree-walking runtime::Simulator vs the aqua/vm bytecode
-// interpreter); --engine=vm|interp|both restricts it, and
-// BENCH_table2_runtimes.json records both so the speedup is visible in
-// committed BENCH files.
+// A second section times *execution* of the managed programs on the
+// aqua/vm bytecode interpreter.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,12 +31,10 @@
 #include "aqua/core/DagSolve.h"
 #include "aqua/core/Formulation.h"
 #include "aqua/core/Partition.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/Pipeline.h"
 #include "aqua/vm/Compiler.h"
 #include "aqua/vm/VM.h"
 
-#include <cstring>
 
 using namespace aqua;
 using namespace aqua::core;
@@ -83,57 +78,34 @@ FormulationOptions glycomicsLPOptions(const PartitionPlan &Plan,
   return FOpts;
 }
 
-/// Times managed execution of \p Raw on one engine (program prepared and,
-/// for the vm, compiled outside the timed region). Returns {median wall
-/// seconds, instructions per run}, or {-1, 0} when management fails.
-std::pair<double, std::uint64_t> timeManagedRun(const AssayGraph &Raw,
-                                                bool UseVm) {
+/// Times managed execution of \p Raw on the VM (program prepared and
+/// compiled outside the timed region). Returns {median wall seconds,
+/// instructions per run}, or {-1, 0} when management fails.
+std::pair<double, std::uint64_t> timeManagedRun(const AssayGraph &Raw) {
   service::CompileArtifact A = service::compileGraph(Raw, {}, {}, {});
   if (!A.Ok)
     return {-1.0, 0};
-  runtime::SimOptions SO;
-  SO.Graph = &A.VM.Graph;
-  runtime::SimResult S;
-  double Sec;
-  if (UseVm) {
-    vm::CompileOptions CO;
-    CO.Spec = SO.Spec;
-    CO.Graph = SO.Graph;
-    auto Prog = vm::compile(A.Program, CO);
-    if (!Prog.ok())
-      return {-1.0, 0};
-    vm::RunOptions RO;
-    RO.Seed = SO.Seed;
-    vm::Interp I;
-    I.bind(*Prog);
-    Sec = medianSeconds(
-        [&] {
-          I.reset(RO);
-          I.run();
-          S = I.finish();
-        },
-        9);
-  } else {
-    Sec = medianSeconds([&] { S = runtime::simulate(A.Program, SO); }, 9);
-  }
+  vm::CompileOptions CO;
+  CO.Graph = &A.VM.Graph;
+  auto Prog = vm::compile(A.Program, CO);
+  if (!Prog.ok())
+    return {-1.0, 0};
+  vm::SimResult S;
+  vm::Interp I;
+  I.bind(*Prog);
+  double Sec = medianSeconds(
+      [&] {
+        I.reset({});
+        I.run();
+        S = I.finish();
+      },
+      9);
   return {Sec, static_cast<std::uint64_t>(S.InstructionsExecuted)};
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
-  bool RunInterp = true, RunVm = true;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--engine=interp"))
-      RunVm = false;
-    else if (!std::strcmp(argv[I], "--engine=vm"))
-      RunInterp = false;
-    else if (std::strcmp(argv[I], "--engine=both")) {
-      std::fprintf(stderr, "usage: %s [--engine=vm|interp|both]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   MachineSpec Spec;
   double Budget = fullRun() ? 0.0 : 15.0;
   JsonReporter Json("table2_runtimes");
@@ -252,12 +224,9 @@ int main(int argc, char **argv) {
                   Budget, static_cast<long long>(LP.Solution.Iterations));
   }
 
-  // ----- Managed execution: tree-walking simulator vs bytecode VM. The
-  // same managed program, the same seed, bit-identical SimResults (the vm
-  // oracle enforces it); only the wall time differs.
-  std::printf("\nManaged execution (same program, both engines):\n");
-  std::printf("  %-10s %12s %12s %10s %14s\n", "assay", "interp", "vm",
-              "speedup", "instr/run");
+  // ----- Managed execution on the bytecode VM.
+  std::printf("\nManaged execution:\n");
+  std::printf("  %-10s %12s %14s\n", "assay", "vm", "instr/run");
   {
     struct ExecCase {
       const char *Name;
@@ -267,40 +236,16 @@ int main(int argc, char **argv) {
     for (const ExecCase &C : ExecCases) {
       AssayGraph G = C.Dilutions == 0 ? assays::buildGlucoseAssay()
                                       : assays::buildEnzymeAssay(C.Dilutions);
-      double InterpSec = -1.0, VmSec = -1.0;
-      std::uint64_t Instrs = 0;
-      if (RunInterp) {
-        auto [Sec, N] = timeManagedRun(G, /*UseVm=*/false);
-        InterpSec = Sec;
-        Instrs = N;
-        Json.add(std::string(C.Name) + "/exec")
-            .param("assay", C.Name)
-            .param("engine", "interp")
-            .metric("median_sec", Sec)
-            .metric("instructions", static_cast<double>(N))
-            .metric("instr_per_sec",
-                    Sec > 0.0 ? static_cast<double>(N) / Sec : 0.0);
-      }
-      if (RunVm) {
-        auto [Sec, N] = timeManagedRun(G, /*UseVm=*/true);
-        VmSec = Sec;
-        Instrs = N;
-        Json.add(std::string(C.Name) + "/exec")
-            .param("assay", C.Name)
-            .param("engine", "vm")
-            .metric("median_sec", Sec)
-            .metric("instructions", static_cast<double>(N))
-            .metric("instr_per_sec",
-                    Sec > 0.0 ? static_cast<double>(N) / Sec : 0.0);
-      }
-      std::string Speedup =
-          InterpSec > 0.0 && VmSec > 0.0
-              ? std::to_string(static_cast<long long>(InterpSec / VmSec)) + "x"
-              : "-";
-      std::printf("  %-10s %12s %12s %10s %14llu\n", C.Name,
-                  InterpSec >= 0.0 ? fmtSeconds(InterpSec).c_str() : "-",
-                  VmSec >= 0.0 ? fmtSeconds(VmSec).c_str() : "-",
-                  Speedup.c_str(), static_cast<unsigned long long>(Instrs));
+      auto [Sec, N] = timeManagedRun(G);
+      Json.add(std::string(C.Name) + "/exec")
+          .param("assay", C.Name)
+          .metric("median_sec", Sec)
+          .metric("instructions", static_cast<double>(N))
+          .metric("instr_per_sec",
+                  Sec > 0.0 ? static_cast<double>(N) / Sec : 0.0);
+      std::printf("  %-10s %12s %14llu\n", C.Name,
+                  Sec >= 0.0 ? fmtSeconds(Sec).c_str() : "-",
+                  static_cast<unsigned long long>(N));
     }
   }
 

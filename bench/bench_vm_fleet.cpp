@@ -9,8 +9,8 @@
 // >= 100x simulated-instructions/sec target:
 //
 //  1. Same-program engine race: the regeneration-heavy naive Enzyme assay
-//     (the paper's Table 2 stress case) executed by the tree-walking
-//     runtime::Simulator vs the bytecode VM, identical SimResults
+//     (the paper's Table 2 stress case) executed by aqua/check's
+//     tree-walking reference vs the bytecode VM, identical SimResults
 //     bit-for-bit. Measured ~5-8x: the baseline is already a compiled
 //     C++ tree-walker at ~300-400 ns/instruction, and the VM's
 //     bit-for-bit parity contract pins every double operation (the
@@ -18,10 +18,11 @@
 //     ~25-50 ns/instruction floor on the dispatch loop. A 100x ratio
 //     would need an interpreted-language-grade baseline (the viper
 //     exemplar's MicroPython context); against this repo's simulator it
-//     is not reachable without breaking result equivalence.
+//     is not reachable without breaking result equivalence. The reference
+//     records no metrics or trace events; the VM records vm.* metrics.
 //
 //  2. Fleet-context amortized race: what one chip of an N-chip fleet
-//     costs end to end. The Simulator pipeline regenerates AIS per chip
+//     costs end to end. The reference pipeline regenerates AIS per chip
 //     (per-chip metered volumes force re-codegen) and re-simulates; the
 //     VM compiles once, then patches its volume table and re-runs bound
 //     state. Measured ~10x full / ~20x dispatch-only.
@@ -44,9 +45,9 @@
 #include "BenchUtil.h"
 
 #include "aqua/assays/PaperAssays.h"
+#include "aqua/check/Reference.h"
 #include "aqua/codegen/Codegen.h"
 #include "aqua/obs/Trace.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/vm/Compiler.h"
 #include "aqua/vm/Fleet.h"
 #include "aqua/vm/VM.h"
@@ -78,23 +79,18 @@ int main() {
 
   AssayGraph Enzyme = assays::buildEnzymeAssay(4);
   auto P = codegen::generateAIS(Enzyme);
-  runtime::SimOptions SO;
-  SO.Graph = &Enzyme;
-
   vm::CompileOptions CO;
-  CO.Spec = SO.Spec;
-  CO.Graph = SO.Graph;
+  CO.Graph = &Enzyme;
   auto Prog = vm::compile(*P, CO);
   if (!Prog.ok()) {
     std::fprintf(stderr, "vm compile failed: %s\n", Prog.message().c_str());
     return 1;
   }
   vm::RunOptions RO;
-  RO.Seed = SO.Seed;
   vm::Interp I;
   I.bind(*Prog);
 
-  runtime::SimResult Ref = runtime::simulate(*P, SO);
+  vm::SimResult Ref = check::referenceSimulate(*P, CO, RO);
   std::uint64_t Instrs = static_cast<std::uint64_t>(Ref.InstructionsExecuted);
 
   // ----- 1. Same-program race on the naive Enzyme assay. The
@@ -104,7 +100,7 @@ int main() {
   {
     const int Iters = 50;
     double InterpSec =
-        perRunSeconds([&] { runtime::simulate(*P, SO); }, Iters);
+        perRunSeconds([&] { check::referenceSimulate(*P, CO, RO); }, Iters);
     double VmSec = perRunSeconds(
         [&] {
           I.reset(RO);
@@ -121,7 +117,7 @@ int main() {
                 "regeneration-heavy, %d regens):\n",
                 static_cast<unsigned long long>(Instrs), Ref.Regenerations);
     std::printf("  %-26s %14s %16s\n", "engine", "sec/run", "instr/sec");
-    std::printf("  %-26s %14s %16.3g\n", "runtime::Simulator",
+    std::printf("  %-26s %14s %16.3g\n", "check::referenceSimulate",
                 fmtSeconds(InterpSec).c_str(), InterpIps);
     std::printf("  %-26s %14s %16.3g\n", "vm::Interp",
                 fmtSeconds(VmSec).c_str(), VmIps);
@@ -141,17 +137,18 @@ int main() {
   }
 
   // ----- 2. Fleet-context amortized race: per-chip cost in an N-chip
-  // fleet. The Simulator path re-runs codegen per chip (per-chip metered
+  // fleet. The reference path re-runs codegen per chip (per-chip metered
   // volumes); the VM patches bound state and re-runs.
   double AmortSpeedup;
   {
     const int Chips = 200;
     std::uint64_t Seed = 0;
+    vm::RunOptions BaseRO;
     double BaseSec = perRunSeconds(
         [&] {
           auto PerChip = codegen::generateAIS(Enzyme);
-          SO.Seed = 0x5eed + Seed++;
-          runtime::simulate(*PerChip, SO);
+          BaseRO.Seed = 0x5eed + Seed++;
+          check::referenceSimulate(*PerChip, CO, BaseRO);
         },
         Chips);
     Seed = 0;
@@ -175,7 +172,7 @@ int main() {
 
     std::printf("\nFleet-context per-chip cost (codegen+simulate vs "
                 "patch+run):\n");
-    std::printf("  %-26s %14s\n", "codegen + Simulator",
+    std::printf("  %-26s %14s\n", "codegen + reference",
                 fmtSeconds(BaseSec).c_str());
     std::printf("  %-26s %14s  (%.1fx)\n", "vm patch+run+finish",
                 fmtSeconds(VmSec).c_str(), AmortSpeedup);

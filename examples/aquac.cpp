@@ -13,7 +13,7 @@
 //
 // With no --emit flag, prints managed AIS. `--relative` skips volume
 // management and emits the paper-style relative-volume code; `--simulate`
-// also executes the program on the AquaCore simulator. `--trace-out`
+// also executes the program on the AquaCore simulator (the bytecode VM). `--trace-out`
 // enables span tracing and writes a Chrome trace-event JSON;
 // `--metrics-out` dumps the metrics registry.
 //
@@ -26,8 +26,9 @@
 #include "aqua/lang/Lower.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Trace.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/Pipeline.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include <cstdio>
 #include <cstring>
@@ -139,14 +140,20 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "%s:%s\n", Path, Prog.message().c_str());
       return 1;
     }
-    runtime::SimOptions SO;
-    SO.Spec = Spec;
-    SO.EnableRegeneration = false; // Parsed AIS has no DAG provenance.
-    runtime::SimResult S = runtime::simulate(*Prog, SO);
+    vm::CompileOptions CO;
+    CO.Spec = Spec;
+    auto BC = vm::compile(*Prog, CO);
+    if (!BC.ok()) {
+      std::fprintf(stderr, "aquac: %s\n", BC.message().c_str());
+      return 1;
+    }
+    vm::RunOptions RO;
+    RO.EnableRegeneration = false; // Parsed AIS has no DAG provenance.
+    vm::SimResult S = vm::run(*BC, RO);
     std::printf("simulation: %s, %d instructions, %.0f s wet time\n",
                 S.Completed ? "completed" : S.Error.c_str(),
                 S.InstructionsExecuted, S.FluidSeconds);
-    for (const runtime::SenseReading &R : S.Senses)
+    for (const vm::SenseReading &R : S.Senses)
       std::printf("sense %s: %.2f nl\n", R.Name.c_str(), R.VolumeNl);
     return S.Completed ? 0 : 1;
   }
@@ -210,15 +217,20 @@ int main(int argc, char **argv) {
   std::printf("%s", Artifact.Program.str().c_str());
 
   if (Simulate) {
-    runtime::SimOptions SO;
-    SO.Spec = Spec;
-    SO.Graph = Graph;
-    runtime::SimResult S = runtime::simulate(Artifact.Program, SO);
+    vm::CompileOptions CO;
+    CO.Spec = Spec;
+    CO.Graph = Graph;
+    auto BC = vm::compile(Artifact.Program, CO);
+    if (!BC.ok()) {
+      std::fprintf(stderr, "aquac: %s\n", BC.message().c_str());
+      return 1;
+    }
+    vm::SimResult S = vm::run(*BC);
     std::printf("\n; simulation: %s, %d instructions, %d regenerations, "
                 "%.0f s wet time\n",
                 S.Completed ? "completed" : S.Error.c_str(),
                 S.InstructionsExecuted, S.Regenerations, S.FluidSeconds);
-    for (const runtime::SenseReading &R : S.Senses)
+    for (const vm::SenseReading &R : S.Senses)
       std::printf("; sense %s: %.2f nl\n", R.Name.c_str(), R.VolumeNl);
   }
   return 0;

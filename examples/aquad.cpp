@@ -71,10 +71,11 @@
 #include "aqua/obs/Snapshot.h"
 #include "aqua/obs/Timer.h"
 #include "aqua/obs/Trace.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/CompileService.h"
 #include "aqua/support/StringUtils.h"
+#include "aqua/vm/Compiler.h"
 #include "aqua/vm/Fleet.h"
+#include "aqua/vm/VM.h"
 
 #include <algorithm>
 #include <atomic>
@@ -544,12 +545,18 @@ int main(int argc, char **argv) {
     for (const service::CompileResponse &R : Responses) {
       if (!R.Ok || !R.Artifact || !Seen.insert(R.Key.str()).second)
         continue;
-      runtime::SimOptions SO;
-      SO.Spec = Spec;
-      SO.FixedSeparationYield = 0.5;
+      vm::CompileOptions CO;
+      CO.Spec = Spec;
       if (R.Artifact->Managed)
-        SO.Graph = &R.Artifact->VM.Graph;
-      runtime::SimResult Sim = runtime::simulate(R.Artifact->Program, SO);
+        CO.Graph = &R.Artifact->VM.Graph;
+      vm::RunOptions RO;
+      RO.FixedSeparationYield = 0.5;
+      auto BC = vm::compile(R.Artifact->Program, CO);
+      vm::SimResult Sim;
+      if (BC.ok())
+        Sim = vm::run(*BC, RO);
+      else
+        Sim.Error = BC.message();
       ++SimRuns;
       if (!Sim.Completed) {
         if (SimFailures < 5)

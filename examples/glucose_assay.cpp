@@ -7,16 +7,17 @@
 // The full pipeline on the paper's glucose assay (Figure 9): parse the
 // assay source, lower to the DAG, run the volume-management hierarchy,
 // generate AIS with metered volumes, and execute it on the AquaCore
-// simulator -- then do the same without volume management to watch
-// regeneration kick in.
+// simulator (the bytecode VM) -- then do the same without volume
+// management to watch regeneration kick in.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/codegen/Codegen.h"
 #include "aqua/lang/Lower.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/Pipeline.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include <cstdio>
 
@@ -46,15 +47,21 @@ int main() {
               VM.MinDispenseNl, VM.Rounded.MeanRatioErrorPct);
   std::printf("=== Managed AIS ===\n%s\n", A.Program.str().c_str());
 
-  runtime::SimOptions SO;
-  SO.Graph = &VM.Graph;
-  SO.EnableRegeneration = false; // Managed runs don't need the backstop.
-  runtime::SimResult ManagedRun = runtime::simulate(A.Program, SO);
+  vm::CompileOptions CO;
+  CO.Graph = &VM.Graph;
+  auto ManagedBC = vm::compile(A.Program, CO);
+  if (!ManagedBC.ok()) {
+    std::fprintf(stderr, "%s\n", ManagedBC.message().c_str());
+    return 1;
+  }
+  vm::RunOptions RO;
+  RO.EnableRegeneration = false; // Managed runs don't need the backstop.
+  vm::SimResult ManagedRun = vm::run(*ManagedBC, RO);
   std::printf("=== Managed execution ===\n");
   std::printf("completed: %s, regenerations: %d, wet time: %.0f s\n",
               ManagedRun.Completed ? "yes" : "no", ManagedRun.Regenerations,
               ManagedRun.FluidSeconds);
-  for (const runtime::SenseReading &R : ManagedRun.Senses) {
+  for (const vm::SenseReading &R : ManagedRun.Senses) {
     double Glucose = 0.0;
     auto It = R.Composition.find("Glucose");
     if (It != R.Composition.end())
@@ -65,9 +72,13 @@ int main() {
 
   // ----- Baseline: relative volumes, no management, regeneration on.
   auto Naive = codegen::generateAIS(Lowered->Graph);
-  runtime::SimOptions NaiveSO;
-  NaiveSO.Graph = &Lowered->Graph;
-  runtime::SimResult NaiveRun = runtime::simulate(*Naive, NaiveSO);
+  CO.Graph = &Lowered->Graph;
+  auto NaiveBC = vm::compile(*Naive, CO);
+  if (!NaiveBC.ok()) {
+    std::fprintf(stderr, "%s\n", NaiveBC.message().c_str());
+    return 1;
+  }
+  vm::SimResult NaiveRun = vm::run(*NaiveBC);
   std::printf("\n=== Without volume management (regeneration baseline) ===\n");
   std::printf("completed: %s, regenerations: %d, wet time: %.0f s "
               "(%.1fx the managed run)\n",

@@ -15,8 +15,8 @@
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/core/Partition.h"
 #include "aqua/lang/Lower.h"
-#include "aqua/runtime/PartitionExecutor.h"
 #include "aqua/support/Random.h"
+#include "aqua/vm/Fleet.h"
 
 #include <cstdio>
 
@@ -32,43 +32,45 @@ int main() {
   }
 
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(Lowered->Graph, Spec);
-  if (!Plan.ok()) {
-    std::fprintf(stderr, "partitioning failed: %s\n", Plan.message().c_str());
+  auto Image = vm::compileFleetImage(Lowered->Graph, Spec);
+  if (!Image.ok()) {
+    std::fprintf(stderr, "partitioning failed: %s\n",
+                 Image.message().c_str());
     return 1;
   }
+  const PartitionPlan &Plan = Image->Plan;
 
   std::printf("=== Compile time: partition plan (Figure 13) ===\n%s\n",
-              Plan->str().c_str());
+              Plan.str().c_str());
 
   // ----- Run time: walk partitions in wave order. Every unknown-volume
   // separation's yield is "measured" here with a deterministic RNG playing
   // the role of the on-chip volume sensor [Gomez et al. 2001].
   SplitMix64 Rng(2026);
-  std::vector<double> Available(Plan->Inputs.size(), -1.0);
+  std::vector<double> Available(Plan.Inputs.size(), -1.0);
 
   std::printf("=== Run time: per-partition dispensing ===\n");
-  for (size_t P = 0; P < Plan->Parts.size(); ++P) {
-    VolumeAssignment V = dispensePartition(*Plan, static_cast<int>(P),
+  for (size_t P = 0; P < Plan.Parts.size(); ++P) {
+    VolumeAssignment V = dispensePartition(Plan, static_cast<int>(P),
                                            Available, Spec);
-    std::printf("partition %zu (wave %d):\n", P, Plan->Parts[P].Wave);
-    for (NodeId N : Plan->Parts[P].Members)
-      std::printf("  %-22s %8.3f nl\n", Plan->Graph.node(N).Name.c_str(),
+    std::printf("partition %zu (wave %d):\n", P, Plan.Parts[P].Wave);
+    for (NodeId N : Plan.Parts[P].Members)
+      std::printf("  %-22s %8.3f nl\n", Plan.Graph.node(N).Name.c_str(),
                   V.NodeVolumeNl[N]);
 
     // "Measure" the outputs of this partition's unknown-volume leaves and
     // publish them to the consuming partitions' constrained inputs.
-    for (NodeId N : Plan->Parts[P].Members) {
-      const Node &Nd = Plan->Graph.node(N);
+    for (NodeId N : Plan.Parts[P].Members) {
+      const Node &Nd = Plan.Graph.node(N);
       if (!Nd.UnknownVolume)
         continue;
       double Yield = 0.2 + 0.5 * Rng.nextUnit();
       double Measured = V.NodeVolumeNl[N] * Yield;
       std::printf("  measured %s output: %.3f nl (yield %.0f%%)\n",
                   Nd.Name.c_str(), Measured, Yield * 100.0);
-      for (size_t CI = 0; CI < Plan->Inputs.size(); ++CI)
-        if (Plan->Inputs[CI].Source == N)
-          Available[CI] = Measured * Plan->Inputs[CI].Share.toDouble();
+      for (size_t CI = 0; CI < Plan.Inputs.size(); ++CI)
+        if (Plan.Inputs[CI].Source == N)
+          Available[CI] = Measured * Plan.Inputs[CI].Share.toDouble();
     }
   }
 
@@ -78,11 +80,12 @@ int main() {
               "regeneration.\n");
 
   // ----- The same flow, fully automated: each partition is dispensed,
-  // code-generated and simulated in wave order by the partition executor.
-  std::printf("\n=== Automated: runtime::executePartitioned ===\n");
-  runtime::SimOptions SO;
-  SO.Seed = 2026;
-  runtime::PartitionRunResult Run = runtime::executePartitioned(*Plan, SO);
+  // metered and run on the VM in wave order by one fleet chip (online
+  // re-management off: a scarce measurement stops the run).
+  std::printf("\n=== Automated: vm::runChip ===\n");
+  vm::FleetOptions FO;
+  FO.EnableOnlineRemanage = false;
+  vm::ChipResult Run = vm::runChip(*Image, FO, 2026);
   if (!Run.Completed) {
     std::printf("run stopped: %s\n", Run.Error.c_str());
     return 1;

@@ -100,7 +100,7 @@ struct GenProgram {
   /// Renders complete assay-language source (declarations included).
   std::string render() const;
 
-  /// The shared yield as a double, for runtime::SimOptions.
+  /// The shared yield as a double, for vm::RunOptions.
   double fixedYield() const {
     return static_cast<double>(YieldNum) / static_cast<double>(YieldDen);
   }

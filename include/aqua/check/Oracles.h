@@ -24,10 +24,12 @@
 ///                   edge at one least count and every node within
 ///                   capacity, and recomputes node units exactly from edge
 ///                   units (Rational arithmetic, no tolerance);
-///  * Simulation  -- managed AIS runs to completion on the PLoC simulator
-///                   and every sensed composition equals the prediction
-///                   computed from the rounded integer edge volumes in
-///                   exact fraction arithmetic;
+///  * Simulation  -- managed AIS runs to completion on the VM and every
+///                   sensed composition equals the prediction computed in
+///                   exact fraction arithmetic from the metered units: the
+///                   rounded integer edge volumes of a managed run, or the
+///                   least-count-rounded fill-to-capacity share of each
+///                   input of a relative run;
 ///  * Metamorphic -- insertion-order permutation of the DAG and uniform mix
 ///                   ratio scaling leave the canonical fingerprint (and the
 ///                   canonical listing) bit-identical; binarize/cascade
@@ -46,7 +48,8 @@
 ///                   pricing agrees with Bland's rule (pivot order never
 ///                   changes the answer);
 ///  * Vm          -- the bytecode VM's SimResult is bit-for-bit equal to
-///                   the tree-walking simulator's under the same seed:
+///                   the tree-walking reference's (check/Reference.h)
+///                   under the same seed:
 ///                   every volume, second, counter, sense reading, and
 ///                   error string (exact ==, no tolerance);
 ///  * Store       -- the artifact codec + persistent solve store round-trip
@@ -64,7 +67,7 @@
 ///
 /// Exactness policy: structural and integer checks are exact. Checks that
 /// compare doubles computed along different code paths (LP objectives, the
-/// simulator's composition doubles against the exact fraction prediction)
+/// VM's composition doubles against the exact fraction prediction)
 /// use a tolerance that only covers double conversion, not algorithmic
 /// slack.
 ///
@@ -134,7 +137,7 @@ struct CheckOptions {
   /// Branch-and-bound budget for the ILP cross-check.
   std::int64_t IlpMaxNodes = 20000;
   double IlpTimeLimitSec = 10.0;
-  /// Fixed separation/concentration yield handed to the simulator; the
+  /// Fixed separation/concentration yield handed to the VM; the
   /// harness sets it to the generated program's shared yield fraction.
   double FixedYield = 0.5;
   /// Slack for comparing doubles computed along different code paths.
@@ -152,7 +155,7 @@ struct CaseReport {
   int Nodes = 0, Edges = 0;
   bool RanIlp = false;
   bool Simulated = false;
-  /// The simulator run was clean (no underflow/overflow/sub-least-count
+  /// The VM run was clean (no underflow/overflow/sub-least-count
   /// events), so the composition cross-check was exact.
   bool ExactComposition = false;
   std::vector<Failure> Failures;

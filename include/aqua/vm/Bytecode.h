@@ -7,16 +7,16 @@
 /// \file
 /// The compact register-based bytecode the `aqua/vm` interpreter executes.
 ///
-/// `runtime::Simulator` re-derives everything per run: operand locations
-/// resolve through string-free but map-backed `locKey` lookups, relative
-/// move volumes are re-planned, and regeneration slices are recomputed from
-/// the assay graph on every shortage. The bytecode moves all of that to
-/// compile time:
+/// The tree-walking reference in aqua/check re-derives everything per run:
+/// operand locations resolve through string-free but map-backed `locKey`
+/// lookups, relative move volumes are re-planned, and regeneration slices
+/// are recomputed from the assay graph on every shortage. The bytecode
+/// moves all of that to compile time:
 ///
 ///  * *resolved operands* -- every AIS `Loc` (reservoirs, functional units,
 ///    separator sub-ports, output ports) becomes a dense slot index into a
 ///    flat per-run state array, assigned in `locKey` order so run-time
-///    iteration over slots reproduces the simulator's `std::map` walks
+///    iteration over slots reproduces the reference's `std::map` walks
 ///    bit for bit;
 ///  * *constant-folded volumes* -- relative part-count moves are planned
 ///    once (the fill-to-capacity policy of the no-management baseline) and
@@ -34,7 +34,7 @@
 /// One bytecode instruction corresponds 1:1 to one AIS instruction (same
 /// index), which keeps the interpreter's accounting (instruction counts,
 /// error positions, trace rows) directly comparable with the tree-walking
-/// simulator -- the `vm` differential oracle relies on this.
+/// reference -- the `vm` differential oracle relies on this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +52,7 @@ namespace aqua::vm {
 
 /// Interpreter opcodes. Mix/Incubate (and the separate/sense flavors)
 /// behave identically at the volume level but stay distinct where the
-/// simulator's diagnostics distinguish them.
+/// reference's diagnostics distinguish them.
 enum class Op : std::uint8_t {
   Input,       ///< Top up Dst from an unbounded external port.
   MoveVol,     ///< Metered transfer of VolumeTable[VolIdx] nl.
@@ -109,7 +109,7 @@ struct Program {
 
   /// Concatenated, sorted regeneration replay slices (instruction
   /// indices). `output` instructions stay in the slice and are skipped by
-  /// the interpreter: the simulator checks for errors before skipping
+  /// the interpreter: the reference checks for errors before skipping
   /// them, and that ordering is observable in whether a failed replay
   /// restores stashed unit contents.
   std::vector<std::int32_t> RegenSlices;
@@ -120,7 +120,7 @@ struct Program {
   std::vector<std::string> SenseNames;
 
   /// Number of state slots; slot order is ascending `locKey`, matching
-  /// the simulator's map iteration order.
+  /// the reference's map iteration order.
   int NumSlots = 0;
   /// Per-slot: true for mixer/heater/sensor/separator slots (the ones
   /// regeneration stashes and restores).

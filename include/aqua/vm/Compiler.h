@@ -27,7 +27,7 @@ struct CompileOptions {
   /// Hardware parameters folded into planned volumes and quantization.
   core::MachineSpec Spec;
   /// The assay DAG the program was generated from; enables pre-bound
-  /// regeneration slices (null reproduces the simulator's
+  /// regeneration slices (null reproduces the reference's
   /// no-graph behavior: regeneration beyond input re-draws is impossible).
   const ir::AssayGraph *Graph = nullptr;
 };

@@ -20,9 +20,13 @@
 /// volume-dependent codegen decision; mismatches fall back to a fresh
 /// per-chip compile).
 ///
+/// `runChip` is the library's partitioned executor (Section 3.5 run-time
+/// dispensing): one chip walks the partitions in wave order, dispensing
+/// each from the measured outputs of earlier ones.
+///
 /// When a measured (statically-unknown, Section 3.5) volume comes up so
-/// short that run-time dispensing underflows the least count -- where
-/// `runtime::executePartitioned` gives up -- the fleet re-enters volume
+/// short that run-time dispensing underflows the least count -- where the
+/// plain executor would give up -- the fleet re-enters volume
 /// management *online*: `core::manageVolumes` re-solves the partition's
 /// subgraph with the constrained input pinned at the measured availability
 /// (DagSolveOptions::PinnedNode), the re-managed volumes are patched into
@@ -43,9 +47,9 @@
 
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Partition.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/support/Error.h"
 #include "aqua/vm/Bytecode.h"
+#include "aqua/vm/VM.h"
 
 #include <map>
 #include <set>
@@ -71,8 +75,8 @@ struct FleetOptions {
   int MaxRegenRetries = 8;
   bool EnableRegeneration = true;
 
-  /// Section 3.5 online re-management on dispensing underflow (off
-  /// reproduces runtime::executePartitioned's failure behavior).
+  /// Section 3.5 online re-management on dispensing underflow (off: the
+  /// chip fails with a regeneration request, like the plain executor).
   bool EnableOnlineRemanage = true;
   /// Re-manage / producing-partition-rerun attempts per partition before
   /// the chip fails.
@@ -116,18 +120,20 @@ struct FleetImage {
   std::set<std::string> ExternalFluids;
 };
 
-/// One chip's outcome. The first eight fields mirror
-/// runtime::PartitionRunResult and are bit-for-bit equal to
-/// runtime::executePartitioned under the same seed when online
-/// re-management is disabled and no contention model is attached.
+/// One chip's outcome. With online re-management disabled and no
+/// contention model attached, the first eight fields are bit-for-bit equal
+/// to those of aqua/check's reference executor under the same seed.
 struct ChipResult {
   bool Completed = false;
   std::string Error;
   int PartitionsExecuted = 0;
   double FluidSeconds = 0.0;
   int Regenerations = 0;
-  std::vector<runtime::SenseReading> Senses;
+  std::vector<SenseReading> Senses;
+  /// Measured output volume (nl) of every unknown-volume operation that
+  /// feeds a later partition, keyed by the producing node's name.
   std::map<std::string, double> MeasuredNl;
+  /// The dispensed volumes, indexed like the plan's graph.
   core::VolumeAssignment Volumes;
 
   std::uint64_t InstructionsExecuted = 0;
@@ -166,10 +172,9 @@ struct FleetResult {
 Expected<FleetImage> compileFleetImage(const ir::AssayGraph &G,
                                        const core::MachineSpec &Spec);
 
-/// Runs one chip (no shared-reservoir contention). \p Seed plays the role
-/// of runtime::SimOptions::Seed: yield stream Seed ^ 0xa55a, partition P
-/// simulated with seed Seed + 17 * P. \p Chip labels the trace row
-/// (PidFleet) when >= 0.
+/// Runs one chip (no shared-reservoir contention). \p Seed is the chip's
+/// seed: yield stream Seed ^ 0xa55a, partition P simulated with seed
+/// Seed + 17 * P. \p Chip labels the trace row (PidFleet) when >= 0.
 ChipResult runChip(const FleetImage &Image, const FleetOptions &Opts,
                    std::uint64_t Seed, int Chip = -1);
 

@@ -5,12 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tight dispatch-loop interpreter for `vm::Program` bytecode,
-/// behaviorally equivalent to `runtime::simulate` -- same SimResult
-/// (volumes, waste, regeneration counts, virtual-time track), same seeded
-/// RNG draws, bit-for-bit identical floating-point results (the `vm`
-/// differential oracle in aqua/check enforces this on every generated
-/// program) -- but allocation-free on the hot path:
+/// The AquaCore PLoC simulator (Section 2.1): a tight dispatch-loop
+/// interpreter for `vm::Program` bytecode and the library's only wet-path
+/// engine. It models reservoirs, mixers, heaters, sensors and separators
+/// connected by metered peristaltic transport with a least count, in both
+/// volume regimes: *managed* programs carry metered `move-abs` volumes;
+/// *relative* programs carry part counts, which the compiler plans by
+/// filling the consuming unit to capacity at the requested ratio -- the
+/// "no volume management" baseline of Table 2.
+///
+/// When a transfer finds its source depleted, the interpreter performs
+/// BioStream-style reactive *regeneration*: it re-executes the backward
+/// slice of the instructions that produced the depleted fluid and retries.
+/// Each re-execution counts one regeneration event -- the paper's "Regen.
+/// count" column. Separation yields and concentration factors come from a
+/// seeded RNG or a fixed override.
+///
+/// aqua/check keeps a tree-walking reference of the same machine; the `vm`
+/// differential oracle requires bit-for-bit equal SimResults (volumes,
+/// waste, regeneration counts, RNG draws) on every generated program. The
+/// interpreter is allocation-free on the hot path:
 ///
 ///  * all run state (slot volumes, dense composition rows, writer indices,
 ///    the patchable volume table, regeneration stash) lives in flat arrays
@@ -30,17 +44,55 @@
 #ifndef AQUA_VM_VM_H
 #define AQUA_VM_VM_H
 
-#include "aqua/runtime/Simulator.h"
 #include "aqua/support/Random.h"
 #include "aqua/vm/Bytecode.h"
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 namespace aqua::vm {
 
-/// Per-run options (the subset of runtime::SimOptions the bytecode has not
-/// already folded, plus fleet trace routing).
+/// One sensor reading.
+struct SenseReading {
+  std::string Name; ///< Result variable, e.g. "Result_3".
+  double VolumeNl = 0.0;
+  /// Input-fluid name -> fraction of the sensed volume.
+  std::map<std::string, double> Composition;
+};
+
+/// Outcome of a simulation.
+struct SimResult {
+  bool Completed = false;
+  std::string Error;
+
+  /// Regeneration events (Table 2's "Regen. count").
+  int Regenerations = 0;
+  /// Transfers that found their source short of the requested volume.
+  int UnderflowEvents = 0;
+  /// Transfers clipped by the destination's capacity.
+  int OverflowEvents = 0;
+  /// Transfers whose quantized volume fell below the least count.
+  int SubLeastCountMoves = 0;
+
+  int InstructionsExecuted = 0;
+  /// Total simulated wet-path time (operation + transfer seconds).
+  double FluidSeconds = 0.0;
+  /// Volume drawn from each input port, in nl.
+  std::map<std::string, double> InputDrawnNl;
+  /// Volume delivered off-chip through output ports, in nl.
+  double DeliveredNl = 0.0;
+  /// Volume discarded on-chip, in nl: separation residue plus consumed
+  /// matrix/pusher fluids, solvent removed by concentration, sensed
+  /// samples, and residue drained by `output`.
+  double WasteNl = 0.0;
+
+  std::vector<SenseReading> Senses;
+};
+
+/// Per-run options (what the bytecode has not already folded, plus fleet
+/// trace routing).
 struct RunOptions {
   /// Re-execute producing slices when a fluid runs out.
   bool EnableRegeneration = true;
@@ -56,8 +108,8 @@ struct RunOptions {
   int MaxRegenRetries = 8;
 
   /// >= 0 routes virtual-time trace events to the fleet track
-  /// (obs::PidFleet) with this chip id as the row; -1 reproduces the
-  /// simulator's track (obs::PidSimulated, regeneration-depth rows).
+  /// (obs::PidFleet) with this chip id as the row; -1 uses the simulated
+  /// track (obs::PidSimulated, regeneration-depth rows).
   int FleetChip = -1;
 };
 
@@ -102,7 +154,7 @@ public:
 
   /// Materializes the SimResult accumulated since reset(). The interp
   /// remains bound; reset() starts the next run.
-  runtime::SimResult finish();
+  SimResult finish();
 
   /// The running (patchable) metered volume of \p VolIdx.
   double &volume(std::uint32_t VolIdx) { return VolumeTable[VolIdx]; }
@@ -123,8 +175,8 @@ private:
   void exec(int Idx, int Depth, Hooks *H);
   void execImpl(int Idx, int Depth, Hooks *H);
 
-  // Dense fluid-state helpers (see VM.cpp for the exact simulator
-  // equivalences they preserve).
+  // Dense fluid-state helpers (see VM.cpp for the exact equivalences with
+  // the reference's fluid maps they preserve).
   double *comp(int Slot) { return CompRows.data() + Slot * NumFluids; }
   void clearSlot(int Slot);
   void addInto(int Slot, double AddVol, const double *AddComp);
@@ -171,7 +223,7 @@ private:
 };
 
 /// Convenience one-shot execution of \p P.
-runtime::SimResult run(const Program &P, const RunOptions &Opts = {});
+SimResult run(const Program &P, const RunOptions &Opts = {});
 
 } // namespace aqua::vm
 

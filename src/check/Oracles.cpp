@@ -6,6 +6,7 @@
 
 #include "aqua/check/Oracles.h"
 
+#include "aqua/check/Reference.h"
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Cascading.h"
 #include "aqua/core/DagSolve.h"
@@ -15,7 +16,6 @@
 #include "aqua/ir/Canonical.h"
 #include "aqua/lang/Lower.h"
 #include "aqua/lp/BranchAndBound.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/ArtifactCodec.h"
 #include "aqua/service/CompileService.h"
 #include "aqua/service/Pipeline.h"
@@ -819,37 +819,20 @@ private:
                              "recomputation");
   }
 
-  /// Compiles \p Prog to bytecode and checks the VM reproduces \p Sim bit
-  /// for bit.
+  /// Checks the VM's result \p Vm against the tree-walking reference run
+  /// of \p Prog under the same options, bit for bit.
   void checkVmEquivalence(const codegen::AISProgram &Prog,
-                          const runtime::SimOptions &SO,
-                          const runtime::SimResult &Sim) {
-    vm::CompileOptions CO;
-    CO.Spec = SO.Spec;
-    CO.Graph = SO.Graph;
-    auto BC = vm::compile(Prog, CO);
-    if (!BC.ok()) {
-      fail(Oracle::Vm,
-           format("bytecode compile failed: %s", BC.message().c_str()));
-      return;
-    }
-    vm::RunOptions RO;
-    RO.EnableRegeneration = SO.EnableRegeneration;
-    RO.Seed = SO.Seed;
-    RO.MinSeparationYield = SO.MinSeparationYield;
-    RO.MaxSeparationYield = SO.MaxSeparationYield;
-    RO.FixedSeparationYield = SO.FixedSeparationYield;
-    RO.MoveSeconds = SO.MoveSeconds;
-    RO.MaxRegenRetries = SO.MaxRegenRetries;
-    runtime::SimResult Vm = vm::run(*BC, RO);
+                          const vm::CompileOptions &CO,
+                          const vm::RunOptions &RO, const vm::SimResult &Vm) {
+    vm::SimResult Sim = referenceSimulate(Prog, CO, RO);
 
     auto mismatch = [&](const char *What, const std::string &Detail) {
-      fail(Oracle::Vm, format("VM diverges from simulator on %s: %s", What,
+      fail(Oracle::Vm, format("VM diverges from reference on %s: %s", What,
                               Detail.c_str()));
     };
     if (Vm.Completed != Sim.Completed || Vm.Error != Sim.Error)
       return mismatch("outcome",
-                      format("sim completed=%d error='%s', vm completed=%d "
+                      format("ref completed=%d error='%s', vm completed=%d "
                              "error='%s'",
                              Sim.Completed, Sim.Error.c_str(), Vm.Completed,
                              Vm.Error.c_str()));
@@ -859,7 +842,7 @@ private:
         Vm.SubLeastCountMoves != Sim.SubLeastCountMoves ||
         Vm.InstructionsExecuted != Sim.InstructionsExecuted)
       return mismatch("counters",
-                      format("sim regen/under/over/sublc/instr "
+                      format("ref regen/under/over/sublc/instr "
                              "%d/%d/%d/%d/%d, vm %d/%d/%d/%d/%d",
                              Sim.Regenerations, Sim.UnderflowEvents,
                              Sim.OverflowEvents, Sim.SubLeastCountMoves,
@@ -869,7 +852,7 @@ private:
     if (Vm.FluidSeconds != Sim.FluidSeconds ||
         Vm.DeliveredNl != Sim.DeliveredNl || Vm.WasteNl != Sim.WasteNl)
       return mismatch("totals",
-                      format("sim sec/delivered/waste %.17g/%.17g/%.17g, vm "
+                      format("ref sec/delivered/waste %.17g/%.17g/%.17g, vm "
                              "%.17g/%.17g/%.17g",
                              Sim.FluidSeconds, Sim.DeliveredNl, Sim.WasteNl,
                              Vm.FluidSeconds, Vm.DeliveredNl, Vm.WasteNl));
@@ -878,12 +861,12 @@ private:
                       format("%zu vs %zu ports or differing draws",
                              Sim.InputDrawnNl.size(), Vm.InputDrawnNl.size()));
     if (Vm.Senses.size() != Sim.Senses.size())
-      return mismatch("sense count", format("sim %zu, vm %zu",
+      return mismatch("sense count", format("ref %zu, vm %zu",
                                             Sim.Senses.size(),
                                             Vm.Senses.size()));
     for (std::size_t I = 0; I < Sim.Senses.size(); ++I) {
-      const runtime::SenseReading &A = Sim.Senses[I];
-      const runtime::SenseReading &B = Vm.Senses[I];
+      const vm::SenseReading &A = Sim.Senses[I];
+      const vm::SenseReading &B = Vm.Senses[I];
       if (A.Name != B.Name || A.VolumeNl != B.VolumeNl ||
           A.Composition != B.Composition)
         return mismatch("sense reading",
@@ -893,8 +876,8 @@ private:
     }
   }
 
-  /// Runs the generated AIS on the PLoC simulator and cross-checks sensed
-  /// compositions against the exact prediction.
+  /// Runs the generated AIS on the VM and cross-checks sensed compositions
+  /// against the exact prediction.
   void checkSimulation(const AssayGraph &Lowered,
                        const service::CompileArtifact &A) {
     bool ManagedRun = R.Managed && R.Feasible;
@@ -907,19 +890,25 @@ private:
     if (!Prog.ok())
       return; // Resource exhaustion is a legitimate compile outcome.
 
-    runtime::SimOptions SO;
-    SO.Spec = Opts.Spec;
-    SO.Layout = Opts.Layout;
-    SO.Graph = G;
-    SO.FixedSeparationYield = Opts.FixedYield;
-    runtime::SimResult S = runtime::simulate(*Prog, SO);
+    vm::CompileOptions CO;
+    CO.Spec = Opts.Spec;
+    CO.Graph = G;
+    vm::RunOptions RO;
+    RO.FixedSeparationYield = Opts.FixedYield;
+    auto BC = vm::compile(*Prog, CO);
+    if (!BC.ok()) {
+      fail(on(Oracle::Vm) ? Oracle::Vm : Oracle::Simulation,
+           format("bytecode compile failed: %s", BC.message().c_str()));
+      return;
+    }
+    vm::SimResult S = vm::run(*BC, RO);
     R.Simulated = true;
 
     // Bytecode-VM oracle: bit-for-bit SimResult equality against the
-    // tree-walking simulator under the same options, completed or not --
+    // tree-walking reference under the same options, completed or not --
     // error strings, counters, volumes and sense readings all exact.
     if (on(Oracle::Vm))
-      checkVmEquivalence(*Prog, SO, S);
+      checkVmEquivalence(*Prog, CO, RO, S);
     if (!on(Oracle::Simulation))
       return;
 
@@ -938,8 +927,8 @@ private:
     }
 
     // Every sense in the DAG must have produced exactly one reading.
-    std::map<std::string, const runtime::SenseReading *> Readings;
-    for (const runtime::SenseReading &Rd : S.Senses) {
+    std::map<std::string, const vm::SenseReading *> Readings;
+    for (const vm::SenseReading &Rd : S.Senses) {
       if (Readings.count(Rd.Name)) {
         fail(Oracle::Simulation,
              format("duplicate reading for sense '%s'", Rd.Name.c_str()));
@@ -972,11 +961,18 @@ private:
                     return Frac::ratio(A.VM.Rounded.EdgeUnits[E], 1);
                   },
                   Predicted)
+            // A relative run fills the consuming unit to capacity at the
+            // part ratio and meters each part to the least count, so its
+            // weights are the metered units, not the unrounded fractions.
             : predictSenseCompositions(
                   *G,
                   [&](EdgeId E) {
                     const Rational &F = G->edge(E).Fraction;
-                    return Frac::ratio(F.numerator(), F.denominator());
+                    double PartNl = Opts.Spec.MaxCapacityNl *
+                                    static_cast<double>(F.numerator()) /
+                                    static_cast<double>(F.denominator());
+                    return Frac::ratio(
+                        std::llround(PartNl / Opts.Spec.LeastCountNl), 1);
                   },
                   Predicted);
     if (!Exact)
@@ -984,10 +980,10 @@ private:
     R.ExactComposition = true;
 
     // The prediction is exact; the tolerance below only covers the
-    // simulator's double-precision accumulation, not algorithmic slack.
+    // VM's double-precision accumulation, not algorithmic slack.
     const double Tol = 1e-9;
     for (const auto &[Name, Comp] : Predicted) {
-      const runtime::SenseReading *Rd = Readings[Name];
+      const vm::SenseReading *Rd = Readings[Name];
       for (const auto &[Fluid, F] : Comp) {
         auto It = Rd->Composition.find(Fluid);
         double Got = It == Rd->Composition.end() ? 0.0 : It->second;

@@ -1,14 +1,16 @@
-//===- Simulator.cpp - AquaCore PLoC simulator ----------------------------------===//
+//===- Reference.cpp - Tree-walking reference simulator -------------------------===//
 //
 // Part of AquaVol. MIT license.
 //
+// The AquaCore machine model walked directly over AIS instructions, with
+// string-keyed fluid maps. It is the `vm` oracle's reference: vm::Interp
+// ports this code onto flat arrays and must match it bit for bit.
+//
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/Simulator.h"
+#include "aqua/check/Reference.h"
 
-#include "aqua/obs/Log.h"
-#include "aqua/obs/Metrics.h"
-#include "aqua/obs/Trace.h"
+#include "aqua/support/Fatal.h"
 #include "aqua/support/Random.h"
 #include "aqua/support/StringUtils.h"
 
@@ -17,30 +19,49 @@
 #include <set>
 
 using namespace aqua;
+using namespace aqua::check;
 using namespace aqua::codegen;
 using namespace aqua::ir;
-using namespace aqua::runtime;
+using vm::SenseReading;
+using vm::SimResult;
+
+Fluid Fluid::pure(std::string Name, double VolumeNl) {
+  Fluid F;
+  F.VolumeNl = VolumeNl;
+  F.Composition[std::move(Name)] = 1.0;
+  return F;
+}
+
+void Fluid::add(const Fluid &Other) {
+  if (Other.empty())
+    return;
+  double Total = VolumeNl + Other.VolumeNl;
+  for (auto &[Name, Frac] : Composition)
+    Frac = Frac * VolumeNl / Total;
+  for (const auto &[Name, Frac] : Other.Composition)
+    Composition[Name] += Frac * Other.VolumeNl / Total;
+  VolumeNl = Total;
+}
+
+Fluid Fluid::take(double TakeNl) {
+  TakeNl = std::clamp(TakeNl, 0.0, VolumeNl);
+  Fluid Out;
+  Out.VolumeNl = TakeNl;
+  Out.Composition = Composition;
+  VolumeNl -= TakeNl;
+  if (VolumeNl <= 1e-12) {
+    VolumeNl = 0.0;
+    Composition.clear();
+  }
+  return Out;
+}
+
+double Fluid::fractionOf(const std::string &Name) const {
+  auto It = Composition.find(Name);
+  return It == Composition.end() ? 0.0 : It->second;
+}
 
 namespace {
-
-/// Global-registry instruments, resolved once.
-struct SimMetrics {
-  obs::Counter &Runs = obs::metrics().counter("sim.runs");
-  obs::Counter &Instructions = obs::metrics().counter("sim.instructions");
-  obs::Counter &Regenerations = obs::metrics().counter("sim.regenerations");
-  obs::Counter &Underflows = obs::metrics().counter("sim.underflows");
-  obs::Counter &Overflows = obs::metrics().counter("sim.overflows");
-  obs::Counter &SubLeastCountMoves =
-      obs::metrics().counter("sim.sub_least_count_moves");
-  obs::Gauge &InputNl = obs::metrics().gauge("sim.volume.input_nl");
-  obs::Gauge &DeliveredNl = obs::metrics().gauge("sim.volume.delivered_nl");
-  obs::Gauge &WasteNl = obs::metrics().gauge("sim.volume.waste_nl");
-};
-
-SimMetrics &met() {
-  static SimMetrics M;
-  return M;
-}
 
 /// Dense key for a location.
 int locKey(const Loc &L) {
@@ -50,8 +71,10 @@ int locKey(const Loc &L) {
 
 class Machine {
 public:
-  Machine(const AISProgram &Program, const SimOptions &Opts)
-      : Prog(Program), Opts(Opts), Rng(Opts.Seed) {
+  Machine(const AISProgram &Program, const vm::CompileOptions &CO,
+          const vm::RunOptions &RO)
+      : Prog(Program), Spec(CO.Spec), Graph(CO.Graph), Opts(RO),
+        Rng(RO.Seed) {
     planRelativeMoves();
     for (size_t I = 0; I < Prog.Instrs.size(); ++I) {
       NodeId N = Prog.Instrs[I].Node;
@@ -61,40 +84,21 @@ public:
   }
 
   SimResult run() {
-    AQUA_TRACE_SPAN("sim.run", "sim");
     for (size_t I = 0; I < Prog.Instrs.size() && Result.Error.empty(); ++I)
       exec(static_cast<int>(I), /*Depth=*/0);
     Result.Completed = Result.Error.empty();
-
-    met().Runs.add();
-    met().Instructions.add(
-        static_cast<std::uint64_t>(Result.InstructionsExecuted));
-    met().Regenerations.add(static_cast<std::uint64_t>(Result.Regenerations));
-    met().Underflows.add(static_cast<std::uint64_t>(Result.UnderflowEvents));
-    met().Overflows.add(static_cast<std::uint64_t>(Result.OverflowEvents));
-    met().SubLeastCountMoves.add(
-        static_cast<std::uint64_t>(Result.SubLeastCountMoves));
-    double InputNl = 0.0;
-    for (const auto &[Port, Nl] : Result.InputDrawnNl)
-      InputNl += Nl;
-    met().InputNl.add(InputNl);
-    met().DeliveredNl.add(Result.DeliveredNl);
-    met().WasteNl.add(Result.WasteNl);
     return std::move(Result);
   }
 
 private:
   void fail(int Idx, const std::string &Msg) {
-    if (Result.Error.empty()) {
+    if (Result.Error.empty())
       Result.Error = format("instr %d (%s): %s", Idx,
                             Prog.Instrs[Idx].str().c_str(), Msg.c_str());
-      AQUA_LOG_WARN("runtime", "simulation failed at %s",
-                    Result.Error.c_str());
-    }
   }
 
   double quantize(double VolNl) const {
-    double Lc = Opts.Spec.LeastCountNl;
+    double Lc = Spec.LeastCountNl;
     return std::round(VolNl / Lc) * Lc;
   }
 
@@ -127,7 +131,7 @@ private:
           break; // The consuming operation.
       }
       for (size_t J : Group) {
-        Planned[J] = Opts.Spec.MaxCapacityNl *
+        Planned[J] = Spec.MaxCapacityNl *
                      static_cast<double>(Prog.Instrs[J].RelParts) /
                      static_cast<double>(Total);
         Done[J] = 1;
@@ -142,22 +146,12 @@ private:
       return false;
     const Instruction &W = Prog.Instrs[WriterIdx];
     ++Result.Regenerations;
-    if (obs::Tracer::enabled()) {
-      obs::TraceEvent E;
-      E.Name = "regeneration";
-      E.Cat = "sim";
-      E.Phase = 'i';
-      E.TsMicros = static_cast<std::uint64_t>(Result.FluidSeconds * 1e6);
-      E.Pid = obs::PidSimulated;
-      E.Tid = static_cast<std::uint32_t>(Depth);
-      obs::Tracer::global().record(std::move(E));
-    }
 
     if (W.Op == Opcode::Input) {
       exec(WriterIdx, Depth + 1);
       return true;
     }
-    if (!Opts.Graph || W.Node == InvalidNode)
+    if (!Graph || W.Node == InvalidNode)
       return false;
 
     // Re-execute the backward slice of the producing node, in program
@@ -175,7 +169,7 @@ private:
     }
 
     std::set<int> Replay;
-    for (NodeId N : Opts.Graph->backwardSlice(W.Node)) {
+    for (NodeId N : Graph->backwardSlice(W.Node)) {
       auto It = NodeInstrs.find(N);
       if (It == NodeInstrs.end())
         continue;
@@ -204,7 +198,7 @@ private:
   /// Transfers \p RequestNl (or everything when < 0) from Src to Dst.
   void transfer(int Idx, const Loc &Src, const Loc &Dst, double RequestNl,
                 int Depth) {
-    double Lc = Opts.Spec.LeastCountNl;
+    double Lc = Spec.LeastCountNl;
     Fluid &S = at(Src);
 
     double Needed = RequestNl >= 0.0 ? quantize(RequestNl) : -1.0;
@@ -248,7 +242,7 @@ private:
     Fluid &D = at(Dst);
     double Free = Dst.Kind == LocKind::OutputPort
                       ? 1e18
-                      : Opts.Spec.MaxCapacityNl - D.VolumeNl;
+                      : Spec.MaxCapacityNl - D.VolumeNl;
     double Amount = Needed >= 0.0 ? std::min(Needed, S.VolumeNl) : S.VolumeNl;
     if (Amount > Free + 1e-9) {
       ++Result.OverflowEvents;
@@ -274,24 +268,8 @@ private:
                Rng.nextUnit();
   }
 
-  /// Executes one instruction, laying it out on the simulated fluidic
-  /// clock as a virtual-time complete event (pid 2; regeneration replays
-  /// land on per-depth rows so they do not overlap the triggering move).
+  /// Executes one instruction.
   void exec(int Idx, int Depth) {
-    if (!obs::Tracer::enabled()) {
-      execImpl(Idx, Depth);
-      return;
-    }
-    double VtStart = Result.FluidSeconds;
-    execImpl(Idx, Depth);
-    obs::Tracer::global().complete(
-        opcodeName(Prog.Instrs[Idx].Op), "sim",
-        static_cast<std::uint64_t>(VtStart * 1e6),
-        static_cast<std::uint64_t>((Result.FluidSeconds - VtStart) * 1e6),
-        obs::PidSimulated, static_cast<std::uint32_t>(Depth));
-  }
-
-  void execImpl(int Idx, int Depth) {
     if (!Result.Error.empty())
       return;
     const Instruction &I = Prog.Instrs[Idx];
@@ -301,7 +279,7 @@ private:
     case Opcode::Input: {
       // Top the reservoir up from the external port (unbounded supply).
       Fluid &D = at(I.Dst);
-      double Draw = quantize(Opts.Spec.MaxCapacityNl - D.VolumeNl);
+      double Draw = quantize(Spec.MaxCapacityNl - D.VolumeNl);
       if (Draw > 0.0) {
         D.add(Fluid::pure(I.Note, Draw));
         Result.InputDrawnNl[I.Note] += Draw;
@@ -416,7 +394,9 @@ private:
   }
 
   const AISProgram &Prog;
-  const SimOptions &Opts;
+  const core::MachineSpec &Spec;
+  const AssayGraph *Graph;
+  const vm::RunOptions &Opts;
   SplitMix64 Rng;
   SimResult Result;
 
@@ -428,8 +408,9 @@ private:
 
 } // namespace
 
-SimResult aqua::runtime::simulate(const AISProgram &Program,
-                                  const SimOptions &Opts) {
-  Machine M(Program, Opts);
+SimResult aqua::check::referenceSimulate(const AISProgram &Program,
+                                         const vm::CompileOptions &CO,
+                                         const vm::RunOptions &RO) {
+  Machine M(Program, CO, RO);
   return M.run();
 }

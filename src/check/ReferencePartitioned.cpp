@@ -1,10 +1,17 @@
-//===- PartitionExecutor.cpp - Run-time dispensing -------------------------------===//
+//===- ReferencePartitioned.cpp - Reference run-time dispensing ------------------===//
 //
 // Part of AquaVol. MIT license.
 //
+// Section 3.5 end to end, the plain way: the compile-time partition plan's
+// Vnorms stay fixed, and each partition is dispensed, rounded,
+// code-generated and simulated on the reference in wave order; the
+// measured output of every unknown-volume operation feeds the constrained
+// inputs of the partitions that consume it. vm::runChip with online
+// re-management off must reproduce it bit for bit.
+//
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/PartitionExecutor.h"
+#include "aqua/check/Reference.h"
 
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Rounding.h"
@@ -16,7 +23,8 @@
 using namespace aqua;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
+using namespace aqua::check;
+using vm::ChipResult;
 
 namespace {
 
@@ -59,10 +67,11 @@ SubGraph extractPartition(const PartitionPlan &Plan, int PartIndex) {
 
 } // namespace
 
-PartitionRunResult
-aqua::runtime::executePartitioned(const PartitionPlan &Plan,
-                                  const SimOptions &Opts) {
-  PartitionRunResult Result;
+ChipResult
+aqua::check::referenceExecutePartitioned(const PartitionPlan &Plan,
+                                         const MachineSpec &Spec,
+                                         const vm::RunOptions &Opts) {
+  ChipResult Result;
   Result.Volumes.NodeVolumeNl.assign(Plan.Graph.numNodeSlots(), 0.0);
   Result.Volumes.EdgeVolumeNl.assign(Plan.Graph.numEdgeSlots(), 0.0);
 
@@ -98,7 +107,7 @@ aqua::runtime::executePartitioned(const PartitionPlan &Plan,
 
     // ----- Run-time dispensing (fast electronic control).
     VolumeAssignment V =
-        dispensePartition(Plan, static_cast<int>(P), Available, Opts.Spec);
+        dispensePartition(Plan, static_cast<int>(P), Available, Spec);
     for (NodeId N : Plan.Parts[P].Members) {
       Result.Volumes.NodeVolumeNl[N] = V.NodeVolumeNl[N];
       for (EdgeId E : Plan.Graph.inEdges(N))
@@ -115,7 +124,7 @@ aqua::runtime::executePartitioned(const PartitionPlan &Plan,
     for (int I = 0; I < Sub.G.numEdgeSlots(); ++I)
       SubV.EdgeVolumeNl[I] = V.EdgeVolumeNl[Sub.ToPlanEdge[I]];
 
-    IntegerAssignment IVol = roundToLeastCount(Sub.G, SubV, Opts.Spec);
+    IntegerAssignment IVol = roundToLeastCount(Sub.G, SubV, Spec);
     if (IVol.Underflow) {
       Result.Error = format(
           "partition %zu underflows the least count after dispensing "
@@ -124,7 +133,7 @@ aqua::runtime::executePartitioned(const PartitionPlan &Plan,
           P);
       return Result;
     }
-    VolumeAssignment Metered = integerToNl(Sub.G, IVol, Opts.Spec);
+    VolumeAssignment Metered = integerToNl(Sub.G, IVol, Spec);
 
     codegen::CodegenOptions CG;
     CG.Mode = codegen::VolumeMode::Managed;
@@ -136,17 +145,19 @@ aqua::runtime::executePartitioned(const PartitionPlan &Plan,
       return Result;
     }
 
-    SimOptions SubOpts = Opts;
-    SubOpts.Graph = &Sub.G;
-    SubOpts.Seed = Opts.Seed + 17 * P;
-    SimResult Run = simulate(*Prog, SubOpts);
+    vm::CompileOptions SubCO;
+    SubCO.Spec = Spec;
+    SubCO.Graph = &Sub.G;
+    vm::RunOptions SubRO = Opts;
+    SubRO.Seed = Opts.Seed + 17 * P;
+    vm::SimResult Run = referenceSimulate(*Prog, SubCO, SubRO);
     if (!Run.Completed) {
       Result.Error = format("partition %zu: %s", P, Run.Error.c_str());
       return Result;
     }
     Result.FluidSeconds += Run.FluidSeconds;
     Result.Regenerations += Run.Regenerations;
-    for (SenseReading &Reading : Run.Senses)
+    for (vm::SenseReading &Reading : Run.Senses)
       Result.Senses.push_back(std::move(Reading));
     ++Result.PartitionsExecuted;
 

@@ -291,20 +291,9 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
   R.histogram("lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
                                   3e-3, 1e-2, 3e-2, 1e-1});
 
-  // AquaCore simulator (Simulator.cpp). The volume gauges accumulate
+  // AquaCore simulation on the bytecode VM and fleet (vm/VM.cpp,
+  // vm/Compiler.cpp, vm/Fleet.cpp). The vm.volume.* gauges accumulate
   // nanoliters and feed the paper's Table 2 volume/waste columns.
-  for (const char *Name :
-       {"sim.runs", "sim.instructions", "sim.regenerations",
-        "sim.underflows", "sim.overflows", "sim.sub_least_count_moves"})
-    R.counter(Name);
-  for (const char *Name :
-       {"sim.volume.input_nl", "sim.volume.delivered_nl",
-        "sim.volume.waste_nl"})
-    R.gauge(Name);
-
-  // Bytecode VM and fleet simulation (vm/VM.cpp, vm/Compiler.cpp,
-  // vm/Fleet.cpp). The vm.* counters mirror sim.* so engine comparisons
-  // line up column for column.
   for (const char *Name :
        {"vm.runs", "vm.instructions", "vm.regenerations", "vm.underflows",
         "vm.overflows", "vm.sub_least_count_moves", "vm.compile.programs",

@@ -31,7 +31,7 @@ CompileMetrics &met() {
   return M;
 }
 
-/// Dense key for a location; must match the simulator's locKey so slot
+/// Dense key for a location; must match the reference's locKey so slot
 /// order reproduces its std::map iteration order.
 int locKey(const Loc &L) {
   return (static_cast<int>(L.Kind) << 20) | (L.Index << 4) |
@@ -43,7 +43,7 @@ bool isFunctionalUnit(LocKind Kind) {
          Kind == LocKind::Sensor || Kind == LocKind::Separator;
 }
 
-/// Replicates the simulator's planRelativeMoves: the consuming unit is
+/// Replicates the reference's planRelativeMoves: the consuming unit is
 /// filled to capacity at the requested part ratio. The arithmetic
 /// (MaxCapacityNl * parts / total, in this association) must stay
 /// identical for bit-for-bit equivalence.
@@ -88,7 +88,7 @@ Expected<Program> aqua::vm::compile(const AISProgram &P,
   Out.Spec = Opts.Spec;
 
   // ----- Slot assignment: every referenced location, in ascending locKey
-  // order (the simulator's Contents map order).
+  // order (the reference's Contents map order).
   std::map<int, Loc> Locs;
   auto intern = [&Locs](const Loc &L) {
     if (L.valid())

@@ -2,14 +2,15 @@
 //
 // Part of AquaVol. MIT license.
 //
-// A chip's normal path mirrors runtime::executePartitioned step for step
-// (same availability chain, same dispensing, same RNG stream layout:
-// yields from Seed ^ 0xa55a, partition P simulated at Seed + 17 * P), so
-// with online re-management disabled a ChipResult is bit-for-bit equal to
-// a PartitionRunResult. The difference is compile-once execution: instead
-// of regenerating AIS per partition per run, the chip patches the shared
-// segment template's volume table, guarded by the residue-shape check
-// (the single volume-dependent codegen decision).
+// A chip's normal path mirrors aqua/check's reference executor
+// (check/ReferencePartitioned.cpp) step for step: same availability chain,
+// same dispensing, same RNG stream layout (yields from Seed ^ 0xa55a,
+// partition P simulated at Seed + 17 * P), so with online re-management
+// disabled the two ChipResults are bit-for-bit equal. The difference is
+// compile-once execution: instead of regenerating AIS per partition per
+// run, the chip patches the shared segment template's volume table,
+// guarded by the residue-shape check (the single volume-dependent codegen
+// decision).
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +60,7 @@ FleetMetrics &met() {
 }
 
 /// Extracts one partition as a standalone graph (the same construction as
-/// runtime::executePartitioned: members sorted, in-edges in plan order, so
+/// the reference executor: members sorted, in-edges in plan order, so
 /// subgraph floating-point summation orders match the plan's).
 FleetSegment extractSegment(const PartitionPlan &Plan, int PartIndex) {
   const AssayGraph &PG = Plan.Graph;
@@ -192,7 +193,7 @@ public:
         if (!execSegment(I, P, Seg, Seg.SubG, Metered, /*AllowPatch=*/true))
           return;
         // Publishing reads the *dispensed* (pre-rounding) volumes, like
-        // executePartitioned.
+        // the reference executor.
         publishMeasured(P, Seg, Seg.SubG, SubV);
         ++NextPart;
         return;
@@ -325,7 +326,7 @@ private:
     CurFluids = &Run->FluidNames;
     I.reset(RO);
     I.run(0, -1, Bank ? this : nullptr);
-    runtime::SimResult Sim = I.finish();
+    SimResult Sim = I.finish();
     CurFluids = nullptr;
 
     met().Segments.add();
@@ -337,7 +338,7 @@ private:
     }
     Res.FluidSeconds += Sim.FluidSeconds;
     Res.Regenerations += Sim.Regenerations;
-    for (runtime::SenseReading &Reading : Sim.Senses)
+    for (SenseReading &Reading : Sim.Senses)
       Res.Senses.push_back(std::move(Reading));
     Res.DeliveredNl += Sim.DeliveredNl;
     Res.WasteNl += Sim.WasteNl;

@@ -2,12 +2,13 @@
 //
 // Part of AquaVol. MIT license.
 //
-// The dispatch loop below is a line-for-line port of runtime::Simulator
-// onto flat arrays. Equivalence is bit-for-bit, so every epsilon, every
-// clamp, every expression association and every RNG draw site must match
-// Simulator.cpp exactly; the `vm` differential oracle catches drift.
+// The dispatch loop below is the tree-walking reference of aqua/check
+// (check/Reference.cpp) ported onto flat arrays. Equivalence is
+// bit-for-bit, so every epsilon, every clamp, every expression association
+// and every RNG draw site must match the reference exactly; the `vm`
+// differential oracle catches drift.
 //
-// Dense composition rows stand in for the simulator's string-keyed maps:
+// Dense composition rows stand in for the reference's string-keyed maps:
 // a fluid absent from a map behaves identically to a 0.0 row entry
 // (0*x/T == 0 and F + 0.0 == F for the non-negative fractions that occur
 // here), so the arithmetic agrees double-for-double. The one observable
@@ -99,7 +100,7 @@ void Interp::reset(const RunOptions &O) {
 
 void Interp::fail(int Idx, std::string Msg) {
   if (!Error.empty())
-    return; // Only the first error is kept (as in the simulator).
+    return; // Only the first error is kept (as in the reference).
   Error = format("instr %d (%s): %s", Idx, Prog->InstrText[Idx].c_str(),
                  Msg.c_str());
   AQUA_LOG_WARN("vm", "execution failed at %s", Error.c_str());
@@ -187,7 +188,7 @@ bool Interp::regenerate(int WriterI, int Depth, Hooks *H) {
     return false; // No graph / unattributed instruction at compile time.
 
   // Stash functional-unit contents (ascending slot == ascending locKey,
-  // the simulator's map order), then clear every functional unit.
+  // the reference's map order), then clear every functional unit.
   std::size_t Base = StashSlot.size();
   for (int S = 0; S < NumSlots; ++S) {
     if (!Prog->SlotIsFunctionalUnit[S])
@@ -203,7 +204,7 @@ bool Interp::regenerate(int WriterI, int Depth, Hooks *H) {
   for (std::int32_t K = 0; K < W.RegenCount; ++K) {
     int Idx = Prog->RegenSlices[W.RegenBegin + K];
     if (!Error.empty()) {
-      // A failed replay abandons the stash (the simulator's Stash vector
+      // A failed replay abandons the stash (the reference's Stash vector
       // goes out of scope unrestored) -- observable, so reproduced.
       StashSlot.resize(Base);
       StashVol.resize(Base);
@@ -432,8 +433,8 @@ bool Interp::run(int Begin, int End, Hooks *H) {
   return Error.empty();
 }
 
-runtime::SimResult Interp::finish() {
-  runtime::SimResult R;
+SimResult Interp::finish() {
+  SimResult R;
   R.Completed = Error.empty();
   R.Error = Error;
   R.Regenerations = Regenerations;
@@ -454,7 +455,7 @@ runtime::SimResult Interp::finish() {
 
   R.Senses.reserve(SenseLog.size());
   for (std::size_t S = 0; S < SenseLog.size(); ++S) {
-    runtime::SenseReading Rd;
+    SenseReading Rd;
     Rd.Name = Prog->SenseNames[SenseLog[S].first];
     Rd.VolumeNl = SenseLog[S].second;
     const double *Row = SenseComp.data() + S * NumFluids;
@@ -476,7 +477,7 @@ runtime::SimResult Interp::finish() {
   return R;
 }
 
-runtime::SimResult aqua::vm::run(const Program &P, const RunOptions &Opts) {
+SimResult aqua::vm::run(const Program &P, const RunOptions &Opts) {
   Interp I;
   I.start(P, Opts);
   I.run();

@@ -14,11 +14,11 @@
 
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/Manager.h"
-#include "aqua/core/Partition.h"
 #include "aqua/lang/Lower.h"
-#include "aqua/runtime/PartitionExecutor.h"
-#include "aqua/runtime/Simulator.h"
 #include "aqua/service/Pipeline.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/Fleet.h"
+#include "aqua/vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -38,9 +38,11 @@ void runManagedEndToEnd(const AssayGraph &G, size_t ExpectedSenses) {
   EXPECT_GE(VM.MinDispenseNl, Spec.LeastCountNl - 1e-9);
   EXPECT_LT(VM.Rounded.MeanRatioErrorPct, 2.0);
 
-  runtime::SimOptions SO;
-  SO.Graph = &VM.Graph;
-  runtime::SimResult S = runtime::simulate(A.Program, SO);
+  vm::CompileOptions CO;
+  CO.Graph = &VM.Graph;
+  auto BC = vm::compile(A.Program, CO);
+  ASSERT_TRUE(BC.ok()) << BC.message();
+  vm::SimResult S = vm::run(*BC);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_EQ(S.Regenerations, 0);
   EXPECT_EQ(S.Senses.size(), ExpectedSenses);
@@ -98,13 +100,14 @@ TEST(ExtraAssays, ImmunoassayPartitionsAndRuns) {
   AssayGraph G = assays::buildImmunoassay();
   ASSERT_TRUE(G.verify().ok());
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok()) << Plan.message();
-  EXPECT_EQ(Plan->Parts.size(), 3u); // Two unknown separations.
+  auto Img = vm::compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
+  EXPECT_EQ(Img->Plan.Parts.size(), 3u); // Two unknown separations.
 
-  runtime::SimOptions SO;
-  SO.FixedSeparationYield = 0.5;
-  runtime::PartitionRunResult R = runtime::executePartitioned(*Plan, SO);
+  vm::FleetOptions FO;
+  FO.FixedSeparationYield = 0.5;
+  FO.EnableOnlineRemanage = false;
+  vm::ChipResult R = vm::runChip(*Img, FO, FO.Seed);
   ASSERT_TRUE(R.Completed) << R.Error;
   EXPECT_EQ(R.PartitionsExecuted, 3);
   EXPECT_EQ(R.MeasuredNl.size(), 2u);

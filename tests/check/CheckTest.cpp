@@ -74,6 +74,57 @@ TEST(CheckHarnessCorpus, HarderCorpusPassesAllOracles) {
   EXPECT_TRUE(R.ok()) << R.summary();
 }
 
+TEST(CheckSimulation, RelativeRunPredictedFromMeteredParts) {
+  // Shrunk from `aquacheck --seed 1 --cases 400 --difficulty 1` (case seed
+  // 1161240587987436275). The unhinted concentration leaves a volume
+  // unknown, so the assay runs as relative AIS: the mixer is filled to its
+  // 100 nl capacity at 5:1 and each part is metered to the 0.1 nl least
+  // count, 83.3 + 16.7 nl. The sense reads an F1 fraction of 0.833, and
+  // the oracle must predict that from the metered units, not 5/6.
+  GenProgram P;
+  P.Name = "gen_1161240587987436275";
+  P.Seed = 1161240587987436275ULL;
+  P.YieldNum = 2;
+  P.YieldDen = 5;
+  GenStmt Mix;
+  Mix.K = GenStmt::Kind::Mix;
+  Mix.Operands = {"F1", "F3"};
+  Mix.Ratios = {5, 1};
+  Mix.Result = "p1";
+  Mix.Seconds = 20;
+  GenStmt Sense;
+  Sense.K = GenStmt::Kind::Sense;
+  Sense.Input = "p1";
+  Sense.SenseArray = "R1";
+  Sense.Fluorescence = true;
+  GenStmt Conc;
+  Conc.K = GenStmt::Kind::Concentrate;
+  Conc.Input = "F3";
+  Conc.TempC = 89;
+  Conc.Seconds = 261;
+  Conc.HasYield = false;
+  P.Stmts = {Mix, Sense, Conc};
+  std::string Source = P.render();
+  ASSERT_NE(Source.find("p1 = MIX F1 AND F3 IN RATIOS 5 : 1 FOR 20;"),
+            std::string::npos)
+      << Source;
+  ASSERT_NE(Source.find("CONCENTRATE F3 AT 89 FOR 261;"), std::string::npos)
+      << Source;
+
+  CaseReport R = checkProgram(P, CheckOptions{});
+  EXPECT_TRUE(R.ok()) << R.str() << "\n" << Source;
+  EXPECT_FALSE(R.Managed);
+  EXPECT_TRUE(R.Simulated);
+  EXPECT_TRUE(R.ExactComposition);
+
+  // The unshrunk case passes every oracle too.
+  GenConfig Cfg;
+  Cfg.Difficulty = 1;
+  GenProgram Full = generateProgram(1161240587987436275ULL, Cfg);
+  CaseReport FullR = checkProgram(Full, CheckOptions{});
+  EXPECT_TRUE(FullR.ok()) << FullR.str() << "\n" << Full.render();
+}
+
 TEST(CheckShrinker, MinimizesSyntheticFailure) {
   // A negative tolerance makes the solver-agreement oracle reject every
   // feasibly solved program, standing in for a real solver bug. The

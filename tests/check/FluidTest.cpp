@@ -1,14 +1,14 @@
-//===- FluidTest.cpp - Simulated fluid state tests ------------------------------===//
+//===- FluidTest.cpp - Reference fluid state tests ------------------------------===//
 //
 // Part of AquaVol. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/Fluid.h"
+#include "aqua/check/Reference.h"
 
 #include <gtest/gtest.h>
 
-using namespace aqua::runtime;
+using namespace aqua::check;
 
 TEST(Fluid, PureAndEmpty) {
   Fluid F = Fluid::pure("water", 10.0);

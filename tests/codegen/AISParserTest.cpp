@@ -9,7 +9,8 @@
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/codegen/Codegen.h"
 #include "aqua/core/DagSolve.h"
-#include "aqua/runtime/Simulator.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -61,9 +62,11 @@ TEST(AISParser, RoundTripsManagedPrograms) {
 
   // A parsed managed program executes on the simulator (no regeneration:
   // parsed instructions carry no DAG provenance).
-  runtime::SimOptions SO;
-  SO.EnableRegeneration = false;
-  runtime::SimResult S = runtime::simulate(*Parsed, SO);
+  auto BC = vm::compile(*Parsed, {});
+  ASSERT_TRUE(BC.ok()) << BC.message();
+  vm::RunOptions RO;
+  RO.EnableRegeneration = false;
+  vm::SimResult S = vm::run(*BC, RO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_EQ(S.Senses.size(), 5u);
   EXPECT_EQ(S.UnderflowEvents, 0);

@@ -7,22 +7,20 @@
 #include "aqua/vm/Fleet.h"
 
 #include "aqua/assays/PaperAssays.h"
-#include "aqua/runtime/PartitionExecutor.h"
+#include "aqua/check/Reference.h"
 
 #include <gtest/gtest.h>
 
 using namespace aqua;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
 using namespace aqua::vm;
 
 namespace {
 
-/// A chip with online re-management off must reproduce
-/// runtime::executePartitioned bit for bit.
-void expectChipMatchesExecutor(const ChipResult &Chip,
-                               const PartitionRunResult &Ref) {
+/// A chip with online re-management off must reproduce aqua/check's
+/// reference executor bit for bit.
+void expectChipMatchesExecutor(const ChipResult &Chip, const ChipResult &Ref) {
   EXPECT_EQ(Chip.Completed, Ref.Completed);
   EXPECT_EQ(Chip.Error, Ref.Error);
   EXPECT_EQ(Chip.PartitionsExecuted, Ref.PartitionsExecuted);
@@ -48,15 +46,15 @@ TEST(Fleet, GlycomicsChipMatchesExecutePartitionedFixedYield) {
   ASSERT_TRUE(Img.ok()) << Img.message();
   ASSERT_EQ(Img->Segments.size(), 4u);
 
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.5;
-  PartitionRunResult Ref = executePartitioned(Img->Plan, SO);
+  RunOptions RO;
+  RO.FixedSeparationYield = 0.5;
+  ChipResult Ref = check::referenceExecutePartitioned(Img->Plan, Spec, RO);
   ASSERT_TRUE(Ref.Completed) << Ref.Error;
 
   FleetOptions FO;
   FO.EnableOnlineRemanage = false;
   FO.FixedSeparationYield = 0.5;
-  ChipResult Chip = runChip(*Img, FO, SO.Seed);
+  ChipResult Chip = runChip(*Img, FO, RO.Seed);
   expectChipMatchesExecutor(Chip, Ref);
   EXPECT_GT(Chip.InstructionsExecuted, 0u);
   EXPECT_EQ(Chip.OnlineRemanages, 0);
@@ -72,9 +70,9 @@ TEST(Fleet, GlycomicsChipMatchesExecutePartitionedRandomYields) {
   ASSERT_TRUE(Img.ok());
 
   for (std::uint64_t Seed : {0x5eedULL, 3ULL, 0xabcULL}) {
-    SimOptions SO;
-    SO.Seed = Seed;
-    PartitionRunResult Ref = executePartitioned(Img->Plan, SO);
+    RunOptions RO;
+    RO.Seed = Seed;
+    ChipResult Ref = check::referenceExecutePartitioned(Img->Plan, Spec, RO);
     FleetOptions FO;
     FO.EnableOnlineRemanage = false;
     ChipResult Chip = runChip(*Img, FO, Seed);
@@ -90,15 +88,15 @@ TEST(Fleet, ScarceYieldFailureMatchesExecutor) {
   auto Img = compileFleetImage(G, Spec);
   ASSERT_TRUE(Img.ok());
 
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.0005;
-  PartitionRunResult Ref = executePartitioned(Img->Plan, SO);
+  RunOptions RO;
+  RO.FixedSeparationYield = 0.0005;
+  ChipResult Ref = check::referenceExecutePartitioned(Img->Plan, Spec, RO);
   ASSERT_FALSE(Ref.Completed);
 
   FleetOptions FO;
   FO.EnableOnlineRemanage = false;
   FO.FixedSeparationYield = 0.0005;
-  ChipResult Chip = runChip(*Img, FO, SO.Seed);
+  ChipResult Chip = runChip(*Img, FO, RO.Seed);
   EXPECT_FALSE(Chip.Completed);
   EXPECT_EQ(Chip.Error, Ref.Error);
 }

@@ -3,8 +3,8 @@
 // Part of AquaVol. MIT license.
 //
 // A sensed (statically-unknown) volume can come up so short that run-time
-// dispensing underflows the least count. runtime::executePartitioned gives
-// up there; the fleet re-enters the volume manager online with the
+// dispensing underflows the least count. The plain partitioned executor
+// (aqua/check's reference) gives up there; the fleet re-enters the volume manager online with the
 // measured availability pinned, patches (or recompiles) the partition's
 // bytecode, and resumes the VM.
 //
@@ -13,14 +13,13 @@
 #include "aqua/vm/Fleet.h"
 
 #include "aqua/assays/PaperAssays.h"
-#include "aqua/runtime/PartitionExecutor.h"
+#include "aqua/check/Reference.h"
 
 #include <gtest/gtest.h>
 
 using namespace aqua;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
 using namespace aqua::vm;
 
 namespace {
@@ -55,9 +54,9 @@ TEST(OnlineRemanage, ExecutorGivesUpWhereTheFleetRecovers) {
 
   // The static executor fails: dispensing underflows and all it can ask
   // for is regeneration.
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.45;
-  PartitionRunResult Ref = executePartitioned(Img->Plan, SO);
+  RunOptions RO;
+  RO.FixedSeparationYield = 0.45;
+  ChipResult Ref = check::referenceExecutePartitioned(Img->Plan, Spec, RO);
   ASSERT_FALSE(Ref.Completed);
   EXPECT_NE(Ref.Error.find("underflows the least count"), std::string::npos)
       << Ref.Error;
@@ -67,7 +66,7 @@ TEST(OnlineRemanage, ExecutorGivesUpWhereTheFleetRecovers) {
   FleetOptions FO;
   FO.FixedSeparationYield = 0.45;
   FO.EnableOnlineRemanage = false;
-  ChipResult Static = runChip(*Img, FO, SO.Seed);
+  ChipResult Static = runChip(*Img, FO, RO.Seed);
   EXPECT_FALSE(Static.Completed);
   EXPECT_EQ(Static.Error, Ref.Error);
 
@@ -75,7 +74,7 @@ TEST(OnlineRemanage, ExecutorGivesUpWhereTheFleetRecovers) {
   // the re-managed segment recompiles (its instruction stream changed),
   // and the chip completes.
   FO.EnableOnlineRemanage = true;
-  ChipResult Online = runChip(*Img, FO, SO.Seed);
+  ChipResult Online = runChip(*Img, FO, RO.Seed);
   ASSERT_TRUE(Online.Completed) << Online.Error;
   EXPECT_EQ(Online.OnlineRemanages, 1);
   EXPECT_GE(Online.SegmentRecompiles, 1);

@@ -2,9 +2,14 @@
 //
 // Part of AquaVol. MIT license.
 //
+//
+// Section 3.5 end to end through vm::runChip with online re-management
+// off: each partition is dispensed from earlier measurements, then metered
+// and run on the VM in wave order.
+//
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/PartitionExecutor.h"
+#include "aqua/vm/Fleet.h"
 
 #include "aqua/assays/PaperAssays.h"
 
@@ -13,7 +18,7 @@
 using namespace aqua;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
+using namespace aqua::vm;
 
 namespace {
 
@@ -24,17 +29,24 @@ NodeId findNode(const AssayGraph &G, const std::string &Name) {
   return InvalidNode;
 }
 
+/// Runs one chip of \p Img under \p FO's seed, failing (like the plain
+/// executor) where dispensing underflows the least count.
+ChipResult runPartitioned(const FleetImage &Img, FleetOptions FO) {
+  FO.EnableOnlineRemanage = false;
+  return runChip(Img, FO, FO.Seed);
+}
+
 } // namespace
 
 TEST(PartitionExecutor, GlycomicsEndToEnd) {
   AssayGraph G = assays::buildGlycomicsAssay();
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok());
+  auto Img = compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
 
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.5;
-  PartitionRunResult R = executePartitioned(*Plan, SO);
+  FleetOptions FO;
+  FO.FixedSeparationYield = 0.5;
+  ChipResult R = runPartitioned(*Img, FO);
   ASSERT_TRUE(R.Completed) << R.Error;
   EXPECT_EQ(R.PartitionsExecuted, 4);
   EXPECT_EQ(R.Regenerations, 0);
@@ -44,8 +56,8 @@ TEST(PartitionExecutor, GlycomicsEndToEnd) {
 
   // Partition 0 dispenses mix1 at capacity; partition 1's scale is bound
   // by the 50 nl buffer3a half (55 nl at mix3, as in the paper's numbers).
-  NodeId Mix1 = findNode(Plan->Graph, "mix1");
-  NodeId Mix3 = findNode(Plan->Graph, "mix3");
+  NodeId Mix1 = findNode(Img->Plan.Graph, "mix1");
+  NodeId Mix3 = findNode(Img->Plan.Graph, "mix3");
   EXPECT_NEAR(R.Volumes.NodeVolumeNl[Mix1], 100.0, 1e-6);
   EXPECT_NEAR(R.Volumes.NodeVolumeNl[Mix3], 55.0, 1e-6);
 }
@@ -53,12 +65,12 @@ TEST(PartitionExecutor, GlycomicsEndToEnd) {
 TEST(PartitionExecutor, ScarceYieldTriggersRegenerationRequest) {
   AssayGraph G = assays::buildGlycomicsAssay();
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok());
+  auto Img = compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
 
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.0005; // 0.05 nl of effluent from 100 nl.
-  PartitionRunResult R = executePartitioned(*Plan, SO);
+  FleetOptions FO;
+  FO.FixedSeparationYield = 0.0005; // 0.05 nl of effluent from 100 nl.
+  ChipResult R = runPartitioned(*Img, FO);
   EXPECT_FALSE(R.Completed);
   EXPECT_NE(R.Error.find("regeneration"), std::string::npos) << R.Error;
 }
@@ -66,13 +78,13 @@ TEST(PartitionExecutor, ScarceYieldTriggersRegenerationRequest) {
 TEST(PartitionExecutor, DeterministicUnderSeed) {
   AssayGraph G = assays::buildGlycomicsAssay();
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok());
+  auto Img = compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
 
-  SimOptions SO;
-  SO.Seed = 99;
-  PartitionRunResult A = executePartitioned(*Plan, SO);
-  PartitionRunResult B = executePartitioned(*Plan, SO);
+  FleetOptions FO;
+  FO.Seed = 99;
+  ChipResult A = runPartitioned(*Img, FO);
+  ChipResult B = runPartitioned(*Img, FO);
   ASSERT_TRUE(A.Completed) << A.Error;
   EXPECT_EQ(A.MeasuredNl, B.MeasuredNl);
   EXPECT_EQ(A.FluidSeconds, B.FluidSeconds);
@@ -93,31 +105,31 @@ TEST(PartitionExecutor, KnownVolumeCutFluidIsPublished) {
   ASSERT_TRUE(G.verify().ok());
 
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok());
+  auto Img = compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
 
-  SimOptions SO;
-  SO.FixedSeparationYield = 0.4;
-  PartitionRunResult R = executePartitioned(*Plan, SO);
+  FleetOptions FO;
+  FO.FixedSeparationYield = 0.4;
+  ChipResult R = runPartitioned(*Img, FO);
   ASSERT_TRUE(R.Completed) << R.Error;
   // X's dispensed volume was published for the late partition.
   EXPECT_TRUE(R.MeasuredNl.count("X"));
   EXPECT_TRUE(R.MeasuredNl.count("U"));
   ASSERT_EQ(R.Senses.size(), 1u);
   // The late mix consumed half of X's output at most.
-  NodeId XPlan = findNode(Plan->Graph, "X");
+  NodeId XPlan = findNode(Img->Plan.Graph, "X");
   EXPECT_GT(R.Volumes.NodeVolumeNl[XPlan], 0.0);
 }
 
 TEST(PartitionExecutor, SingleStaticPartitionWorksToo) {
   AssayGraph G = assays::buildGlucoseAssay();
   MachineSpec Spec;
-  auto Plan = buildPartitionPlan(G, Spec);
-  ASSERT_TRUE(Plan.ok());
-  ASSERT_EQ(Plan->Parts.size(), 1u);
+  auto Img = compileFleetImage(G, Spec);
+  ASSERT_TRUE(Img.ok()) << Img.message();
+  ASSERT_EQ(Img->Plan.Parts.size(), 1u);
 
-  SimOptions SO;
-  PartitionRunResult R = executePartitioned(*Plan, SO);
+  FleetOptions FO;
+  ChipResult R = runPartitioned(*Img, FO);
   ASSERT_TRUE(R.Completed) << R.Error;
   EXPECT_EQ(R.PartitionsExecuted, 1);
   EXPECT_EQ(R.Senses.size(), 5u);

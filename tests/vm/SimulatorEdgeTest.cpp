@@ -4,15 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/Simulator.h"
-
 #include "aqua/codegen/AISParser.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include <gtest/gtest.h>
 
 using namespace aqua;
 using namespace aqua::codegen;
-using namespace aqua::runtime;
+using namespace aqua::vm;
 
 namespace {
 
@@ -20,6 +20,14 @@ AISProgram parse(const char *Text) {
   auto P = parseAIS(Text);
   EXPECT_TRUE(P.ok()) << P.message();
   return *P;
+}
+
+/// Compiles \p P to bytecode and runs it.
+SimResult simulate(const AISProgram &P, const RunOptions &RO,
+                   const CompileOptions &CO = {}) {
+  auto BC = compile(P, CO);
+  EXPECT_TRUE(BC.ok()) << BC.message();
+  return BC.ok() ? run(*BC, RO) : SimResult{};
 }
 
 } // namespace
@@ -33,27 +41,27 @@ move-abs mixer1, s1, 80
 move-abs mixer1, s2, 80
 mix mixer1, 5
 )");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(P, RO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_GE(S.OverflowEvents, 1);
 }
 
 TEST(SimulatorEdge, MixOnEmptyUnitFails) {
   AISProgram P = parse("mix mixer1, 5\n");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(P, RO);
   EXPECT_FALSE(S.Completed);
   EXPECT_NE(S.Error.find("empty"), std::string::npos);
 }
 
 TEST(SimulatorEdge, SenseOnEmptyUnitFails) {
   AISProgram P = parse("sense.OD sensor1, R\n");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(P, RO);
   EXPECT_FALSE(S.Completed);
 }
 
@@ -64,10 +72,10 @@ move separator1, s1
 separate.AF separator1, 10
 move mixer1, separator1.out1
 )");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SO.FixedSeparationYield = 0.25;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  RO.FixedSeparationYield = 0.25;
+  SimResult S = simulate(P, RO);
   ASSERT_TRUE(S.Completed) << S.Error;
   // 100 nl in, 25 nl of effluent moved on; no underflow on the move-all.
   EXPECT_EQ(S.UnderflowEvents, 0);
@@ -80,10 +88,10 @@ move heater1, s1
 concentrate heater1, 95, 60
 sense.OD heater1, R
 )");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SO.FixedSeparationYield = 0.3;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  RO.FixedSeparationYield = 0.3;
+  SimResult S = simulate(P, RO);
   ASSERT_TRUE(S.Completed) << S.Error;
   ASSERT_EQ(S.Senses.size(), 1u);
   EXPECT_NEAR(S.Senses[0].VolumeNl, 30.0, 1e-6); // 100 nl * 0.3.
@@ -96,9 +104,9 @@ input s1, ip1 ;A
 move-abs mixer1, s1, 40
 input s1, ip1 ;A
 )");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(P, RO);
   ASSERT_TRUE(S.Completed);
   EXPECT_NEAR(S.InputDrawnNl.at("A"), 140.0, 1e-9); // 100 + 40 top-up.
 }
@@ -108,9 +116,9 @@ TEST(SimulatorEdge, SubLeastCountRequestMovesNothing) {
 input s1, ip1 ;A
 move-abs mixer1, s1, 0.04
 )");
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(P, RO);
   ASSERT_TRUE(S.Completed);
   EXPECT_EQ(S.SubLeastCountMoves, 1);
 }
@@ -125,10 +133,11 @@ input s1, ip1 ;A
 move-abs mixer1, s1, 120
 mix mixer1, 5
 )");
-  SimOptions SO;
-  SO.Spec.MaxCapacityNl = 100.0;
-  SO.MaxRegenRetries = 3;
-  SimResult S = simulate(P, SO);
+  CompileOptions CO;
+  CO.Spec.MaxCapacityNl = 100.0;
+  RunOptions RO;
+  RO.MaxRegenRetries = 3;
+  SimResult S = simulate(P, RO, CO);
   EXPECT_FALSE(S.Completed);
   EXPECT_NE(S.Error.find("regeneration exhausted after 3 retries"),
             std::string::npos)
@@ -144,8 +153,8 @@ TEST(SimulatorEdge, ShortageWithoutWriterStaysSilent) {
   AISProgram P = parse(R"(
 move-abs mixer1, sensor1, 10
 )");
-  SimOptions SO;
-  SimResult S = simulate(P, SO);
+  RunOptions RO;
+  SimResult S = simulate(P, RO);
   EXPECT_TRUE(S.Completed) << S.Error;
   EXPECT_GE(S.UnderflowEvents, 1);
 }

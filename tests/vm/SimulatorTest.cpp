@@ -2,9 +2,12 @@
 //
 // Part of AquaVol. MIT license.
 //
+// The wet path end to end: AIS compiled to bytecode and run on the VM.
+//
 //===----------------------------------------------------------------------===//
 
-#include "aqua/runtime/Simulator.h"
+#include "aqua/vm/Compiler.h"
+#include "aqua/vm/VM.h"
 
 #include "aqua/assays/PaperAssays.h"
 #include "aqua/core/DagSolve.h"
@@ -18,9 +21,17 @@ using namespace aqua;
 using namespace aqua::codegen;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
+using namespace aqua::vm;
 
 namespace {
+
+/// Compiles \p P to bytecode and runs it.
+SimResult simulate(const AISProgram &P, const CompileOptions &CO,
+                   const RunOptions &RO = {}) {
+  auto BC = compile(P, CO);
+  EXPECT_TRUE(BC.ok()) << BC.message();
+  return BC.ok() ? run(*BC, RO) : SimResult{};
+}
 
 /// Managed program + simulation for a feasible static assay. The RVol
 /// assignment is rounded to the hardware least count first (IVol), exactly
@@ -35,10 +46,11 @@ SimResult runManaged(const AssayGraph &G, const VolumeAssignment &RVol,
   CG.Volumes = &Volumes;
   auto P = generateAIS(G, MachineLayout{}, CG);
   EXPECT_TRUE(P.ok()) << P.message();
-  SimOptions SO;
-  SO.EnableRegeneration = Regen;
-  SO.Graph = &G;
-  return simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  RunOptions RO;
+  RO.EnableRegeneration = Regen;
+  return simulate(*P, CO, RO);
 }
 
 } // namespace
@@ -85,9 +97,9 @@ TEST(Simulator, GlucoseNaiveNeedsRegeneration) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  SimResult S = simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  SimResult S = simulate(*P, CO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_GT(S.Regenerations, 0);
   EXPECT_LT(S.Regenerations, 20); // Small assay: a handful of refills.
@@ -100,10 +112,11 @@ TEST(Simulator, NaiveWithoutRegenerationFails) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SO.Graph = &G;
-  SimResult S = simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(*P, CO, RO);
   // The run limps along with underflows (shorted transfers).
   EXPECT_GT(S.UnderflowEvents, 0);
   EXPECT_EQ(S.Regenerations, 0);
@@ -116,9 +129,9 @@ TEST(Simulator, EnzymeNaiveRegenerationCount) {
   AssayGraph G = assays::buildEnzymeAssay(4);
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  SimResult S = simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  SimResult S = simulate(*P, CO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_GT(S.Regenerations, 30);
   EXPECT_LT(S.Regenerations, 400);
@@ -142,9 +155,9 @@ TEST(Simulator, ManagedBeatsNaiveOnWetTime) {
   AssayGraph G = assays::buildEnzymeAssay(4);
   auto Naive = generateAIS(G);
   ASSERT_TRUE(Naive.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  SimResult NaiveRun = simulate(*Naive, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  SimResult NaiveRun = simulate(*Naive, CO);
 
   ManagerResult R = manageVolumes(assays::buildEnzymeAssay(4), MachineSpec{});
   ASSERT_TRUE(R.Feasible);
@@ -158,22 +171,23 @@ TEST(Simulator, SeparationYieldIsSeededAndBounded) {
   AssayGraph G = assays::buildGlycomicsAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  SimResult S1 = simulate(*P, SO);
-  SimResult S2 = simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  RunOptions RO;
+  SimResult S1 = simulate(*P, CO, RO);
+  SimResult S2 = simulate(*P, CO, RO);
   ASSERT_TRUE(S1.Completed) << S1.Error;
   // Determinism: same seed, same outcome.
   EXPECT_EQ(S1.FluidSeconds, S2.FluidSeconds);
   EXPECT_EQ(S1.Regenerations, S2.Regenerations);
 
-  SO.Seed = 999;
-  SimResult S3 = simulate(*P, SO);
+  RO.Seed = 999;
+  SimResult S3 = simulate(*P, CO, RO);
   ASSERT_TRUE(S3.Completed) << S3.Error;
 
   // Fixed yield override.
-  SO.FixedSeparationYield = 0.5;
-  SimResult S4 = simulate(*P, SO);
+  RO.FixedSeparationYield = 0.5;
+  SimResult S4 = simulate(*P, CO, RO);
   ASSERT_TRUE(S4.Completed) << S4.Error;
 }
 
@@ -200,9 +214,9 @@ TEST(Simulator, CascadedEnzymeRunsWithExcessDiscard) {
     if (I.Op == Opcode::Output)
       ++Outputs;
   EXPECT_GT(Outputs, 0);
-  SimOptions SO;
-  SO.Graph = &A.VM.Graph;
-  SimResult S = simulate(A.Program, SO);
+  CompileOptions CO;
+  CO.Graph = &A.VM.Graph;
+  SimResult S = simulate(A.Program, CO);
   ASSERT_TRUE(S.Completed) << S.Error;
   EXPECT_EQ(S.Regenerations, 0);
 }
@@ -228,8 +242,8 @@ TEST(Simulator, SubLeastCountMovesAreCounted) {
   CG.Volumes = &V;
   auto P = generateAIS(G, MachineLayout{}, CG);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SimResult S = simulate(*P, SO);
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  SimResult S = simulate(*P, {}, RO);
   EXPECT_GE(S.SubLeastCountMoves, 1);
 }

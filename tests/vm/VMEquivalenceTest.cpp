@@ -1,19 +1,20 @@
-//===- VMEquivalenceTest.cpp - VM vs tree-walking simulator ----------------------===//
+//===- VMEquivalenceTest.cpp - VM vs tree-walking reference ----------------------===//
 //
 // Part of AquaVol. MIT license.
 //
 // The bytecode VM's contract is bit-for-bit behavioral equivalence with
-// runtime::simulate under the same options: every volume, wet-time second,
-// RNG draw, counter, sense reading, and error string identical. These
-// tests enforce it with exact (==) floating-point comparison across the
-// paper assays in both volume regimes, including regeneration-heavy and
-// failing runs.
+// aqua/check's tree-walking reference under the same options: every
+// volume, wet-time second, RNG draw, counter, sense reading, and error
+// string identical. These tests enforce it with exact (==) floating-point
+// comparison across the paper assays in both volume regimes, including
+// regeneration-heavy and failing runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/vm/VM.h"
 
 #include "aqua/assays/PaperAssays.h"
+#include "aqua/check/Reference.h"
 #include "aqua/core/DagSolve.h"
 #include "aqua/core/Manager.h"
 #include "aqua/core/Rounding.h"
@@ -26,7 +27,7 @@ using namespace aqua;
 using namespace aqua::codegen;
 using namespace aqua::core;
 using namespace aqua::ir;
-using namespace aqua::runtime;
+using namespace aqua::vm;
 
 namespace {
 
@@ -52,24 +53,14 @@ void expectBitEqual(const SimResult &Sim, const SimResult &Vm) {
   }
 }
 
-/// Runs \p P through both engines under \p SO and checks equivalence.
-void runBoth(const AISProgram &P, const SimOptions &SO) {
-  SimResult Sim = simulate(P, SO);
+/// Runs \p P through both engines under \p CO and \p RO and checks
+/// equivalence.
+void runBoth(const AISProgram &P, const CompileOptions &CO,
+             const RunOptions &RO = {}) {
+  SimResult Sim = check::referenceSimulate(P, CO, RO);
 
-  vm::CompileOptions CO;
-  CO.Spec = SO.Spec;
-  CO.Graph = SO.Graph;
   auto BC = vm::compile(P, CO);
   ASSERT_TRUE(BC.ok()) << BC.message();
-
-  vm::RunOptions RO;
-  RO.EnableRegeneration = SO.EnableRegeneration;
-  RO.Seed = SO.Seed;
-  RO.MinSeparationYield = SO.MinSeparationYield;
-  RO.MaxSeparationYield = SO.MaxSeparationYield;
-  RO.FixedSeparationYield = SO.FixedSeparationYield;
-  RO.MoveSeconds = SO.MoveSeconds;
-  RO.MaxRegenRetries = SO.MaxRegenRetries;
   SimResult Vm = vm::run(*BC, RO);
 
   expectBitEqual(Sim, Vm);
@@ -92,9 +83,9 @@ TEST(VMEquivalence, GlucoseRelativeWithRegeneration) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  runBoth(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  runBoth(*P, CO);
 }
 
 TEST(VMEquivalence, GlucoseManaged) {
@@ -102,9 +93,9 @@ TEST(VMEquivalence, GlucoseManaged) {
   DagSolveResult R = dagSolve(G, MachineSpec{});
   ASSERT_TRUE(R.Feasible);
   AISProgram P = managedProgram(G, R.Volumes);
-  SimOptions SO;
-  SO.Graph = &G;
-  runBoth(P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  runBoth(P, CO);
 }
 
 TEST(VMEquivalence, EnzymeRelativeRegenerationHeavy) {
@@ -114,9 +105,9 @@ TEST(VMEquivalence, EnzymeRelativeRegenerationHeavy) {
   AssayGraph G = assays::buildEnzymeAssay(4);
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  runBoth(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  runBoth(*P, CO);
 }
 
 TEST(VMEquivalence, EnzymeManagedCascaded) {
@@ -124,9 +115,9 @@ TEST(VMEquivalence, EnzymeManagedCascaded) {
       service::compileGraph(assays::buildEnzymeAssay(4), {}, {}, {});
   ASSERT_TRUE(A.Ok) << A.Error;
   ASSERT_TRUE(A.Managed);
-  SimOptions SO;
-  SO.Graph = &A.VM.Graph;
-  runBoth(A.Program, SO);
+  CompileOptions CO;
+  CO.Graph = &A.VM.Graph;
+  runBoth(A.Program, CO);
 }
 
 TEST(VMEquivalence, GlycomicsYieldStreamAcrossSeeds) {
@@ -136,10 +127,11 @@ TEST(VMEquivalence, GlycomicsYieldStreamAcrossSeeds) {
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
   for (std::uint64_t Seed : {0x5eedULL, 1ULL, 999ULL, 0xdeadbeefULL}) {
-    SimOptions SO;
-    SO.Graph = &G;
-    SO.Seed = Seed;
-    runBoth(*P, SO);
+    CompileOptions CO;
+    CO.Graph = &G;
+    RunOptions RO;
+    RO.Seed = Seed;
+    runBoth(*P, CO, RO);
   }
 }
 
@@ -147,10 +139,11 @@ TEST(VMEquivalence, GlycomicsFixedYield) {
   AssayGraph G = assays::buildGlycomicsAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.Graph = &G;
-  SO.FixedSeparationYield = 0.5;
-  runBoth(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  RunOptions RO;
+  RO.FixedSeparationYield = 0.5;
+  runBoth(*P, CO, RO);
 }
 
 TEST(VMEquivalence, NaiveWithoutRegenerationLimpsIdentically) {
@@ -159,10 +152,11 @@ TEST(VMEquivalence, NaiveWithoutRegenerationLimpsIdentically) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO;
-  SO.EnableRegeneration = false;
-  SO.Graph = &G;
-  runBoth(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  RunOptions RO;
+  RO.EnableRegeneration = false;
+  runBoth(*P, CO, RO);
 }
 
 TEST(VMEquivalence, NoGraphRegenerationRegime) {
@@ -171,8 +165,8 @@ TEST(VMEquivalence, NoGraphRegenerationRegime) {
   AssayGraph G = assays::buildGlucoseAssay();
   auto P = generateAIS(G);
   ASSERT_TRUE(P.ok());
-  SimOptions SO; // SO.Graph stays null.
-  runBoth(*P, SO);
+  CompileOptions CO; // CO.Graph stays null.
+  runBoth(*P, CO);
 }
 
 TEST(VMEquivalence, RegenerationExhaustedErrorMatches) {
@@ -201,13 +195,13 @@ TEST(VMEquivalence, RegenerationExhaustedErrorMatches) {
   auto P = generateAIS(G, MachineLayout{}, CG);
   ASSERT_TRUE(P.ok());
 
-  SimOptions SO;
-  SO.Graph = &G;
-  SimResult Sim = simulate(*P, SO);
+  CompileOptions CO;
+  CO.Graph = &G;
+  SimResult Sim = check::referenceSimulate(*P, CO, {});
   ASSERT_FALSE(Sim.Completed);
   EXPECT_NE(Sim.Error.find("regeneration exhausted"), std::string::npos)
       << Sim.Error;
-  runBoth(*P, SO);
+  runBoth(*P, CO);
 }
 
 TEST(VMEquivalence, InterpreterStateIsReusableAcrossRuns) {
@@ -224,13 +218,10 @@ TEST(VMEquivalence, InterpreterStateIsReusableAcrossRuns) {
   vm::Interp I;
   for (int Round = 0; Round < 3; ++Round) {
     for (std::uint64_t Seed : {7ULL, 0x5eedULL}) {
-      SimOptions SO;
-      SO.Graph = &G;
-      SO.Seed = Seed;
-      SimResult Sim = simulate(*P, SO);
-
-      vm::RunOptions RO;
+      RunOptions RO;
       RO.Seed = Seed;
+      SimResult Sim = check::referenceSimulate(*P, CO, RO);
+
       I.start(*BC, RO);
       I.run();
       expectBitEqual(Sim, I.finish());
