@@ -174,10 +174,10 @@ int main() {
               "(target >= 1.0x): %s\n",
               Scaling, Scaling >= 1.0 ? "PASS" : "FAIL");
   // Cache-on scaling is the batched hit path end to end (drain handle,
-  // fair dequeue, seqlock L1). It was flat before PR 10 because workers
-  // woke once per response and hits still took the shard mutex; the
-  // dedicated scaling *gate* (hardware-aware) lives in
-  // bench_service_hitpath -- here the ratio is recorded for trend diffs.
+  // fair dequeue, shard-locked LRU L1). It stays flat if workers wake
+  // once per response; the dedicated scaling *gate* (hardware-aware)
+  // lives in bench_service_hitpath -- here the ratio is recorded for
+  // trend diffs.
   double CacheScaling = CachedAt1 > 0 ? CachedAt8 / CachedAt1 : 0.0;
   std::printf("  cache-on scaling 1 -> 8 threads: %.2fx\n", CacheScaling);
   Json.add("summary")

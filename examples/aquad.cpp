@@ -15,6 +15,10 @@
 //                  [--deadline-ms N] [--queue-budget N]
 //                  [--telemetry DIR] [--flight-out FILE]
 //
+// --max-entries N sets the in-memory cache's total entry budget (default
+// 1280; 0 turns it off). Past ~100k entries, an eviction now and then
+// rescans one shard (an eighth of N) under its lock, stalling hits on
+// that shard for ~3 ms at 131k entries and ~30 ms at 1M (4-core x86-64).
 // --store attaches a persistent solve store at DIR as the service's
 // write-through L2: a restarted aquad re-serves prior solves from disk
 // (zero LP cold solves on a warm store), and several aquad processes

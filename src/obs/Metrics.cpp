@@ -246,7 +246,6 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
         "service.requests.failed", "service.cache.hits",
         "service.cache.misses", "service.cache.insertions",
         "service.cache.evictions", "service.cache.hits_l2",
-        "service.cache.seqlock_retries", "service.cache.decoded_hits",
         "service.canon_memo_hits", "service.singleflight.joins",
         "service.warm_miss_hits", "service.shed_total",
         "service.shed.queue_full", "service.shed.deadline"})

@@ -3,38 +3,6 @@
 // Part of AquaVol. MIT license.
 //
 //===----------------------------------------------------------------------===//
-//
-// Concurrency protocol (see the header for the overview):
-//
-//  * Readers never take the shard mutex. A lookup probes the slot table
-//    with the seqlock recipe that is well-defined under the C++ memory
-//    model: load Version with acquire (odd means a writer is inside the
-//    slot), read the key/state fields with relaxed loads, issue an acquire
-//    fence, and re-read Version -- an unchanged even version proves the
-//    relaxed reads saw one consistent slot image. The artifact handle is
-//    then copied under the per-slot spin flag and the version re-checked
-//    once more, so a handle is only returned if the slot still held the
-//    probed key when the copy happened.
-//
-//  * Writers hold the shard mutex, so there is exactly one writer per
-//    shard. Every slot mutation is bracketed by beginSlotWrite (version to
-//    odd, release fence) / endSlotWrite (version to even, release store).
-//
-//  * shared_ptr copies cannot be done under the seqlock alone (a torn
-//    read of a shared_ptr is UB, not just a stale value), hence the tiny
-//    per-slot spin flag around the copy/swap; destruction of displaced
-//    values always happens outside the spin window.
-//
-//  * CLOCK bits (Slot::Ref) are relaxed atomics that hits set without any
-//    lock; the eviction hand clears them under the mutex. The only cost of
-//    a racy bit is approximate recency -- exactly the CLOCK contract.
-//
-//  * The decoded victim cache has its own mutex, only ever taken on the
-//    miss path, and never while a shard mutex is held (displaced entries
-//    are handed out of insertLocked and stashed after unlock), so the two
-//    locks cannot deadlock.
-//
-//===----------------------------------------------------------------------===//
 
 #include "aqua/service/SolveCache.h"
 
@@ -44,6 +12,7 @@
 #include "aqua/store/SolveStore.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace aqua;
 using namespace aqua::service;
@@ -56,10 +25,6 @@ struct CacheMetrics {
       obs::metrics().counter("service.cache.insertions");
   obs::Counter &Evictions = obs::metrics().counter("service.cache.evictions");
   obs::Counter &HitsL2 = obs::metrics().counter("service.cache.hits_l2");
-  obs::Counter &SeqlockRetries =
-      obs::metrics().counter("service.cache.seqlock_retries");
-  obs::Counter &DecodedHits =
-      obs::metrics().counter("service.cache.decoded_hits");
 };
 
 CacheMetrics &met() {
@@ -81,15 +46,11 @@ std::size_t graphBytes(const ir::AssayGraph &G) {
   return Bytes;
 }
 
-/// Slot states. Probe chains skip tombstones and stop at empties.
-constexpr std::uint8_t SlotEmpty = 0;
-constexpr std::uint8_t SlotFull = 1;
-constexpr std::uint8_t SlotTombstone = 2;
-
-/// Seqlock retries a reader spends before giving up on optimism and
-/// taking the shard mutex (only plausible under a pathological writer
-/// storm on one slot).
-constexpr int MaxOptimisticRetries = 256;
+/// Shard \p I's share of \p Total split over \p N shards: the remainder
+/// goes one unit each to the first shards, so the shares sum to Total.
+std::size_t share(std::size_t Total, std::size_t N, std::size_t I) {
+  return Total / N + (I < Total % N ? 1 : 0);
+}
 
 } // namespace
 
@@ -108,155 +69,25 @@ std::size_t CompileArtifact::approxBytes() const {
   return Bytes;
 }
 
-std::size_t SolveCache::StripedCounter::stripe() {
-  static std::atomic<std::size_t> Next{0};
-  static thread_local std::size_t Mine =
-      Next.fetch_add(1, std::memory_order_relaxed);
-  return Mine & 15;
-}
-
 SolveCache::SolveCache(const CacheConfig &Config) {
-  int NumShards = std::max(1, Config.Shards);
-  MaxEntriesPerShard = std::max<std::size_t>(
-      Config.MaxEntries ? 1 : 0, Config.MaxEntries / NumShards);
-  MaxBytesPerShard = std::max<std::size_t>(1, Config.MaxBytes / NumShards);
-  DecodedCap = Config.DecodedEntries;
-  // The slot table is fixed at construction: a power of two with load
-  // factor <= 1/2 at the entry budget, so probe chains stay short and an
-  // Empty terminator always exists.
-  std::size_t NumSlots = 0;
-  if (MaxEntriesPerShard) {
-    NumSlots = 4;
-    while (NumSlots < MaxEntriesPerShard * 2)
-      NumSlots <<= 1;
-  }
-  SlotMask = NumSlots ? NumSlots - 1 : 0;
+  // No more shards than entries, so every shard holds at least one entry
+  // and the shares sum to MaxEntries exactly. MaxEntries == 0 leaves one
+  // shard of budget 0: the L1 is off (an attached L2 is still read).
+  std::size_t NumShards = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::max(1, Config.Shards), Config.MaxEntries));
   Shards.reserve(NumShards);
-  for (int I = 0; I < NumShards; ++I) {
+  for (std::size_t I = 0; I < NumShards; ++I) {
     auto S = std::make_unique<Shard>();
-    S->Slots = std::vector<Slot>(NumSlots);
+    S->MaxEntries = share(Config.MaxEntries, NumShards, I);
+    S->MaxBytes = share(Config.MaxBytes, NumShards, I);
     Shards.push_back(std::move(S));
   }
 }
 
-SolveCache::Shard &SolveCache::shardFor(const ir::Fingerprint &Key) {
+SolveCache::Shard &SolveCache::shardFor(const ir::Fingerprint &Key) const {
   // The fingerprint is uniformly mixed; the top bits pick the shard (the
-  // low bits pick the slot, so the two choices stay independent).
+  // index hash mixes all 128 bits).
   return *Shards[(Key.Hi >> 32) % Shards.size()];
-}
-
-std::shared_ptr<const CompileArtifact>
-SolveCache::slotValue(const Slot &SL) {
-  while (SL.ValueLock.test_and_set(std::memory_order_acquire)) {
-  }
-  std::shared_ptr<const CompileArtifact> Val = SL.Value;
-  SL.ValueLock.clear(std::memory_order_release);
-  return Val;
-}
-
-std::shared_ptr<const CompileArtifact>
-SolveCache::setSlotValue(Slot &SL,
-                         std::shared_ptr<const CompileArtifact> Value) {
-  while (SL.ValueLock.test_and_set(std::memory_order_acquire)) {
-  }
-  SL.Value.swap(Value);
-  SL.ValueLock.clear(std::memory_order_release);
-  // The displaced handle (now in Value) is returned and, if the caller
-  // drops it, destroyed outside the spin window.
-  return Value;
-}
-
-void SolveCache::beginSlotWrite(Slot &SL) {
-#if defined(__SANITIZE_THREAD__)
-  // TSan cannot model standalone fences (gcc rejects them under -Werror),
-  // so sanitizer builds publish the odd version seq_cst on the atomic
-  // itself. Every slot field is atomic either way; only the ordering
-  // proof differs, never the race-freedom TSan checks.
-  SL.Version.store(SL.Version.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_seq_cst);
-#else
-  SL.Version.store(SL.Version.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-#endif
-}
-
-void SolveCache::endSlotWrite(Slot &SL) {
-  SL.Version.store(SL.Version.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
-}
-
-std::shared_ptr<const CompileArtifact>
-SolveCache::findOptimistic(Shard &S, const ir::Fingerprint &Key) {
-  if (S.Slots.empty())
-    return nullptr;
-  const std::size_t NumSlots = S.Slots.size();
-  const std::size_t H = KeyHash{}(Key);
-  int Budget = MaxOptimisticRetries;
-  for (std::size_t P = 0; P < NumSlots; ++P) {
-    Slot &SL = S.Slots[(H + P) & SlotMask];
-  Retry:
-    std::uint64_t V1 = SL.Version.load(std::memory_order_acquire);
-    if (V1 & 1) {
-      SeqlockRetryCount.add();
-      met().SeqlockRetries.add();
-      if (--Budget <= 0)
-        return lockedFind(S, Key);
-      goto Retry;
-    }
-    std::uint64_t Hi = SL.KeyHi.load(std::memory_order_relaxed);
-    std::uint64_t Lo = SL.KeyLo.load(std::memory_order_relaxed);
-    std::uint8_t St = SL.State.load(std::memory_order_relaxed);
-#if defined(__SANITIZE_THREAD__)
-    if (SL.Version.load(std::memory_order_seq_cst) != V1) {
-#else
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (SL.Version.load(std::memory_order_relaxed) != V1) {
-#endif
-      SeqlockRetryCount.add();
-      met().SeqlockRetries.add();
-      if (--Budget <= 0)
-        return lockedFind(S, Key);
-      goto Retry;
-    }
-    // The relaxed reads above are one consistent image of the slot.
-    if (St == SlotEmpty)
-      return nullptr; // end of the probe chain: not resident.
-    if (St == SlotFull && Hi == Key.Hi && Lo == Key.Lo) {
-      std::shared_ptr<const CompileArtifact> Val = slotValue(SL);
-      // The slot may have been reassigned between the validated image and
-      // the handle copy; an unchanged version proves Val belongs to Key.
-      if (SL.Version.load(std::memory_order_acquire) != V1) {
-        SeqlockRetryCount.add();
-        met().SeqlockRetries.add();
-        if (--Budget <= 0)
-          return lockedFind(S, Key);
-        goto Retry;
-      }
-      SL.Ref.store(1, std::memory_order_relaxed); // CLOCK touch, no lock.
-      return Val;
-    }
-    // Tombstone or a different key: keep probing.
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const CompileArtifact>
-SolveCache::lockedFind(Shard &S, const ir::Fingerprint &Key) {
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  const std::size_t H = KeyHash{}(Key);
-  for (std::size_t P = 0; P < S.Slots.size(); ++P) {
-    Slot &SL = S.Slots[(H + P) & SlotMask];
-    std::uint8_t St = SL.State.load(std::memory_order_relaxed);
-    if (St == SlotEmpty)
-      return nullptr;
-    if (St == SlotFull && SL.KeyHi.load(std::memory_order_relaxed) == Key.Hi &&
-        SL.KeyLo.load(std::memory_order_relaxed) == Key.Lo) {
-      SL.Ref.store(1, std::memory_order_relaxed);
-      return slotValue(SL);
-    }
-  }
-  return nullptr;
 }
 
 std::shared_ptr<const CompileArtifact>
@@ -264,28 +95,19 @@ SolveCache::lookup(const ir::Fingerprint &Key, bool *FromL2) {
   if (FromL2)
     *FromL2 = false;
   Shard &S = shardFor(Key);
-  if (std::shared_ptr<const CompileArtifact> Val = findOptimistic(S, Key)) {
-    HitCount.add();
-    return Val;
-  }
-  // L1 miss: the decoded victim cache may still hold the artifact in
-  // decoded form (displaced from L1, or pulled from L2 earlier), which
-  // skips both the codec and the store.
-  if (std::shared_ptr<const CompileArtifact> Val = takeDecoded(Key)) {
-    DecodedHitCount.add();
-    met().DecodedHits.add();
-    std::vector<Victim> Victims;
-    {
-      std::lock_guard<std::mutex> Lock(S.Mutex);
-      insertLocked(S, Key, Val, Victims);
+  {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    auto It = S.Entries.find(Key);
+    if (It != S.Entries.end()) {
+      Entry &E = It->second;
+      E.LastUse = ++S.Tick;
+      ++S.Hits;
+      return E.Value;
     }
-    stashVictims(std::move(Victims));
-    HitCount.add();
-    return Val;
-  }
-  if (!L2) {
-    MissCount.add();
-    return nullptr;
+    if (!L2) {
+      ++S.Misses;
+      return nullptr;
+    }
   }
   // Consult the store via its zero-copy view path (the payload stays in
   // the segment mapping; only the decode allocates).
@@ -293,14 +115,15 @@ SolveCache::lookup(const ir::Fingerprint &Key, bool *FromL2) {
   store::ArtifactView View;
   if (!L2->getView(Key, View)) {
     Span.arg("outcome", "miss");
-    MissCount.add();
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    ++S.Misses;
     return nullptr;
   }
   Span.arg("outcome", "hit");
   Expected<CompileArtifact> Decoded = decodeArtifact(View.Payload);
   if (!Decoded.ok()) {
-    MissCount.add();
     std::lock_guard<std::mutex> Lock(S.Mutex);
+    ++S.Misses;
     ++S.L2DecodeErrors;
     return nullptr;
   }
@@ -309,21 +132,15 @@ SolveCache::lookup(const ir::Fingerprint &Key, bool *FromL2) {
   // Promote into L1 without writing back. A racing insert may already
   // have published an (identical -- the pipeline is deterministic)
   // artifact; replacing it is harmless.
-  std::vector<Victim> Victims;
+  std::size_t Bytes = Value->approxBytes();
+  Dropped Out;
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
-    insertLocked(S, Key, Value, Victims);
+    if (S.MaxEntries)
+      publishLocked(S, Key, Value, Bytes, Out);
+    ++S.Hits;
     ++S.HitsL2;
   }
-  stashVictims(std::move(Victims));
-  if (MaxEntriesPerShard == 0 && DecodedCap) {
-    // With L1 disabled the decoded cache is the only place the decoded
-    // form can live; stash it so the next miss skips the codec.
-    std::vector<Victim> Stash;
-    Stash.push_back(Victim{Key, Value});
-    stashVictims(std::move(Stash));
-  }
-  HitCount.add();
   met().HitsL2.add();
   if (FromL2)
     *FromL2 = true;
@@ -332,253 +149,92 @@ SolveCache::lookup(const ir::Fingerprint &Key, bool *FromL2) {
 
 void SolveCache::insert(const ir::Fingerprint &Key,
                         std::shared_ptr<const CompileArtifact> Value) {
-  if (MaxEntriesPerShard == 0 || !Value)
+  Shard &S = shardFor(Key);
+  if (!S.MaxEntries || !Value)
     return;
   // Write through to the persistent store first, outside the shard lock. A
   // store failure (disk full, unwritable dir) costs persistence only.
   if (L2)
     (void)L2->put(Key, encodeArtifact(*Value));
-  Shard &S = shardFor(Key);
-  std::vector<Victim> Victims;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    insertLocked(S, Key, std::move(Value), Victims);
-  }
-  stashVictims(std::move(Victims));
+  std::size_t Bytes = Value->approxBytes();
+  Dropped Out;
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  publishLocked(S, Key, std::move(Value), Bytes, Out);
 }
 
-void SolveCache::insertLocked(Shard &S, const ir::Fingerprint &Key,
-                              std::shared_ptr<const CompileArtifact> Value,
-                              std::vector<Victim> &Victims) {
-  if (MaxEntriesPerShard == 0 || !Value || S.Slots.empty())
-    return;
-  std::size_t BytesCharge = Value->approxBytes();
-  const std::size_t H = KeyHash{}(Key);
-  Slot *Match = nullptr;
-  Slot *FirstFree = nullptr;
-  bool FreeIsTombstone = false;
-  for (std::size_t P = 0; P < S.Slots.size(); ++P) {
-    Slot &SL = S.Slots[(H + P) & SlotMask];
-    std::uint8_t St = SL.State.load(std::memory_order_relaxed);
-    if (St == SlotFull) {
-      if (SL.KeyHi.load(std::memory_order_relaxed) == Key.Hi &&
-          SL.KeyLo.load(std::memory_order_relaxed) == Key.Lo) {
-        Match = &SL;
-        break;
-      }
-      continue;
-    }
-    if (!FirstFree) {
-      FirstFree = &SL;
-      FreeIsTombstone = (St == SlotTombstone);
-    }
-    if (St == SlotEmpty)
-      break;
-  }
-  if (Match) {
-    Slot &SL = *Match;
-    beginSlotWrite(SL);
-    std::shared_ptr<const CompileArtifact> Displaced =
-        setSlotValue(SL, std::move(Value));
-    S.Bytes -= SL.EntryBytes;
-    SL.EntryBytes = BytesCharge;
-    S.Bytes += BytesCharge;
-    endSlotWrite(SL);
-    SL.Ref.store(1, std::memory_order_relaxed);
-    (void)Displaced; // destroyed here, outside the write window's spin.
-  } else if (FirstFree) {
-    Slot &SL = *FirstFree;
-    beginSlotWrite(SL);
-    SL.KeyHi.store(Key.Hi, std::memory_order_relaxed);
-    SL.KeyLo.store(Key.Lo, std::memory_order_relaxed);
-    SL.State.store(SlotFull, std::memory_order_relaxed);
-    (void)setSlotValue(SL, std::move(Value));
-    SL.EntryBytes = BytesCharge;
-    endSlotWrite(SL);
-    SL.Ref.store(1, std::memory_order_relaxed);
-    ++S.Entries;
-    if (FreeIsTombstone)
-      --S.Tombstones;
-    S.Bytes += BytesCharge;
-  } else {
-    // No match and no free slot: the table is wedged (cannot happen while
-    // the entry budget is half the slot count and rebuilds run).
-    return;
-  }
+void SolveCache::publishLocked(Shard &S, const ir::Fingerprint &Key,
+                               std::shared_ptr<const CompileArtifact> Value,
+                               std::size_t Bytes, Dropped &Out) {
+  auto [It, Inserted] = S.Entries.try_emplace(Key);
+  Entry &E = It->second;
+  S.Bytes = S.Bytes - E.Bytes + Bytes;
+  if (!Inserted)
+    Out.push_back(std::move(E.Value));
+  E = Entry{std::move(Value), Bytes, ++S.Tick};
   ++S.Insertions;
   met().Insertions.add();
-  evictOverBudgetLocked(S, Victims);
-  if (S.Entries + S.Tombstones > (S.Slots.size() * 3) / 4)
-    rebuildLocked(S);
+  while (S.Entries.size() > S.MaxEntries ||
+         (S.Bytes > S.MaxBytes && S.Entries.size() > 1))
+    evictOldestLocked(S, Out);
 }
 
-void SolveCache::evictOverBudgetLocked(Shard &S, std::vector<Victim> &Victims) {
-  const std::size_t NumSlots = S.Slots.size();
-  while (S.Entries > MaxEntriesPerShard ||
-         (S.Bytes > MaxBytesPerShard && S.Entries > 1)) {
-    // CLOCK sweep: clear reference bits until a cold Full slot turns up.
-    // Two revolutions bound the sweep -- the first clears every bit, so
-    // the second must find a cold slot if any Full slot exists.
-    Slot *VictimSlot = nullptr;
-    for (std::size_t Step = 0; Step < 2 * NumSlots + 1; ++Step) {
-      Slot &SL = S.Slots[S.Hand];
-      S.Hand = (S.Hand + 1) & SlotMask;
-      if (SL.State.load(std::memory_order_relaxed) != SlotFull)
-        continue;
-      if (SL.Ref.exchange(0, std::memory_order_relaxed) == 0) {
-        VictimSlot = &SL;
-        break;
-      }
+void SolveCache::evictOldestLocked(Shard &S, Dropped &Out) {
+  for (;;) {
+    if (S.Victims.empty()) {
+      // Scan the shard once for its oldest eighth, so an eviction costs
+      // O(1) scanned entries amortized rather than a scan of the shard.
+      std::vector<Victim> All;
+      All.reserve(S.Entries.size());
+      for (const auto &[Key, E] : S.Entries)
+        All.push_back(Victim{E.LastUse, Key});
+      auto Newer = [](const Victim &A, const Victim &B) {
+        return A.LastUse > B.LastUse;
+      };
+      std::size_t Keep = All.size() / 8 + 1;
+      std::nth_element(All.begin(), All.end() - Keep, All.end(), Newer);
+      S.Victims.assign(All.end() - Keep, All.end());
+      std::sort(S.Victims.begin(), S.Victims.end(), Newer);
     }
-    if (!VictimSlot)
-      return;
-    Slot &SL = *VictimSlot;
-    Victim V;
-    V.Key = ir::Fingerprint{SL.KeyHi.load(std::memory_order_relaxed),
-                            SL.KeyLo.load(std::memory_order_relaxed)};
-    beginSlotWrite(SL);
-    SL.State.store(SlotTombstone, std::memory_order_relaxed);
-    endSlotWrite(SL);
-    V.Value = setSlotValue(SL, nullptr);
-    S.Bytes -= SL.EntryBytes;
-    SL.EntryBytes = 0;
-    --S.Entries;
-    ++S.Tombstones;
+    Victim V = S.Victims.back();
+    S.Victims.pop_back();
+    // A candidate used or replaced since the scan has a newer stamp. One
+    // that still has its stamp is older than every entry the scan left
+    // out, and than every entry stamped since, so it is the LRU entry.
+    auto It = S.Entries.find(V.Key);
+    if (It == S.Entries.end() || It->second.LastUse != V.LastUse)
+      continue;
+    S.Bytes -= It->second.Bytes;
+    Out.push_back(std::move(It->second.Value));
+    S.Entries.erase(It);
     ++S.Evictions;
     met().Evictions.add();
-    if (V.Value && DecodedCap)
-      Victims.push_back(std::move(V));
-  }
-}
-
-void SolveCache::rebuildLocked(Shard &S) {
-  // Compact tombstones away by re-inserting every live entry. Readers
-  // racing the rebuild may see a transient miss for a resident key; for a
-  // cache that is a benign outcome (the caller re-solves or re-fetches).
-  struct Saved {
-    std::uint64_t Hi = 0, Lo = 0;
-    std::shared_ptr<const CompileArtifact> Value;
-    std::size_t EntryBytes = 0;
-    std::uint8_t Ref = 0;
-  };
-  std::vector<Saved> Live;
-  Live.reserve(S.Entries);
-  for (Slot &SL : S.Slots) {
-    std::uint8_t St = SL.State.load(std::memory_order_relaxed);
-    if (St == SlotFull) {
-      Saved Sv;
-      Sv.Hi = SL.KeyHi.load(std::memory_order_relaxed);
-      Sv.Lo = SL.KeyLo.load(std::memory_order_relaxed);
-      Sv.EntryBytes = SL.EntryBytes;
-      Sv.Ref = SL.Ref.load(std::memory_order_relaxed);
-      beginSlotWrite(SL);
-      SL.State.store(SlotEmpty, std::memory_order_relaxed);
-      endSlotWrite(SL);
-      Sv.Value = setSlotValue(SL, nullptr);
-      SL.EntryBytes = 0;
-      Live.push_back(std::move(Sv));
-    } else if (St == SlotTombstone) {
-      beginSlotWrite(SL);
-      SL.State.store(SlotEmpty, std::memory_order_relaxed);
-      endSlotWrite(SL);
-    }
-  }
-  S.Entries = 0;
-  S.Tombstones = 0;
-  S.Bytes = 0;
-  S.Hand = 0;
-  for (Saved &Sv : Live) {
-    const std::size_t H = KeyHash{}(ir::Fingerprint{Sv.Hi, Sv.Lo});
-    for (std::size_t P = 0; P < S.Slots.size(); ++P) {
-      Slot &SL = S.Slots[(H + P) & SlotMask];
-      if (SL.State.load(std::memory_order_relaxed) != SlotEmpty)
-        continue;
-      beginSlotWrite(SL);
-      SL.KeyHi.store(Sv.Hi, std::memory_order_relaxed);
-      SL.KeyLo.store(Sv.Lo, std::memory_order_relaxed);
-      SL.State.store(SlotFull, std::memory_order_relaxed);
-      (void)setSlotValue(SL, std::move(Sv.Value));
-      SL.EntryBytes = Sv.EntryBytes;
-      endSlotWrite(SL);
-      SL.Ref.store(Sv.Ref, std::memory_order_relaxed);
-      ++S.Entries;
-      S.Bytes += Sv.EntryBytes;
-      break;
-    }
-  }
-}
-
-void SolveCache::stashVictims(std::vector<Victim> &&Victims) {
-  if (!DecodedCap || Victims.empty())
     return;
-  std::lock_guard<std::mutex> Lock(DecodedMutex);
-  for (Victim &V : Victims) {
-    auto [It, Inserted] = DecodedMap.insert_or_assign(V.Key, std::move(V.Value));
-    (void)It;
-    if (Inserted)
-      DecodedFifo.push_back(V.Key);
-    // FIFO bound; entries promoted back to L1 leave stale keys behind,
-    // which this loop pops harmlessly (map erase of an absent key).
-    while (DecodedMap.size() > DecodedCap && !DecodedFifo.empty()) {
-      DecodedMap.erase(DecodedFifo.front());
-      DecodedFifo.pop_front();
-    }
   }
-}
-
-std::shared_ptr<const CompileArtifact>
-SolveCache::takeDecoded(const ir::Fingerprint &Key) {
-  if (!DecodedCap)
-    return nullptr;
-  std::lock_guard<std::mutex> Lock(DecodedMutex);
-  auto It = DecodedMap.find(Key);
-  if (It == DecodedMap.end())
-    return nullptr;
-  std::shared_ptr<const CompileArtifact> Val = std::move(It->second);
-  // The entry is promoted back to L1 by the caller; its FIFO key stays
-  // behind and is skipped lazily when popped.
-  DecodedMap.erase(It);
-  return Val;
 }
 
 CacheStats SolveCache::stats() const {
   CacheStats Total;
-  Total.Hits = HitCount.total();
-  Total.Misses = MissCount.total();
-  Total.SeqlockRetries = SeqlockRetryCount.total();
-  Total.DecodedHits = DecodedHitCount.total();
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->Mutex);
+    Total.Hits += S->Hits;
+    Total.Misses += S->Misses;
     Total.Insertions += S->Insertions;
     Total.Evictions += S->Evictions;
     Total.HitsL2 += S->HitsL2;
     Total.L2DecodeErrors += S->L2DecodeErrors;
-    Total.Entries += S->Entries;
+    Total.Entries += S->Entries.size();
     Total.Bytes += S->Bytes;
   }
   return Total;
 }
 
 void SolveCache::clear() {
-  for (const std::unique_ptr<Shard> &SPtr : Shards) {
-    Shard &S = *SPtr;
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (Slot &SL : S.Slots) {
-      if (SL.State.load(std::memory_order_relaxed) == SlotEmpty)
-        continue;
-      beginSlotWrite(SL);
-      SL.State.store(SlotEmpty, std::memory_order_relaxed);
-      endSlotWrite(SL);
-      (void)setSlotValue(SL, nullptr);
-      SL.EntryBytes = 0;
-      SL.Ref.store(0, std::memory_order_relaxed);
-    }
-    S.Entries = 0;
-    S.Tombstones = 0;
-    S.Bytes = 0;
-    S.Hand = 0;
+  for (const std::unique_ptr<Shard> &S : Shards) {
+    // The dropped artifacts are freed after the lock is released.
+    decltype(S->Entries) Gone;
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    Gone.swap(S->Entries);
+    S->Victims.clear();
+    S->Bytes = 0;
   }
-  std::lock_guard<std::mutex> Lock(DecodedMutex);
-  DecodedMap.clear();
-  DecodedFifo.clear();
 }

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "aqua/service/SolveCache.h"
+#include "aqua/store/SolveStore.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <list>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,31 +61,92 @@ TEST(SolveCache, HitAndMissCounting) {
   EXPECT_DOUBLE_EQ(S.hitRate(), 0.5);
 }
 
-TEST(SolveCache, ClockEvictionHoldsBudgetAndFavorsHotEntries) {
-  // CLOCK-approximate eviction: no exact LRU order to assert, but the
-  // budget must hold exactly, evictions must account for every displaced
-  // entry, and an entry whose reference bit is set before every insert
-  // must survive nearly all sweeps (the second-chance property). The test
-  // is single-threaded, so the outcome is deterministic; the bound leaves
-  // slack for the all-bits-set wrap case where CLOCK may pick any slot.
-  CacheConfig C = singleShard(8);
-  C.DecodedEntries = 0; // Eviction is final: no victim-cache resurrection.
-  SolveCache Cache(C);
+TEST(SolveCache, LruEvictsLeastRecentlyUsedFirst) {
+  // One shard of budget 4: keys 1..4 enter in order, a lookup refreshes 1,
+  // so the exact recency order (coldest first) is 2, 3, 4, 1. Each further
+  // insert evicts exactly the coldest entry.
+  SolveCache Cache(singleShard(4));
+  for (std::uint64_t I = 1; I <= 4; ++I)
+    Cache.insert(key(I), artifact(std::to_string(I)));
+  ASSERT_NE(Cache.lookup(key(1)), nullptr);
+
+  Cache.insert(key(5), artifact("5"));
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(Cache.lookup(key(2)), nullptr) << "2 was the coldest";
+  // Recency now (coldest first): 3, 4, 1, 5. Re-inserting 3 refreshes it.
+  Cache.insert(key(3), artifact("3"));
+  EXPECT_EQ(Cache.stats().Evictions, 1u) << "a replace evicts nothing";
+  Cache.insert(key(6), artifact("6"));
+  EXPECT_EQ(Cache.lookup(key(4)), nullptr) << "4 was the coldest";
+  for (std::uint64_t I : {1, 3, 5, 6})
+    EXPECT_NE(Cache.lookup(key(I)), nullptr) << "key " << I;
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 4u);
+  EXPECT_EQ(S.Evictions, 2u);
+}
+
+TEST(SolveCache, LruEvictionHoldsBudgetAndKeepsHotEntries) {
+  // An entry referenced before every insert is always the most recent
+  // but one, so an insert storm never evicts it; the budget holds
+  // exactly and evictions account for every displaced entry.
+  SolveCache Cache(singleShard(8));
   Cache.insert(key(0), artifact("hot"));
-  int HotLost = 0;
   const std::uint64_t Storm = 200;
   for (std::uint64_t I = 1; I <= Storm; ++I) {
-    if (!Cache.lookup(key(0))) {
-      ++HotLost;
-      Cache.insert(key(0), artifact("hot"));
-    }
+    ASSERT_NE(Cache.lookup(key(0)), nullptr) << "hot entry lost at " << I;
     Cache.insert(key(I), artifact(std::to_string(I)));
   }
   CacheStats S = Cache.stats();
   EXPECT_EQ(S.Entries, 8u);
   EXPECT_EQ(S.Evictions, S.Insertions - S.Entries);
-  EXPECT_LE(HotLost, static_cast<int>(Storm) / 10)
-      << "a continuously re-referenced entry must survive the sweep";
+  // The survivors are the hot key and the seven newest.
+  for (std::uint64_t I = Storm - 6; I <= Storm; ++I)
+    EXPECT_NE(Cache.lookup(key(I)), nullptr) << "key " << I;
+  EXPECT_EQ(Cache.lookup(key(Storm - 7)), nullptr);
+}
+
+TEST(SolveCache, EvictionMatchesAReferenceLruUnderRandomTraffic) {
+  // One shard of 64 against a list-based LRU model over 160 keys, so
+  // eviction candidates found by one scan are often used, replaced or
+  // re-inserted before their turn. Every lookup must hit exactly when
+  // the model holds the key.
+  const std::size_t Budget = 64;
+  SolveCache Cache(singleShard(Budget));
+  std::list<std::uint64_t> Model; // Most recent first.
+  std::mt19937_64 Rng(7);
+  for (int Op = 0; Op < 20000; ++Op) {
+    std::uint64_t K = Rng() % 160;
+    auto InModel = std::find(Model.begin(), Model.end(), K);
+    if (Rng() % 2) {
+      bool Hit = Cache.lookup(key(K)) != nullptr;
+      ASSERT_EQ(Hit, InModel != Model.end()) << "key " << K << " op " << Op;
+      if (Hit)
+        Model.splice(Model.begin(), Model, InModel);
+      continue;
+    }
+    Cache.insert(key(K), artifact(std::to_string(K)));
+    if (InModel != Model.end())
+      Model.erase(InModel);
+    Model.push_front(K);
+    if (Model.size() > Budget)
+      Model.pop_back();
+  }
+  EXPECT_EQ(Cache.stats().Entries, Budget);
+}
+
+TEST(SolveCache, MaxEntriesIsATotalBudget) {
+  // With the default shard count, the resident entry count after many
+  // distinct inserts is exactly MaxEntries: never over a budget smaller
+  // than the shard count, never under one that does not divide evenly.
+  for (std::size_t Budget : {std::size_t(1), std::size_t(3), std::size_t(10),
+                             std::size_t(1025)}) {
+    CacheConfig C;
+    C.MaxEntries = Budget;
+    SolveCache Cache(C);
+    for (std::uint64_t I = 0; I < 5000; ++I)
+      Cache.insert(key(I), artifact("x"));
+    EXPECT_EQ(Cache.stats().Entries, Budget) << "MaxEntries=" << Budget;
+  }
 }
 
 TEST(SolveCache, ReinsertReplacesWithoutEviction) {
@@ -110,69 +175,66 @@ TEST(SolveCache, ByteBudgetEvictsButKeepsAtLeastOne) {
 }
 
 TEST(SolveCache, EvictedArtifactsSurviveForHolders) {
-  CacheConfig C = singleShard(1);
-  C.DecodedEntries = 0;
-  SolveCache Cache(C);
+  SolveCache Cache(singleShard(1));
   Cache.insert(key(1), artifact("held"));
   auto Held = Cache.lookup(key(1));
   ASSERT_NE(Held, nullptr);
   Cache.insert(key(2), artifact("evictor"));
-  // CLOCK picks one of the two (both reference bits may be set when the
-  // sweep wraps); exactly one survives, and the held handle stays valid
-  // either way.
+  // Budget 1: the insert evicts key 1, the least recently used entry.
   CacheStats S = Cache.stats();
   EXPECT_EQ(S.Entries, 1u);
   EXPECT_EQ(S.Evictions, 1u);
-  bool Have1 = Cache.lookup(key(1)) != nullptr;
-  bool Have2 = Cache.lookup(key(2)) != nullptr;
-  EXPECT_NE(Have1, Have2) << "exactly one entry fits the budget";
+  EXPECT_EQ(Cache.lookup(key(1)), nullptr);
+  EXPECT_NE(Cache.lookup(key(2)), nullptr);
   EXPECT_EQ(Held->Error, "held") << "eviction must not invalidate holders";
 }
 
-TEST(SolveCache, DecodedVictimCacheResurrectsEvictedEntries) {
-  // With the decoded victim cache on (the default), an L1 eviction parks
-  // the decoded artifact instead of dropping it: the next lookup hits the
-  // victim cache (counted in DecodedHits and Hits), promotes the entry
-  // back into L1, and never touches a store or the codec.
-  CacheConfig C = singleShard(1);
-  C.DecodedEntries = 8;
+TEST(SolveCache, WorkingSetWithinBudgetNeverReadsTheStore) {
+  // The L1 is the only decoded tier: a working set of at most a shard's
+  // MaxEntries keys stays resident, so with a store attached every repeat
+  // lookup is an L1 hit -- no store read and no decode.
+  store::MemEnv E;
+  auto Opened = store::SolveStore::open("db", {}, E);
+  ASSERT_TRUE(Opened.ok());
+  CacheConfig C = singleShard(16);
   SolveCache Cache(C);
-  Cache.insert(key(1), artifact("1"));
-  Cache.insert(key(2), artifact("2"));
-  // Budget 1: one of the two was evicted into the victim cache, so both
-  // keys must stay servable, ping-ponging between L1 and the victim
-  // cache.
-  for (int Round = 0; Round < 4; ++Round) {
-    auto A1 = Cache.lookup(key(1));
-    ASSERT_NE(A1, nullptr) << "round " << Round;
-    EXPECT_EQ(A1->Error, "1");
-    auto A2 = Cache.lookup(key(2));
-    ASSERT_NE(A2, nullptr) << "round " << Round;
-    EXPECT_EQ(A2->Error, "2");
-  }
+  Cache.attachStore(Opened->get());
+  for (std::uint64_t I = 0; I < C.MaxEntries; ++I)
+    Cache.insert(key(I), artifact(std::to_string(I)));
+  std::uint64_t StoreGets = (*Opened)->stats().Gets;
+  for (int Round = 0; Round < 4; ++Round)
+    for (std::uint64_t I = 0; I < C.MaxEntries; ++I) {
+      bool FromL2 = true;
+      auto A = Cache.lookup(key(I), &FromL2);
+      ASSERT_NE(A, nullptr) << "round " << Round << " key " << I;
+      EXPECT_EQ(A->Error, std::to_string(I));
+      EXPECT_FALSE(FromL2);
+    }
   CacheStats S = Cache.stats();
-  EXPECT_GT(S.DecodedHits, 0u);
-  EXPECT_EQ(S.Misses, 0u) << "the victim cache absorbed every L1 miss";
-  EXPECT_EQ(S.Hits, 8u);
-  EXPECT_LE(S.DecodedHits, S.Hits) << "DecodedHits is a subset of Hits";
+  EXPECT_EQ(S.Hits, 4 * C.MaxEntries);
+  EXPECT_EQ(S.Misses, 0u);
+  EXPECT_EQ(S.HitsL2, 0u);
+  EXPECT_EQ(S.L2DecodeErrors, 0u);
+  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_EQ((*Opened)->stats().Gets, StoreGets) << "the store was read";
 
-  // clear() empties the victim cache too: key(2)'s parked artifact is
-  // gone, not just the L1 entry.
+  // clear() empties the L1: the next lookup is served by the store.
   Cache.clear();
-  EXPECT_EQ(Cache.lookup(key(1)), nullptr);
-  EXPECT_EQ(Cache.lookup(key(2)), nullptr);
+  bool FromL2 = false;
+  ASSERT_NE(Cache.lookup(key(0), &FromL2), nullptr);
+  EXPECT_TRUE(FromL2);
+  EXPECT_EQ(Cache.stats().HitsL2, 1u);
 }
 
 TEST(SolveCache, LockFreeReadersUnderConcurrentInsertEvictAreSane) {
-  // The TSan hammer for the seqlock read path: readers spin lock-free
-  // lookups over a small key space while writers force constant insert /
-  // evict churn in the same shard. Every hit must return an internally
+  // The TSan hammer for the read path: readers spin lookups over a small
+  // key space while writers force constant insert / evict churn in the
+  // same shard. Every hit must return an internally
   // consistent artifact (the identity tag must match the key it was
   // inserted under), and the counters must balance.
   CacheConfig C;
   C.Shards = 1;
   C.MaxEntries = 8;
-  C.DecodedEntries = 0;
   SolveCache Cache(C);
 
   constexpr std::uint64_t KeySpace = 32;

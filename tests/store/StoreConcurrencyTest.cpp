@@ -135,10 +135,7 @@ TEST(StoreConcurrency, WriteThroughCacheHammer) {
   Cfg.Shards = 4;
   // Tiny L1: constant eviction, so lookups keep falling through to the L2
   // promotion path while inserts write through -- the racy paths by design.
-  // The decoded victim cache would resurrect evictions before they reach
-  // the L2; off, so this hammer actually drives store promotion.
   Cfg.MaxEntries = 8;
-  Cfg.DecodedEntries = 0;
   SolveCache Cache(Cfg);
   Cache.attachStore(Opened->get());
 
