@@ -11,16 +11,10 @@
 // without generating a solution for the enzyme assay, whereas the LP
 // solver completed in 0.73 seconds."
 //
-// Our branch-and-bound runs under a node/time budget by default; the
+// Our branch-and-bound runs under a time budget by default; the
 // reproduced shape is ILP ~ LP on Glucose and budget exhaustion on the
-// enzyme-scale instance.
-//
-// Beyond the reproduction, this bench races the two branch-and-bound node
-// engines against each other -- the legacy Dense path (per-node Model copy
-// solved cold) versus the Warm path (bound-delta nodes dual-reoptimized
-// from the parent basis) -- and records node throughput for both in
-// BENCH_ilp_vs_lp.json. The warm_speedup metric on the enzyme-class rows
-// is the headline number: the warm engine must clear 5x.
+// enzyme-scale instance. BENCH_ilp_vs_lp.json records, per assay, the LP
+// and ILP time, status, nodes and pivots.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,19 +39,6 @@ double ilpBudgetSec() {
   return fullRun() ? 3600.0 : 10.0;
 }
 
-lp::IntSolution runEngine(const lp::Model &M, lp::IntEngine Engine,
-                          double BudgetSec) {
-  lp::IntOptions BB;
-  BB.TimeLimitSec = BudgetSec;
-  BB.Engine = Engine;
-  // The Dense run is the seed baseline: per-node Model copies solved cold
-  // by the dense tableau, exactly the architecture this bench measures the
-  // warm engine against.
-  if (Engine == lp::IntEngine::Dense)
-    BB.LP.Engine = lp::LpEngine::Dense;
-  return lp::solveInteger(M, {}, BB);
-}
-
 void runCase(JsonReporter &Json, const char *Name, const AssayGraph &G,
              double BudgetSec) {
   MachineSpec Spec;
@@ -69,30 +50,18 @@ void runCase(JsonReporter &Json, const char *Name, const AssayGraph &G,
   IntF.UnitNl = Spec.LeastCountNl;
   Formulation F = buildVolumeModel(G, Spec, IntF);
 
-  lp::IntSolution Warm, Dense;
-  double WarmSec = onceSeconds([&] {
-    Warm = runEngine(F.Model, lp::IntEngine::Warm, BudgetSec);
-  });
-  double DenseSec = onceSeconds([&] {
-    Dense = runEngine(F.Model, lp::IntEngine::Dense, BudgetSec);
-  });
-
-  auto NodesPerSec = [](const lp::IntSolution &S, double Sec) {
-    return Sec > 0.0 ? static_cast<double>(S.Nodes) / Sec : 0.0;
-  };
-  double WarmRate = NodesPerSec(Warm, WarmSec);
-  double DenseRate = NodesPerSec(Dense, DenseSec);
-  double Speedup = DenseRate > 0.0 ? WarmRate / DenseRate : 0.0;
+  lp::IntOptions BB;
+  BB.TimeLimitSec = BudgetSec;
+  lp::IntSolution Ilp;
+  double IlpSec =
+      onceSeconds([&] { Ilp = lp::solveInteger(F.Model, {}, BB); });
 
   std::printf("  %-10s LP: %10s (%s)   ILP: %10s (%s, %lld nodes%s)\n", Name,
               fmtSeconds(LpSec).c_str(),
               lp::solveStatusName(LP.Solution.Status),
-              fmtSeconds(WarmSec).c_str(), lp::solveStatusName(Warm.Status),
-              static_cast<long long>(Warm.Nodes),
-              Warm.HasIncumbent ? ", incumbent found" : ", no solution");
-  std::printf("  %-10s node engines: warm %.0f nodes/s, dense %.0f nodes/s "
-              "(%.1fx)\n",
-              "", WarmRate, DenseRate, Speedup);
+              fmtSeconds(IlpSec).c_str(), lp::solveStatusName(Ilp.Status),
+              static_cast<long long>(Ilp.Nodes),
+              Ilp.HasIncumbent ? ", incumbent found" : ", no solution");
 
   Json.add(Name)
       .param("budget_sec", std::to_string(BudgetSec))
@@ -101,19 +70,12 @@ void runCase(JsonReporter &Json, const char *Name, const AssayGraph &G,
       .param("lp_status", lp::solveStatusName(LP.Solution.Status))
       .param("lp_pricing",
              lp::lpPricingName(lp::SolverOptions{}.Simplex.Pricing))
-      .param("ilp_warm_status", lp::solveStatusName(Warm.Status))
-      .param("ilp_dense_status", lp::solveStatusName(Dense.Status))
+      .param("ilp_status", lp::solveStatusName(Ilp.Status))
       .metric("lp_sec", LpSec)
       .metric("lp_pivots", static_cast<double>(LP.Solution.Iterations))
-      .metric("ilp_warm_sec", WarmSec)
-      .metric("ilp_warm_nodes", static_cast<double>(Warm.Nodes))
-      .metric("ilp_warm_pivots", static_cast<double>(Warm.LpPivots))
-      .metric("ilp_warm_nodes_per_sec", WarmRate)
-      .metric("ilp_dense_sec", DenseSec)
-      .metric("ilp_dense_nodes", static_cast<double>(Dense.Nodes))
-      .metric("ilp_dense_pivots", static_cast<double>(Dense.LpPivots))
-      .metric("ilp_dense_nodes_per_sec", DenseRate)
-      .metric("warm_speedup", Speedup);
+      .metric("ilp_sec", IlpSec)
+      .metric("ilp_nodes", static_cast<double>(Ilp.Nodes))
+      .metric("ilp_pivots", static_cast<double>(Ilp.LpPivots));
 }
 
 } // namespace

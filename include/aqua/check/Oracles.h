@@ -38,9 +38,9 @@
 ///  * Cache       -- the compile service returns the *same* artifact object
 ///                   for fingerprint-equal requests (memoization is sound);
 ///  * Engines     -- the dense tableau and bounded revised simplex agree on
-///                   the RVol LP (status and optimum), and the warm
-///                   bound-delta branch-and-bound engine agrees with the
-///                   legacy dense-copy engine on small IVol ILPs;
+///                   the RVol LP (status and optimum), and
+///                   lp::solveInteger agrees with the depth-first
+///                   referenceSolveInteger on small IVol ILPs;
 ///  * Presolve    -- presolve-on and presolve-off solves of the RVol LP
 ///                   agree on status and optimum (the reduction rules are
 ///                   pure reformulations), the postsolved solution

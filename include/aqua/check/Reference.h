@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reference implementations of the wet path, kept only as oracles for the
-/// production engines in aqua/vm:
+/// Reference implementations kept only as oracles for production engines:
 ///
 ///  * `referenceSimulate` is a tree-walking AquaCore simulator over AIS
 ///    with string-keyed fluid maps. `vm::run` must reproduce its SimResult
@@ -16,8 +15,13 @@
 ///    regenerating AIS per partition and simulating it on the reference.
 ///    `vm::runChip` with online re-management off must reproduce the first
 ///    eight fields of its ChipResult bit for bit.
+///  * `referenceSolveInteger` is a plain depth-first branch-and-bound that
+///    copies the Model per node and solves each relaxation cold on the
+///    dense LP. The `engines` oracle requires `lp::solveInteger` to reach
+///    the same verdict and optimum.
 ///
-/// Both record no metrics or trace events: production records `vm.*`.
+/// None records metrics or trace events: production records `vm.*` and
+/// `lp.*`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +30,7 @@
 
 #include "aqua/codegen/AIS.h"
 #include "aqua/core/Partition.h"
+#include "aqua/lp/BranchAndBound.h"
 #include "aqua/vm/Compiler.h"
 #include "aqua/vm/Fleet.h"
 #include "aqua/vm/VM.h"
@@ -74,6 +79,17 @@ vm::SimResult referenceSimulate(const codegen::AISProgram &Program,
 vm::ChipResult referenceExecutePartitioned(const core::PartitionPlan &Plan,
                                            const core::MachineSpec &Spec,
                                            const vm::RunOptions &RO);
+
+/// Solves \p M with integrality on every variable whose \p IsInteger entry
+/// is true (all of them when \p IsInteger is empty). Depth-first, nearer
+/// child first, branching on the most fractional variable; every node
+/// copies \p M, tightens the path's bounds and calls `lp::solve` with
+/// `LpEngine::Dense` and the rest of Opts.LP. Honours Opts.MaxNodes and
+/// Opts.TimeLimitSec (TimeLimit on expiry); ignores the search
+/// accelerators (CutRounds, RestartNodes, Reliable).
+lp::IntSolution referenceSolveInteger(const lp::Model &M,
+                                      const std::vector<bool> &IsInteger,
+                                      const lp::IntOptions &Opts);
 
 } // namespace aqua::check
 

@@ -19,20 +19,8 @@
 #define AQUA_LP_BRANCHANDBOUND_H
 
 #include "aqua/lp/Solver.h"
-#include "aqua/lp/Tolerances.h"
 
 namespace aqua::lp {
-
-/// Which branch-and-bound node engine to run.
-enum class IntEngine {
-  /// Warm-started engine: one shared model, bound-delta nodes, the parent
-  /// basis dual-reoptimized per node, optional parallel tree search.
-  Warm,
-  /// Legacy reference path: per-node Model copy solved cold through
-  /// presolve + simplex. Kept for the solver-vs-solver differential
-  /// oracle and as a numeric baseline.
-  Dense,
-};
 
 /// Options for the integer solver.
 struct IntOptions {
@@ -41,40 +29,19 @@ struct IntOptions {
   std::int64_t MaxNodes = 0;
   /// Wall-clock budget in seconds; 0 means unlimited.
   double TimeLimitSec = 0.0;
-  /// A value within IntTol of an integer counts as integral.
-  double IntTol = tol::Integrality;
-  /// Node engine; Warm is the production path.
-  IntEngine Engine = IntEngine::Warm;
-  /// Worker threads for the Warm engine's tree search; values < 2 run the
-  /// search inline. The parallel search shares one node pool and one
-  /// atomic incumbent; the proven objective is identical to a
-  /// single-threaded run (equal-objective incumbents are tie-broken
-  /// lexicographically, independent of arrival order).
-  int Threads = 1;
   /// Rounds of root cutting-plane separation (GMI + Chvatal-Gomory
-  /// divisor cuts) before the tree search; 0 disables cuts. Warm engine
-  /// only.
+  /// divisor cuts) before the tree search; 0 disables cuts.
   int CutRounds = 8;
   /// Cut-and-branch restart: once the tree has an incumbent and has spent
   /// this many nodes without closing, the search restarts from a
   /// reduced-cost-tightened, freshly cut root (the incumbent and the
   /// pseudocost table carry over). 0 disables restarts.
   std::int64_t RestartNodes = 20000;
-  /// Maximum cut-and-branch restarts.
-  int MaxRestarts = 3;
   /// Reliability threshold for pseudocost branching: a candidate whose
   /// up/down pseudocosts have fewer than this many observations gets
   /// strong-branched before the scores are trusted. 0 falls back to
   /// most-fractional branching.
   int Reliable = 4;
-  /// Strong-branch at most this many unreliable candidates per node.
-  int StrongCandidates = 4;
-  /// Dual-simplex pivot cap per strong-branch probe.
-  std::int64_t StrongIterations = 60;
-  /// Consecutive depth-first plunge steps a worker may take before it
-  /// must return both children to the best-bound pool (a diving restart,
-  /// keeping the search from drifting into one deep subtree).
-  int PlungeLimit = 40;
 };
 
 /// Result of an integer solve.
@@ -94,7 +61,9 @@ struct IntSolution {
 
 /// Solves \p M with integrality required on every variable whose entry in
 /// \p IsInteger is true. \p IsInteger must have one entry per variable, or
-/// be empty to require integrality on all variables.
+/// be empty to require integrality on all variables. The search runs on
+/// the calling thread; concurrent calls share no state beyond the global
+/// metrics registry.
 IntSolution solveInteger(const Model &M, const std::vector<bool> &IsInteger,
                          const IntOptions &Opts = {});
 

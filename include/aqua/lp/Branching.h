@@ -6,15 +6,9 @@
 ///
 /// \file
 /// The pure-logic pieces of branch-and-bound, split out so they are unit
-/// testable without running a solver: branch-variable selection and the
-/// compact bound-delta representation nodes carry instead of a Model copy.
-///
-/// A node's subproblem differs from the root only in variable bounds, and
-/// every bound on the path from the root is a *tightening* (floor of an
-/// upper bound, ceil of a lower bound). A node therefore stores the full
-/// path of BoundChange records; applying them in order onto the root
-/// bounds reproduces the subproblem, and undoing is just resetting the
-/// touched variables to their root bounds.
+/// testable without running a solver: branch-candidate selection, the
+/// pseudocost statistics of reliability branching, and the compact
+/// bound-delta record nodes carry instead of a Model copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,16 +17,9 @@
 
 #include "aqua/lp/Model.h"
 
-#include <mutex>
 #include <vector>
 
 namespace aqua::lp {
-
-/// Returns the index of the most fractional integer-constrained variable
-/// (ties broken toward the lowest index), or -1 if every one is within
-/// \p Tol of an integer. \p IsInteger must have one entry per value.
-int pickBranchVar(const std::vector<double> &Values,
-                  const std::vector<bool> &IsInteger, double Tol);
 
 /// One fractional integer-constrained variable in an LP solution.
 struct BranchCandidate {
@@ -48,29 +35,18 @@ std::vector<BranchCandidate>
 fractionalCandidates(const std::vector<double> &Values,
                      const std::vector<bool> &IsInteger, double Tol);
 
-/// Shared pseudocost statistics: for every integer variable and branching
+/// Pseudocost statistics: for every integer variable and branching
 /// direction, the running mean LP-bound degradation per unit of fractional
 /// distance, observed from strong-branch probes and from actual child-node
-/// solves. One table is shared by every branch-and-bound worker; all
-/// accesses take an internal mutex (the table is touched once per node,
-/// not per pivot, so contention is negligible).
+/// solves.
 class PseudocostTable {
 public:
-  explicit PseudocostTable(int NumVars = 0) { reset(NumVars); }
-
-  void reset(int NumVars) {
-    std::lock_guard<std::mutex> L(Mu);
-    Tab.assign(NumVars, Entry{});
-    GlobalUp = GlobalDown = Dir{};
-  }
+  explicit PseudocostTable(int NumVars = 0) : Tab(NumVars) {}
 
   /// Records one observed per-unit degradation for branching \p Var in
   /// the given direction. Returns true when this is the direction's first
   /// observation (a pseudocost initialization).
   bool record(int Var, bool Up, double PerUnit);
-
-  /// Observations recorded for the direction.
-  int count(int Var, bool Up) const;
 
   /// Mean per-unit degradation for the direction; the global mean over
   /// all variables when this one has no history yet; 0 with no data at
@@ -81,9 +57,6 @@ public:
   /// pseudocosts in the sense of reliability branching.
   int reliability(int Var) const;
 
-  /// Both direction estimates in one lock acquisition.
-  void estimates(int Var, double &UpEst, double &DownEst) const;
-
 private:
   struct Dir {
     double Sum = 0.0;
@@ -92,9 +65,6 @@ private:
   struct Entry {
     Dir UpD, DownD;
   };
-  double estimateLocked(const Entry &E, bool Up) const;
-
-  mutable std::mutex Mu;
   std::vector<Entry> Tab;
   Dir GlobalUp, GlobalDown;
 };
@@ -105,24 +75,14 @@ private:
 /// a zero-degradation direction does not erase the other's signal.
 double pseudocostScore(double UpEst, double DownEst, double Frac);
 
-/// One branching decision: a new (tighter) bound on one variable.
+/// One branching decision: a new (tighter) bound on one variable. A node
+/// stores the path of these from the root; every entry is a tightening, so
+/// applying the path in order onto the root bounds reproduces the node.
 struct BoundChange {
   VarId Var;
   bool IsUpper;
   double Bound;
 };
-
-/// Applies \p Path in order onto the bound arrays. Later entries for the
-/// same variable are tighter by construction, so plain assignment applies
-/// the path correctly.
-void applyBoundPath(const std::vector<BoundChange> &Path,
-                    std::vector<double> &Lower, std::vector<double> &Upper);
-
-/// Undoes \p Path by restoring every touched variable to its root bounds.
-void undoBoundPath(const std::vector<BoundChange> &Path,
-                   const std::vector<double> &RootLower,
-                   const std::vector<double> &RootUpper,
-                   std::vector<double> &Lower, std::vector<double> &Upper);
 
 } // namespace aqua::lp
 

@@ -47,8 +47,8 @@ inline constexpr double BoundCross = 1e-9;
 /// to a fixed value instead of being declared infeasible.
 inline constexpr double BoundSnap = 1e-7;
 
-/// Default integrality tolerance: a relaxation value within this of an
-/// integer is considered integral (IntOptions::IntTol default).
+/// Integrality tolerance: a relaxation value within this of an integer is
+/// considered integral by branch-and-bound.
 inline constexpr double Integrality = 1e-6;
 
 /// Branch-and-bound pruning slack: a node whose LP bound does not beat the

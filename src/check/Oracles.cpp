@@ -488,10 +488,10 @@ private:
 
   /// Solver-vs-solver differential oracle: the same model handed to both
   /// LP engines (dense tableau vs bounded revised simplex) and, on small
-  /// graphs, to both branch-and-bound node engines (warm bound-delta vs
-  /// legacy dense per-node copies) must produce the same status and, when
-  /// Optimal, the same optimum. This is the equivalence gate for the warm
-  /// solver core: any divergence is a bug in one of the engines.
+  /// graphs, to the production branch-and-bound and the plain depth-first
+  /// reference (check::referenceSolveInteger) must produce the same status
+  /// and, when Optimal, the same optimum. This is the equivalence gate for
+  /// the warm solver core: any divergence is a bug in one of the engines.
   void checkEngines(const AssayGraph &G) {
     core::FormulationOptions FOpts;
     core::Formulation F = core::buildVolumeModel(G, Opts.Spec, FOpts);
@@ -533,28 +533,26 @@ private:
     core::FormulationOptions IOpts;
     IOpts.UnitNl = Opts.Spec.LeastCountNl;
     core::Formulation FI = core::buildVolumeModel(G, Opts.Spec, IOpts);
-    lp::IntOptions Warm;
-    Warm.MaxNodes = Opts.IlpMaxNodes;
-    Warm.TimeLimitSec = Opts.IlpTimeLimitSec;
-    Warm.Engine = lp::IntEngine::Warm;
-    lp::IntOptions Dense = Warm;
-    Dense.Engine = lp::IntEngine::Dense;
-    Dense.LP.Engine = lp::LpEngine::Dense;
-    lp::IntSolution WS = lp::solveInteger(FI.Model, {}, Warm);
-    lp::IntSolution DSInt = lp::solveInteger(FI.Model, {}, Dense);
-    if (Decisive(WS.Status) && Decisive(DSInt.Status)) {
-      if (WS.Status != DSInt.Status)
+    lp::IntOptions IO;
+    IO.MaxNodes = Opts.IlpMaxNodes;
+    IO.TimeLimitSec = Opts.IlpTimeLimitSec;
+    lp::IntSolution WS = lp::solveInteger(FI.Model, {}, IO);
+    lp::IntSolution RefInt = referenceSolveInteger(FI.Model, {}, IO);
+    if (Decisive(WS.Status) && Decisive(RefInt.Status)) {
+      if (WS.Status != RefInt.Status)
         fail(Oracle::Engines,
-             format("B&B engines disagree: warm is %s, dense is %s",
+             format("B&B disagrees with the reference: warm is %s, "
+                    "reference is %s",
                     lp::solveStatusName(WS.Status),
-                    lp::solveStatusName(DSInt.Status)));
+                    lp::solveStatusName(RefInt.Status)));
       else if (WS.Status == lp::SolveStatus::Optimal) {
         double Tol =
-            Opts.Tolerance * std::max(1.0, std::fabs(DSInt.Objective));
-        if (std::fabs(WS.Objective - DSInt.Objective) > Tol)
+            Opts.Tolerance * std::max(1.0, std::fabs(RefInt.Objective));
+        if (std::fabs(WS.Objective - RefInt.Objective) > Tol)
           fail(Oracle::Engines,
-               format("ILP optima diverge: warm %.9g vs dense %.9g units",
-                      WS.Objective, DSInt.Objective));
+               format("ILP optima diverge: warm %.9g vs reference %.9g "
+                      "units",
+                      WS.Objective, RefInt.Objective));
       }
     }
   }
@@ -579,7 +577,6 @@ private:
       lp::IntOptions Base;
       Base.MaxNodes = Opts.IlpMaxNodes;
       Base.TimeLimitSec = Opts.IlpTimeLimitSec;
-      Base.Engine = lp::IntEngine::Warm;
       lp::IntOptions NoCuts = Base;
       NoCuts.CutRounds = 0;
       lp::IntOptions NoPseudo = Base;

@@ -4,12 +4,16 @@
 //
 // The AquaCore machine model walked directly over AIS instructions, with
 // string-keyed fluid maps. It is the `vm` oracle's reference: vm::Interp
-// ports this code onto flat arrays and must match it bit for bit.
+// ports this code onto flat arrays and must match it bit for bit. At the
+// end, the `engines` oracle's branch-and-bound reference.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/check/Reference.h"
 
+#include "aqua/lp/Branching.h"
+#include "aqua/lp/Tolerances.h"
+#include "aqua/obs/Timer.h"
 #include "aqua/support/Fatal.h"
 #include "aqua/support/Random.h"
 #include "aqua/support/StringUtils.h"
@@ -413,4 +417,114 @@ SimResult aqua::check::referenceSimulate(const AISProgram &Program,
                                          const vm::RunOptions &RO) {
   Machine M(Program, CO, RO);
   return M.run();
+}
+
+//===----------------------------------------------------------------------===//
+// Branch-and-bound reference
+//===----------------------------------------------------------------------===//
+
+lp::IntSolution check::referenceSolveInteger(const lp::Model &M,
+                                             const std::vector<bool> &Mask,
+                                             const lp::IntOptions &Opts) {
+  std::vector<bool> IsInteger = Mask;
+  if (IsInteger.empty())
+    IsInteger.assign(M.numVars(), true);
+  obs::WallTimer Timer;
+  lp::IntSolution Result;
+
+  // Maximization sign: incumbent comparisons use Sign*objective so that
+  // larger is always better internally.
+  double Sign = M.isMaximize() ? 1.0 : -1.0;
+  double Incumbent = -lp::Infinity;
+
+  // A pending subproblem is its path of bound tightenings from the root.
+  std::vector<std::vector<lp::BoundChange>> Stack(1);
+  bool Exhausted = true;
+
+  while (!Stack.empty()) {
+    if ((Opts.MaxNodes > 0 && Result.Nodes >= Opts.MaxNodes) ||
+        (Opts.TimeLimitSec > 0.0 && Timer.seconds() > Opts.TimeLimitSec)) {
+      Exhausted = false;
+      break;
+    }
+
+    std::vector<lp::BoundChange> Path = std::move(Stack.back());
+    Stack.pop_back();
+    ++Result.Nodes;
+
+    lp::Model Sub = M;
+    for (const lp::BoundChange &C : Path) {
+      if (C.IsUpper)
+        Sub.tightenUpper(C.Var, C.Bound);
+      else
+        Sub.tightenLower(C.Var, C.Bound);
+    }
+    if (std::any_of(Path.begin(), Path.end(), [&](const lp::BoundChange &C) {
+          return Sub.var(C.Var).Lower > Sub.var(C.Var).Upper;
+        }))
+      continue;
+
+    lp::SolverOptions LPOpts = Opts.LP;
+    LPOpts.Engine = lp::LpEngine::Dense;
+    if (Opts.TimeLimitSec > 0.0) {
+      double Remaining = Opts.TimeLimitSec - Timer.seconds();
+      if (LPOpts.Simplex.TimeLimitSec <= 0.0 ||
+          LPOpts.Simplex.TimeLimitSec > Remaining)
+        LPOpts.Simplex.TimeLimitSec = std::max(Remaining, 1e-3);
+    }
+    lp::Solution Relax = lp::solve(Sub, LPOpts);
+    Result.LpPivots += Relax.Iterations;
+    if (Relax.Status == lp::SolveStatus::Infeasible)
+      continue;
+    if (Relax.Status == lp::SolveStatus::Unbounded) {
+      Result.Status = lp::SolveStatus::Unbounded;
+      Result.Seconds = Timer.seconds();
+      return Result;
+    }
+    if (Relax.Status != lp::SolveStatus::Optimal) {
+      // Budget expired inside the LP.
+      Exhausted = false;
+      break;
+    }
+
+    double Bound = Sign * Relax.Objective;
+    if (Bound <= Incumbent + lp::tol::Prune)
+      continue;
+
+    std::vector<lp::BranchCandidate> Cands = lp::fractionalCandidates(
+        Relax.Values, IsInteger, lp::tol::Integrality);
+    if (Cands.empty()) {
+      // Integral: new incumbent, snapped to exact integers.
+      Incumbent = Bound;
+      Result.HasIncumbent = true;
+      Result.Objective = Relax.Objective;
+      Result.Values = Relax.Values;
+      for (size_t I = 0; I < Result.Values.size(); ++I)
+        if (IsInteger[I])
+          Result.Values[I] = std::round(Result.Values[I]);
+      continue;
+    }
+
+    const lp::VarId Var = Cands.front().Var;
+    double Val = Relax.Values[Var];
+    std::vector<lp::BoundChange> Down = Path, Up = std::move(Path);
+    Down.push_back({Var, /*IsUpper=*/true, std::floor(Val)});
+    Up.push_back({Var, /*IsUpper=*/false, std::ceil(Val)});
+    // Explore the branch nearest the LP value first.
+    if (Val - std::floor(Val) < 0.5) {
+      Stack.push_back(std::move(Up));
+      Stack.push_back(std::move(Down));
+    } else {
+      Stack.push_back(std::move(Down));
+      Stack.push_back(std::move(Up));
+    }
+  }
+
+  Result.Seconds = Timer.seconds();
+  if (Exhausted)
+    Result.Status = Result.HasIncumbent ? lp::SolveStatus::Optimal
+                                        : lp::SolveStatus::Infeasible;
+  else
+    Result.Status = lp::SolveStatus::TimeLimit;
+  return Result;
 }

@@ -4,25 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two node engines share the public solveInteger entry point:
+// One shared Model and one shared sparse column copy; nodes are compact
+// bound-delta paths plus a shared_ptr to the parent's optimal basis. Each
+// node applies its deltas onto one RevisedSimplex and dual-reoptimizes from
+// the parent basis -- usually a handful of pivots instead of a cold
+// two-phase solve of a Model copy. The search plunges depth-first into the
+// child nearest the fractional LP value (the engine already holds the
+// parent basis and factorization) while the other child goes to a
+// best-bound-ordered pool. Best-bound ties pop by tree-position id and
+// equal-objective incumbents are tie-broken lexicographically, so the
+// reported solution is a function of the model alone.
 //
-//  * Warm (production): one shared Model and one shared sparse column copy;
-//    nodes are compact bound-delta paths plus a shared_ptr to the parent's
-//    optimal basis. Each node applies its deltas onto a per-worker
-//    RevisedSimplex and dual-reoptimizes from the parent basis -- usually a
-//    handful of pivots, versus a cold two-phase solve of a Model copy on
-//    the legacy path. Workers plunge depth-first into the child nearest the
-//    fractional LP value (maximizing basis reuse: the engine already holds
-//    the parent basis and factorization) while the other child goes to a
-//    best-bound-ordered shared pool, so `IntOptions::Threads` workers
-//    cooperate on one tree with a shared atomic incumbent for pruning.
-//    Equal-objective incumbents are tie-broken lexicographically so the
-//    reported solution does not depend on thread arrival order.
-//
-//  * Dense (reference): the seed's per-node `Model Sub = M` copy solved
-//    cold through presolve + dense simplex. Retained for the aqua/check
-//    solver-vs-solver oracle and as the numeric baseline the warm engine
-//    is measured against in bench_ilp_vs_lp.
+// Root cutting planes and cut-and-branch restarts wrap the tree search;
+// reliability branching picks the branch variable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,25 +25,35 @@
 #include "aqua/lp/Branching.h"
 #include "aqua/lp/Cuts.h"
 #include "aqua/lp/RevisedSimplex.h"
+#include "aqua/lp/Tolerances.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Timer.h"
 #include "aqua/obs/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 using namespace aqua;
 using namespace aqua::lp;
 
 namespace {
+
+/// A value within IntTol of an integer counts as integral.
+constexpr double IntTol = tol::Integrality;
+/// Maximum cut-and-branch restarts.
+constexpr int MaxRestarts = 3;
+/// Strong-branch at most this many unreliable candidates per node.
+constexpr int StrongCandidates = 4;
+/// Dual-simplex pivot cap per strong-branch probe.
+constexpr std::int64_t StrongIterations = 60;
+/// Consecutive depth-first plunge steps before both children go back to
+/// the best-bound pool (a diving restart, keeping the search from drifting
+/// into one deep subtree).
+constexpr int PlungeLimit = 40;
 
 /// Global-registry instruments, resolved once.
 struct BbMetrics {
@@ -67,9 +71,6 @@ struct BbMetrics {
   obs::Counter &StrongBranches =
       obs::metrics().counter("ilp.strong_branches");
   obs::Counter &Restarts = obs::metrics().counter("ilp.restarts");
-  obs::Histogram &NodesPerWorker = obs::metrics().histogram(
-      "lp.bb.nodes_per_worker",
-      {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000});
 };
 
 BbMetrics &met() {
@@ -78,10 +79,10 @@ BbMetrics &met() {
 }
 
 //===----------------------------------------------------------------------===//
-// Warm engine
+// Tree search
 //===----------------------------------------------------------------------===//
 
-/// A pending subproblem for the warm engine.
+/// A pending subproblem.
 struct WarmNode {
   /// Parent's LP bound in internal (maximize) sign; root uses +infinity.
   double Bound = Infinity;
@@ -113,7 +114,7 @@ std::uint64_t childId(std::uint64_t Parent, bool Up) {
   return 2 * Parent + (Up ? 1 : 0);
 }
 
-/// State shared by every warm-engine worker.
+/// One tree search over a fixed (possibly cut-strengthened) model.
 struct WarmSearch {
   const Model &M;
   const std::vector<bool> &IsInteger;
@@ -122,16 +123,9 @@ struct WarmSearch {
   std::shared_ptr<const SparseMatrix> Cols;
   WallTimer Timer;
 
-  std::mutex Mu;
-  std::condition_variable Cv;
-  std::priority_queue<WarmNode, std::vector<WarmNode>, WarmNodeOrder> Pool;
-  int InFlight = 0;
-
-  std::atomic<bool> Stop{false};
-  bool BudgetHit = false;   // Guarded by Mu.
-  bool Unbounded = false;   // Guarded by Mu.
-  bool NumericFell = false; // Guarded by Mu; a node used the dense fallback.
-  bool CapHit = false;      // Guarded by Mu; restart node cap tripped.
+  bool BudgetHit = false;
+  bool Unbounded = false;
+  bool CapHit = false; // Restart node cap tripped.
 
   /// Pseudocost table shared with the caller (it survives restarts).
   PseudocostTable &PT;
@@ -143,12 +137,11 @@ struct WarmSearch {
   /// before this search started; budget checks add it to Timer.
   double TimeOffset = 0.0;
 
-  std::atomic<std::int64_t> Nodes{0};
-  std::atomic<std::int64_t> Pivots{0};
+  std::int64_t Nodes = 0;
+  std::int64_t Pivots = 0;
 
-  /// Incumbent bound in internal sign, readable without the lock for fast
-  /// pruning; the full incumbent record is guarded by Mu.
-  std::atomic<double> IncBound{-Infinity};
+  /// Incumbent bound in internal sign.
+  double IncBound = -Infinity;
   bool HasInc = false;
   double IncObjective = 0.0;
   std::vector<double> IncValues;
@@ -162,8 +155,7 @@ struct WarmSearch {
   double elapsed() { return TimeOffset + Timer.seconds(); }
 
   bool overBudget() {
-    if (Opts.MaxNodes > 0 && Nodes.load(std::memory_order_relaxed) >=
-                                 Opts.MaxNodes)
+    if (Opts.MaxNodes > 0 && Nodes >= Opts.MaxNodes)
       return true;
     if (Opts.TimeLimitSec > 0.0 && elapsed() > Opts.TimeLimitSec)
       return true;
@@ -172,105 +164,36 @@ struct WarmSearch {
 
   /// True once the restart node cap is exceeded with an incumbent in hand.
   bool overCap() {
-    return NodeCap > 0 &&
-           Nodes.load(std::memory_order_relaxed) >= NodeCap &&
-           IncBound.load(std::memory_order_relaxed) > -Infinity;
-  }
-
-  void signalCap() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      CapHit = true;
-    }
-    Stop.store(true, std::memory_order_relaxed);
-    Cv.notify_all();
-  }
-
-  void signalBudget() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      BudgetHit = true;
-    }
-    Stop.store(true, std::memory_order_relaxed);
-    Cv.notify_all();
-  }
-
-  void signalUnbounded() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Unbounded = true;
-    }
-    Stop.store(true, std::memory_order_relaxed);
-    Cv.notify_all();
-  }
-
-  void push(WarmNode N) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Pool.push(std::move(N));
-    }
-    Cv.notify_one();
-  }
-
-  /// Pops the best node, waiting while other workers may still produce
-  /// some. Returns false when the search is over (pool drained and no one
-  /// in flight, or a stop was signalled).
-  bool pop(WarmNode &Out) {
-    std::unique_lock<std::mutex> L(Mu);
-    Cv.wait(L, [&] {
-      return Stop.load(std::memory_order_relaxed) || !Pool.empty() ||
-             InFlight == 0;
-    });
-    if (Stop.load(std::memory_order_relaxed) || Pool.empty())
-      return false;
-    Out = Pool.top();
-    Pool.pop();
-    ++InFlight;
-    return true;
-  }
-
-  void chainDone() {
-    bool Done;
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Done = --InFlight == 0 && Pool.empty();
-    }
-    if (Done)
-      Cv.notify_all();
+    return NodeCap > 0 && Nodes >= NodeCap && IncBound > -Infinity;
   }
 
   /// Offers an integral solution. Strict improvements replace the
   /// incumbent; ties within the prune tolerance keep the lexicographically
-  /// smaller value vector so the final answer is independent of worker
-  /// arrival order.
+  /// smaller value vector, so the answer does not depend on the order the
+  /// tree reaches equal optima.
   void offerIncumbent(double Internal, double Obj, std::vector<double> Vals) {
-    std::lock_guard<std::mutex> L(Mu);
     bool Take;
-    if (!HasInc || Internal > IncBound.load(std::memory_order_relaxed) +
-                                  tol::Prune) {
+    if (!HasInc || Internal > IncBound + tol::Prune)
       Take = true;
-    } else if (Internal < IncBound.load(std::memory_order_relaxed) -
-                              tol::Prune) {
+    else if (Internal < IncBound - tol::Prune)
       Take = false;
-    } else {
+    else
       Take = std::lexicographical_compare(Vals.begin(), Vals.end(),
-                                          IncValues.begin(),
-                                          IncValues.end());
-    }
+                                          IncValues.begin(), IncValues.end());
     if (!Take)
       return;
     met().Incumbents.add();
     HasInc = true;
     IncObjective = Obj;
     IncValues = std::move(Vals);
-    double Prev = IncBound.load(std::memory_order_relaxed);
-    if (Internal > Prev)
-      IncBound.store(Internal, std::memory_order_relaxed);
+    IncBound = std::max(IncBound, Internal);
   }
+
+  void run(WarmNode Root);
 };
 
 /// Dense per-node fallback for the rare NumericFail escape: materializes
-/// the node's model and solves it cold on the legacy path.
+/// the node's model and solves it cold through presolve + dense simplex.
 Solution denseNodeSolve(const Model &M, const std::vector<BoundChange> &Path,
                         const SolverOptions &LPOpts) {
   Model Sub = M;
@@ -285,38 +208,38 @@ Solution denseNodeSolve(const Model &M, const std::vector<BoundChange> &Path,
   return solve(Sub, O);
 }
 
-/// One worker: pops pool nodes and plunges each subtree depth-first.
-void warmWorker(WarmSearch &S) {
-  RevisedSimplex Engine(S.M, S.Cols);
+/// Searches the tree below \p Root: pops pool nodes best-bound first and
+/// plunges each subtree depth-first until the pool drains or a budget, the
+/// restart cap or unboundedness stops the search.
+void WarmSearch::run(WarmNode Root) {
+  RevisedSimplex Engine(M, Cols);
   std::vector<BoundChange> Applied; // Engine's current bound overrides.
-  std::int64_t LocalNodes = 0;
+  std::priority_queue<WarmNode, std::vector<WarmNode>, WarmNodeOrder> Pool;
+  Pool.push(std::move(Root));
 
-  WarmNode Node;
-  while (S.pop(Node)) {
+  while (!Pool.empty()) {
+    WarmNode Node = Pool.top();
+    Pool.pop();
     bool HaveNode = true;
     int ChainLen = 0; // Consecutive inline plunge steps since the pop.
     while (HaveNode) {
       HaveNode = false;
-      if (S.Stop.load(std::memory_order_relaxed))
-        break;
-      if (S.overBudget()) {
-        S.signalBudget();
-        break;
+      if (overBudget()) {
+        BudgetHit = true;
+        return;
       }
-      if (S.overCap()) {
-        S.signalCap();
-        break;
+      if (overCap()) {
+        CapHit = true;
+        return;
       }
-      // Fathom against the shared incumbent before spending any pivots.
-      if (Node.Bound <=
-          S.IncBound.load(std::memory_order_relaxed) + tol::Prune) {
+      // Fathom against the incumbent before spending any pivots.
+      if (Node.Bound <= IncBound + tol::Prune) {
         met().Pruned.add();
         continue;
       }
 
-      S.Nodes.fetch_add(1, std::memory_order_relaxed);
+      ++Nodes;
       met().Nodes.add();
-      ++LocalNodes;
 
       // Swap the engine onto this node's bounds.
       for (const BoundChange &C : Applied)
@@ -330,11 +253,11 @@ void warmWorker(WarmSearch &S) {
       }
 
       RevisedOptions RO;
-      RO.MaxIterations = S.Opts.LP.Simplex.MaxIterations;
-      RO.StallThreshold = S.Opts.LP.Simplex.StallThreshold;
+      RO.MaxIterations = Opts.LP.Simplex.MaxIterations;
+      RO.StallThreshold = Opts.LP.Simplex.StallThreshold;
       // Children inherit the configured pricing rule along with the
       // parent's reduced costs and devex weights from the warm basis.
-      RO.Pricing = S.Opts.LP.Simplex.Pricing;
+      RO.Pricing = Opts.LP.Simplex.Pricing;
       // Node reoptimizations run a handful of dual pivots each; the
       // refactorization clock ticks across nodes, so the default interval
       // would spend most of the search rebuilding B^-1. Drift from the
@@ -342,30 +265,26 @@ void warmWorker(WarmSearch &S) {
       // validation (which falls back to a cold solve), so a long interval
       // is safe here.
       RO.RefactorInterval = 2000;
-      if (S.Opts.TimeLimitSec > 0.0) {
-        double Remaining = S.Opts.TimeLimitSec - S.elapsed();
+      if (Opts.TimeLimitSec > 0.0) {
+        double Remaining = Opts.TimeLimitSec - elapsed();
         RO.TimeLimitSec = std::max(Remaining, 1e-3);
       } else {
-        RO.TimeLimitSec = S.Opts.LP.Simplex.TimeLimitSec;
+        RO.TimeLimitSec = Opts.LP.Simplex.TimeLimitSec;
       }
 
-      RevisedStatus RS = Engine.reoptimizeDual(
-          Node.Warm ? *Node.Warm : Basis{}, RO);
-      S.Pivots.fetch_add(Engine.iterations(), std::memory_order_relaxed);
+      RevisedStatus RS =
+          Engine.reoptimizeDual(Node.Warm ? *Node.Warm : Basis{}, RO);
+      Pivots += Engine.iterations();
 
       SolveStatus St;
       double Obj = 0.0;
       const std::vector<double> *Vals = nullptr;
       Solution DenseSol;
       if (RS == RevisedStatus::NumericFail) {
-        // Engine gave up on this node: solve it on the reference path.
-        DenseSol = denseNodeSolve(S.M, Node.Path, S.Opts.LP);
-        {
-          std::lock_guard<std::mutex> L(S.Mu);
-          S.NumericFell = true;
-        }
+        // Engine gave up on this node: solve it on the dense LP.
+        DenseSol = denseNodeSolve(M, Node.Path, Opts.LP);
         met().NumericFallbacks.add();
-        S.Pivots.fetch_add(DenseSol.Iterations, std::memory_order_relaxed);
+        Pivots += DenseSol.Iterations;
         St = DenseSol.Status;
         Obj = DenseSol.Objective;
         Vals = &DenseSol.Values;
@@ -378,59 +297,57 @@ void warmWorker(WarmSearch &S) {
       if (St == SolveStatus::Infeasible)
         continue;
       if (St == SolveStatus::Unbounded) {
-        S.signalUnbounded();
-        break;
+        Unbounded = true;
+        return;
       }
       if (St != SolveStatus::Optimal) {
         // Budget expired inside the LP.
-        S.signalBudget();
-        break;
+        BudgetHit = true;
+        return;
       }
 
-      double Bound = S.Sign * Obj;
+      double Bound = Sign * Obj;
       // The parent predicted this branch's degradation when it plunged;
-      // feed the realized one back into the shared pseudocost table.
+      // feed the realized one back into the pseudocost table.
       if (Node.BranchVar >= 0 && Node.Bound < Infinity) {
         double Deg = std::max(0.0, Node.Bound - Bound);
-        if (S.PT.record(Node.BranchVar, Node.BranchUp,
-                        Deg / std::max(Node.BranchFrac, 1e-9)))
+        if (PT.record(Node.BranchVar, Node.BranchUp,
+                      Deg / std::max(Node.BranchFrac, 1e-9)))
           met().PseudocostInits.add();
       }
-      if (Bound <=
-          S.IncBound.load(std::memory_order_relaxed) + tol::Prune) {
+      if (Bound <= IncBound + tol::Prune) {
         met().Pruned.add();
         continue;
       }
 
       std::vector<BranchCandidate> Cands =
-          fractionalCandidates(*Vals, S.IsInteger, S.Opts.IntTol);
+          fractionalCandidates(*Vals, IsInteger, IntTol);
       if (Cands.empty()) {
         std::vector<double> Snapped = *Vals;
         for (size_t I = 0; I < Snapped.size(); ++I)
-          if (S.IsInteger[I])
+          if (IsInteger[I])
             Snapped[I] = std::round(Snapped[I]);
-        S.offerIncumbent(Bound, Obj, std::move(Snapped));
+        offerIncumbent(Bound, Obj, std::move(Snapped));
         continue;
       }
 
-      // Strong-branch probes reuse this worker's engine, clobbering
-      // Engine.values() and the held basis; snapshot both first. Children
-      // warm-start from the node's optimal basis either way.
+      // Strong-branch probes reuse the engine, clobbering Engine.values()
+      // and the held basis; snapshot both first. Children warm-start from
+      // the node's optimal basis either way.
       std::vector<double> NodeVals = *Vals;
       auto NodeBasis = std::make_shared<const Basis>(Engine.basis());
 
       int BranchVar;
-      if (S.Opts.Reliable > 0 && RS != RevisedStatus::NumericFail) {
+      if (Opts.Reliable > 0 && RS != RevisedStatus::NumericFail) {
         // Reliability branching: initialize the pseudocosts of the most
         // fractional unreliable candidates with pivot-capped dual-simplex
         // probes, then pick by the product-rule score.
         int Probed = 0;
         bool NodeChanged = false;
         for (const BranchCandidate &C : Cands) {
-          if (Probed >= S.Opts.StrongCandidates ||
-              S.Stop.load(std::memory_order_relaxed))
+          if (Probed >= StrongCandidates)
             break;
-          if (S.PT.reliability(C.Var) >= S.Opts.Reliable)
+          if (PT.reliability(C.Var) >= Opts.Reliable)
             continue;
           ++Probed;
           const double SaveL = Engine.lower(C.Var);
@@ -444,16 +361,14 @@ void warmWorker(WarmSearch &S) {
             else
               Engine.setUpper(C.Var, Fl);
             RevisedOptions PRO = RO;
-            PRO.MaxIterations = S.Opts.StrongIterations;
+            PRO.MaxIterations = StrongIterations;
             RevisedStatus PS = Engine.reoptimizeDual(*NodeBasis, PRO);
-            S.Pivots.fetch_add(Engine.iterations(),
-                               std::memory_order_relaxed);
+            Pivots += Engine.iterations();
             if (PS == RevisedStatus::Optimal) {
-              double Deg =
-                  std::max(0.0, Bound - S.Sign * Engine.objective());
+              double Deg = std::max(0.0, Bound - Sign * Engine.objective());
               double F = Up ? Fl + 1.0 - NodeVals[C.Var]
                             : NodeVals[C.Var] - Fl;
-              if (S.PT.record(C.Var, Up, Deg / std::max(F, 1e-9)))
+              if (PT.record(C.Var, Up, Deg / std::max(F, 1e-9)))
                 met().PseudocostInits.add();
             } else if (PS == RevisedStatus::Infeasible) {
               // The probe proved this side empty, so its complement is
@@ -479,9 +394,8 @@ void warmWorker(WarmSearch &S) {
         BranchVar = Cands.front().Var;
         double BestScore = -1.0;
         for (const BranchCandidate &C : Cands) {
-          double UpEst, DownEst;
-          S.PT.estimates(C.Var, UpEst, DownEst);
-          double Score = pseudocostScore(UpEst, DownEst, C.Frac);
+          double Score = pseudocostScore(PT.estimate(C.Var, true),
+                                         PT.estimate(C.Var, false), C.Frac);
           if (Score > BestScore) {
             BestScore = Score;
             BranchVar = C.Var;
@@ -514,13 +428,13 @@ void warmWorker(WarmSearch &S) {
       bool UpOk = Ceil <= CurUpper;
       bool PlungeUp = Val - Floor >= 0.5; // Dive toward the LP value.
       if (DownOk && UpOk) {
-        if (S.Opts.PlungeLimit > 0 && ChainLen + 1 >= S.Opts.PlungeLimit) {
+        if (ChainLen + 1 >= PlungeLimit) {
           // Diving restart: the chain is deep enough that best-bound
-          // selection should re-aim this worker; park both children.
-          S.push(MakeChild(false));
-          S.push(MakeChild(true));
+          // selection should re-aim the search; park both children.
+          Pool.push(MakeChild(false));
+          Pool.push(MakeChild(true));
         } else {
-          S.push(MakeChild(!PlungeUp));
+          Pool.push(MakeChild(!PlungeUp));
           Node = MakeChild(PlungeUp);
           HaveNode = true;
           ++ChainLen;
@@ -532,10 +446,7 @@ void warmWorker(WarmSearch &S) {
       }
       // Neither child in range: the node is fathomed.
     }
-    S.chainDone();
   }
-  if (LocalNodes > 0)
-    met().NodesPerWorker.observe(static_cast<double>(LocalNodes));
 }
 
 //===----------------------------------------------------------------------===//
@@ -656,7 +567,7 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
   for (int Round = 0; Round < Opts.CutRounds; ++Round) {
     if (RS != RevisedStatus::Optimal)
       break;
-    if (fractionalCandidates(Engine->values(), IsInteger, Opts.IntTol)
+    if (fractionalCandidates(Engine->values(), IsInteger, IntTol)
             .empty())
       break;
     met().CutRounds.add();
@@ -707,7 +618,7 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
     Out.Objective = Engine->objective();
     Out.Values = Engine->values();
     Out.Integral =
-        fractionalCandidates(Out.Values, IsInteger, Opts.IntTol).empty();
+        fractionalCandidates(Out.Values, IsInteger, IntTol).empty();
   }
   return Out;
 }
@@ -720,7 +631,7 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
 /// volume least-count lattice makes the floor/ceil rounding exact).
 /// Tightens \p Lo / \p Up in place; returns how many bounds moved.
 int reducedCostTighten(const Basis &B, double RootBound, double IncBound,
-                       const std::vector<bool> &IsInteger, double IntTol,
+                       const std::vector<bool> &IsInteger,
                        std::vector<double> &Lo, std::vector<double> &Up) {
   const int N = static_cast<int>(Lo.size());
   if (B.RedCost.size() < static_cast<size_t>(N))
@@ -848,37 +759,26 @@ IntSolution solveIntegerWarm(const Model &M,
 
     WarmSearch S(Tree, IsInteger, Opts, PT);
     S.TimeOffset = Timer.seconds();
-    if (CutsOn && Opts.RestartNodes > 0 && Restarts < Opts.MaxRestarts)
+    if (CutsOn && Opts.RestartNodes > 0 && Restarts < MaxRestarts)
       S.NodeCap = Nodes + Opts.RestartNodes;
     if (HasInc) {
       S.HasInc = true;
       S.IncObjective = IncObj;
       S.IncValues = IncVals;
-      S.IncBound.store(IncBound, std::memory_order_relaxed);
+      S.IncBound = IncBound;
     }
 
     WarmNode RootNode;
     RootNode.Warm = RootWarm;
-    S.Pool.push(std::move(RootNode));
-    const int Threads = std::max(1, Opts.Threads);
-    if (Threads == 1) {
-      warmWorker(S);
-    } else {
-      std::vector<std::thread> Workers;
-      Workers.reserve(Threads);
-      for (int T = 0; T < Threads; ++T)
-        Workers.emplace_back([&S] { warmWorker(S); });
-      for (std::thread &T : Workers)
-        T.join();
-    }
+    S.run(std::move(RootNode));
 
-    Nodes += S.Nodes.load();
-    Pivots += S.Pivots.load();
+    Nodes += S.Nodes;
+    Pivots += S.Pivots;
     if (S.HasInc) {
       HasInc = true;
       IncObj = S.IncObjective;
       IncVals = std::move(S.IncValues);
-      IncBound = S.IncBound.load(std::memory_order_relaxed);
+      IncBound = S.IncBound;
     }
 
     if (S.Unbounded)
@@ -897,130 +797,8 @@ IntSolution solveIntegerWarm(const Model &M,
     met().Restarts.add();
     if (Root.Warm)
       reducedCostTighten(*Root.Warm, Sign * Root.Objective, IncBound,
-                         IsInteger, Opts.IntTol, Lo, Up);
+                         IsInteger, Lo, Up);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Dense (legacy) engine
-//===----------------------------------------------------------------------===//
-
-/// A pending subproblem: bound overrides on top of the root model.
-struct DenseNode {
-  std::vector<std::pair<VarId, double>> LowerOverrides;
-  std::vector<std::pair<VarId, double>> UpperOverrides;
-};
-
-IntSolution solveIntegerDense(const Model &M,
-                              const std::vector<bool> &IsInteger,
-                              const IntOptions &Opts) {
-  WallTimer Timer;
-  IntSolution Result;
-
-  // Maximization sign: incumbent comparisons use Sign*objective so that
-  // larger is always better internally.
-  double Sign = M.isMaximize() ? 1.0 : -1.0;
-  double Incumbent = -Infinity;
-
-  std::vector<DenseNode> Stack;
-  Stack.push_back(DenseNode{});
-  bool Exhausted = true;
-
-  while (!Stack.empty()) {
-    if (Opts.MaxNodes > 0 && Result.Nodes >= Opts.MaxNodes) {
-      Exhausted = false;
-      break;
-    }
-    if (Opts.TimeLimitSec > 0.0 && Timer.seconds() > Opts.TimeLimitSec) {
-      Exhausted = false;
-      break;
-    }
-
-    DenseNode N = std::move(Stack.back());
-    Stack.pop_back();
-    ++Result.Nodes;
-    met().Nodes.add();
-
-    Model Sub = M;
-    bool BadBounds = false;
-    for (auto &[V, L] : N.LowerOverrides) {
-      Sub.tightenLower(V, L);
-      if (Sub.var(V).Lower > Sub.var(V).Upper)
-        BadBounds = true;
-    }
-    for (auto &[V, U] : N.UpperOverrides) {
-      Sub.tightenUpper(V, U);
-      if (Sub.var(V).Lower > Sub.var(V).Upper)
-        BadBounds = true;
-    }
-    if (BadBounds)
-      continue;
-
-    SolverOptions LPOpts = Opts.LP;
-    if (Opts.TimeLimitSec > 0.0) {
-      double Remaining = Opts.TimeLimitSec - Timer.seconds();
-      if (LPOpts.Simplex.TimeLimitSec <= 0.0 ||
-          LPOpts.Simplex.TimeLimitSec > Remaining)
-        LPOpts.Simplex.TimeLimitSec = std::max(Remaining, 1e-3);
-    }
-    Solution Relax = solve(Sub, LPOpts);
-    Result.LpPivots += Relax.Iterations;
-    if (Relax.Status == SolveStatus::Infeasible)
-      continue;
-    if (Relax.Status == SolveStatus::Unbounded) {
-      Result.Status = SolveStatus::Unbounded;
-      Result.Seconds = Timer.seconds();
-      return Result;
-    }
-    if (Relax.Status != SolveStatus::Optimal) {
-      // Budget expired inside the LP; stop immediately instead of letting
-      // the loop header burn whatever budget remains on another node.
-      Exhausted = false;
-      break;
-    }
-
-    double Bound = Sign * Relax.Objective;
-    if (Bound <= Incumbent + tol::Prune) {
-      met().Pruned.add();
-      continue;
-    }
-
-    int BranchVar = pickBranchVar(Relax.Values, IsInteger, Opts.IntTol);
-    if (BranchVar < 0) {
-      // Integral: new incumbent.
-      Incumbent = Bound;
-      met().Incumbents.add();
-      Result.HasIncumbent = true;
-      Result.Objective = Relax.Objective;
-      Result.Values = Relax.Values;
-      // Snap to exact integers for reporting.
-      for (size_t I = 0; I < Result.Values.size(); ++I)
-        if (IsInteger[I])
-          Result.Values[I] = std::round(Result.Values[I]);
-      continue;
-    }
-
-    double Val = Relax.Values[BranchVar];
-    DenseNode Down = N, Up = N;
-    Down.UpperOverrides.push_back({BranchVar, std::floor(Val)});
-    Up.LowerOverrides.push_back({BranchVar, std::ceil(Val)});
-    // DFS: explore the branch nearest the LP value first.
-    if (Val - std::floor(Val) < 0.5) {
-      Stack.push_back(std::move(Up));
-      Stack.push_back(std::move(Down));
-    } else {
-      Stack.push_back(std::move(Down));
-      Stack.push_back(std::move(Up));
-    }
-  }
-
-  Result.Seconds = Timer.seconds();
-  if (Exhausted)
-    Result.Status =
-        Result.HasIncumbent ? SolveStatus::Optimal : SolveStatus::Infeasible;
-  else
-    Result.Status = SolveStatus::TimeLimit;
-  return Result;
 }
 
 } // namespace
@@ -1036,10 +814,7 @@ IntSolution aqua::lp::solveInteger(const Model &M,
   assert(static_cast<int>(IsInteger.size()) == M.numVars() &&
          "integrality mask size mismatch");
 
-  if (Opts.Engine == IntEngine::Dense)
-    return solveIntegerDense(M, IsInteger, Opts);
-
-  // The warm engine works on the unreduced model (native bound handling
+  // The search works on the unreduced model (native bound handling
   // replaces per-node presolve), but presolve's bound propagation proves
   // root infeasibility orders of magnitude faster than a phase-1 solve on
   // an enzyme-scale model -- run it once as a pure feasibility screen.

@@ -13,24 +13,6 @@
 using namespace aqua;
 using namespace aqua::lp;
 
-int aqua::lp::pickBranchVar(const std::vector<double> &Values,
-                            const std::vector<bool> &IsInteger, double Tol) {
-  assert(Values.size() == IsInteger.size() && "mask/value size mismatch");
-  int Best = -1;
-  double BestDist = Tol;
-  for (size_t I = 0; I < Values.size(); ++I) {
-    if (!IsInteger[I])
-      continue;
-    double Frac = Values[I] - std::floor(Values[I]);
-    double Dist = std::min(Frac, 1.0 - Frac);
-    if (Dist > BestDist) {
-      BestDist = Dist;
-      Best = static_cast<int>(I);
-    }
-  }
-  return Best;
-}
-
 std::vector<BranchCandidate>
 aqua::lp::fractionalCandidates(const std::vector<double> &Values,
                                const std::vector<bool> &IsInteger,
@@ -54,7 +36,6 @@ aqua::lp::fractionalCandidates(const std::vector<double> &Values,
 
 bool aqua::lp::PseudocostTable::record(int Var, bool Up, double PerUnit) {
   PerUnit = std::max(PerUnit, 0.0);
-  std::lock_guard<std::mutex> L(Mu);
   Entry &E = Tab[Var];
   Dir &D = Up ? E.UpD : E.DownD;
   Dir &G = Up ? GlobalUp : GlobalDown;
@@ -66,14 +47,8 @@ bool aqua::lp::PseudocostTable::record(int Var, bool Up, double PerUnit) {
   return First;
 }
 
-int aqua::lp::PseudocostTable::count(int Var, bool Up) const {
-  std::lock_guard<std::mutex> L(Mu);
+double aqua::lp::PseudocostTable::estimate(int Var, bool Up) const {
   const Entry &E = Tab[Var];
-  return Up ? E.UpD.Cnt : E.DownD.Cnt;
-}
-
-double aqua::lp::PseudocostTable::estimateLocked(const Entry &E,
-                                                bool Up) const {
   const Dir &D = Up ? E.UpD : E.DownD;
   if (D.Cnt > 0)
     return D.Sum / D.Cnt;
@@ -81,22 +56,9 @@ double aqua::lp::PseudocostTable::estimateLocked(const Entry &E,
   return G.Cnt > 0 ? G.Sum / G.Cnt : 0.0;
 }
 
-double aqua::lp::PseudocostTable::estimate(int Var, bool Up) const {
-  std::lock_guard<std::mutex> L(Mu);
-  return estimateLocked(Tab[Var], Up);
-}
-
 int aqua::lp::PseudocostTable::reliability(int Var) const {
-  std::lock_guard<std::mutex> L(Mu);
   const Entry &E = Tab[Var];
   return std::min(E.UpD.Cnt, E.DownD.Cnt);
-}
-
-void aqua::lp::PseudocostTable::estimates(int Var, double &UpEst,
-                                          double &DownEst) const {
-  std::lock_guard<std::mutex> L(Mu);
-  UpEst = estimateLocked(Tab[Var], true);
-  DownEst = estimateLocked(Tab[Var], false);
 }
 
 double aqua::lp::pseudocostScore(double UpEst, double DownEst, double Frac) {
@@ -104,26 +66,4 @@ double aqua::lp::pseudocostScore(double UpEst, double DownEst, double Frac) {
   const double UpGain = UpEst * (1.0 - Frac);
   const double DownGain = DownEst * Frac;
   return std::max(UpGain, Eps) * std::max(DownGain, Eps);
-}
-
-void aqua::lp::applyBoundPath(const std::vector<BoundChange> &Path,
-                              std::vector<double> &Lower,
-                              std::vector<double> &Upper) {
-  for (const BoundChange &C : Path) {
-    if (C.IsUpper)
-      Upper[C.Var] = C.Bound;
-    else
-      Lower[C.Var] = C.Bound;
-  }
-}
-
-void aqua::lp::undoBoundPath(const std::vector<BoundChange> &Path,
-                             const std::vector<double> &RootLower,
-                             const std::vector<double> &RootUpper,
-                             std::vector<double> &Lower,
-                             std::vector<double> &Upper) {
-  for (const BoundChange &C : Path) {
-    Lower[C.Var] = RootLower[C.Var];
-    Upper[C.Var] = RootUpper[C.Var];
-  }
 }

@@ -285,8 +285,6 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
         "lp.bb.numeric_fallbacks", "ilp.pseudocost_inits",
         "ilp.strong_branches", "ilp.restarts"})
     R.counter(Name);
-  R.histogram("lp.bb.nodes_per_worker",
-              {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000});
   R.histogram("lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
                                   3e-3, 1e-2, 3e-2, 1e-1});
 

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <thread>
 
 using namespace aqua;
 using namespace aqua::lp;
@@ -97,119 +99,96 @@ TEST(BranchAndBound, NodeBudgetReportsTimeLimit) {
 }
 
 // Property sweep: B&B must match exhaustive search on small integer boxes.
-class BnBRandomTest : public ::testing::TestWithParam<int> {};
+namespace {
 
-TEST_P(BnBRandomTest, MatchesExhaustiveSearch) {
-  SplitMix64 Rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
-  for (int Case = 0; Case < 25; ++Case) {
-    int N = static_cast<int>(Rng.nextInRange(2, 3));
-    Model M;
-    M.setMaximize(true);
-    std::vector<std::int64_t> Hi(N);
-    for (int I = 0; I < N; ++I) {
-      Hi[I] = Rng.nextInRange(1, 4);
-      M.addVar("x" + std::to_string(I), 0.0, static_cast<double>(Hi[I]),
-               static_cast<double>(Rng.nextInRange(-3, 4)));
+/// A random box model: 2..MaxN variables in [0, 1..MaxHi] with objective
+/// coefficients in [-3, 4], and 1..3 random LE/GE rows with coefficients in
+/// [-2, 3]. With RandomSense the direction is drawn too, else maximize.
+Model randomBoxModel(SplitMix64 &Rng, int MaxN, int MaxHi, bool RandomSense) {
+  int N = static_cast<int>(Rng.nextInRange(2, MaxN));
+  Model M;
+  M.setMaximize(RandomSense ? Rng.nextInRange(0, 1) == 1 : true);
+  for (int I = 0; I < N; ++I) {
+    double Hi = static_cast<double>(Rng.nextInRange(1, MaxHi));
+    double Obj = static_cast<double>(Rng.nextInRange(-3, 4));
+    M.addVar("x" + std::to_string(I), 0.0, Hi, Obj);
+  }
+  int R = static_cast<int>(Rng.nextInRange(1, 3));
+  for (int I = 0; I < R; ++I) {
+    std::vector<Term> Terms;
+    for (int V = 0; V < N; ++V) {
+      double C = static_cast<double>(Rng.nextInRange(-2, 3));
+      if (C != 0.0)
+        Terms.push_back(Term{V, C});
     }
-    int R = static_cast<int>(Rng.nextInRange(1, 3));
-    for (int I = 0; I < R; ++I) {
-      std::vector<Term> Terms;
-      for (int V = 0; V < N; ++V) {
-        double C = static_cast<double>(Rng.nextInRange(-2, 3));
-        if (C != 0.0)
-          Terms.push_back(Term{V, C});
+    if (Terms.empty())
+      continue;
+    RowKind Kind = Rng.nextInRange(0, 1) ? RowKind::LE : RowKind::GE;
+    double Rhs = static_cast<double>(Rng.nextInRange(-4, 8));
+    M.addRow("r" + std::to_string(I), Kind, Rhs, std::move(Terms));
+  }
+  return M;
+}
+
+/// Solves \p M with and without root cuts (without, the tree search does
+/// the work) and compares against enumerating every integer point of its
+/// box: same verdict, same optimum in M's direction, a feasible answer.
+void expectMatchesEnumeration(const Model &M) {
+  const int N = M.numVars();
+  std::optional<double> Best;
+  std::vector<double> Point(N, 0.0);
+  auto Enumerate = [&](auto &&Self, int V) -> void {
+    if (V == N) {
+      if (M.maxViolation(Point) <= 1e-9) {
+        double Obj = M.objectiveValue(Point);
+        if (!Best || (M.isMaximize() ? Obj > *Best : Obj < *Best))
+          Best = Obj;
       }
-      if (Terms.empty())
-        continue;
-      M.addRow("r" + std::to_string(I),
-               Rng.nextInRange(0, 1) ? RowKind::LE : RowKind::GE,
-               static_cast<double>(Rng.nextInRange(-4, 8)),
-               std::move(Terms));
+      return;
     }
+    for (double X = 0.0; X <= M.var(V).Upper; X += 1.0) {
+      Point[V] = X;
+      Self(Self, V + 1);
+    }
+  };
+  Enumerate(Enumerate, 0);
 
-    // Exhaustive search over the integer box.
-    std::optional<double> Best;
-    std::vector<double> Point(N, 0.0);
-    auto Enumerate = [&](auto &&Self, int V) -> void {
-      if (V == N) {
-        if (M.maxViolation(Point) <= 1e-9) {
-          double Obj = M.objectiveValue(Point);
-          if (!Best || Obj > *Best)
-            Best = Obj;
-        }
-        return;
-      }
-      for (std::int64_t X = 0; X <= Hi[V]; ++X) {
-        Point[V] = static_cast<double>(X);
-        Self(Self, V + 1);
-      }
-    };
-    Enumerate(Enumerate, 0);
-
-    IntSolution S = solveInteger(M, {});
+  for (int CutRounds : {IntOptions{}.CutRounds, 0}) {
+    IntOptions Opts;
+    Opts.CutRounds = CutRounds;
+    IntSolution S = solveInteger(M, {}, Opts);
     if (Best) {
       ASSERT_EQ(S.Status, SolveStatus::Optimal) << M.str();
       EXPECT_NEAR(S.Objective, *Best, 1e-6) << M.str();
-      EXPECT_LE(M.maxViolation(S.Values), 1e-6);
+      EXPECT_LE(M.maxViolation(S.Values), 1e-6) << M.str();
     } else {
       EXPECT_EQ(S.Status, SolveStatus::Infeasible) << M.str();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BnBRandomTest, ::testing::Range(0, 6));
+} // namespace
 
-// Engine-equivalence sweep: the warm bound-delta engine and the legacy
-// dense-copy engine are interchangeable oracles for each other.
-class BnBEngineEquivalenceTest : public ::testing::TestWithParam<int> {};
+class BnBRandomTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(BnBEngineEquivalenceTest, WarmMatchesDenseOnRandomModels) {
-  SplitMix64 Rng(static_cast<std::uint64_t>(GetParam()) * 48271 + 11);
-  for (int Case = 0; Case < 20; ++Case) {
-    int N = static_cast<int>(Rng.nextInRange(2, 4));
-    Model M;
-    M.setMaximize(Rng.nextInRange(0, 1) == 1);
-    for (int I = 0; I < N; ++I)
-      M.addVar("x" + std::to_string(I), 0.0,
-               static_cast<double>(Rng.nextInRange(1, 5)),
-               static_cast<double>(Rng.nextInRange(-3, 4)));
-    int R = static_cast<int>(Rng.nextInRange(1, 3));
-    for (int I = 0; I < R; ++I) {
-      std::vector<Term> Terms;
-      for (int V = 0; V < N; ++V) {
-        double C = static_cast<double>(Rng.nextInRange(-2, 3));
-        if (C != 0.0)
-          Terms.push_back(Term{V, C});
-      }
-      if (Terms.empty())
-        continue;
-      M.addRow("r" + std::to_string(I),
-               Rng.nextInRange(0, 1) ? RowKind::LE : RowKind::GE,
-               static_cast<double>(Rng.nextInRange(-4, 8)),
-               std::move(Terms));
-    }
-
-    IntOptions WarmOpts;
-    WarmOpts.Engine = IntEngine::Warm;
-    IntOptions DenseOpts;
-    DenseOpts.Engine = IntEngine::Dense;
-    IntSolution W = solveInteger(M, {}, WarmOpts);
-    IntSolution D = solveInteger(M, {}, DenseOpts);
-
-    ASSERT_EQ(W.Status, D.Status) << M.str();
-    if (W.Status == SolveStatus::Optimal) {
-      EXPECT_NEAR(W.Objective, D.Objective, 1e-6) << M.str();
-      EXPECT_LE(M.maxViolation(W.Values), 1e-6) << M.str();
-    }
-  }
+TEST_P(BnBRandomTest, MatchesExhaustiveSearch) {
+  const auto Seed = static_cast<std::uint64_t>(GetParam());
+  // Maximization over boxes up to 3 variables of width 4.
+  SplitMix64 Rng(Seed * 104729 + 3);
+  for (int Case = 0; Case < 25; ++Case)
+    expectMatchesEnumeration(randomBoxModel(Rng, 3, 4, false));
+  // Either direction over boxes up to 4 variables of width 5.
+  SplitMix64 Mixed(Seed * 48271 + 11);
+  for (int Case = 0; Case < 20; ++Case)
+    expectMatchesEnumeration(randomBoxModel(Mixed, 4, 5, true));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BnBEngineEquivalenceTest,
-                         ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(Seeds, BnBRandomTest, ::testing::Range(0, 6));
 
-TEST(BranchAndBound, ParallelMatchesSerialObjective) {
-  // A model with enough branching to occupy several workers; the parallel
-  // search may explore a different tree but must return the same optimum.
+TEST(BranchAndBound, ConcurrentSolvesAgree) {
+  // Separate solves share only the metrics registry and the solver's
+  // static instruments: four at once on one Model must each return what
+  // a lone solve returns, down to the node and pivot counts.
   Model M;
   M.setMaximize(true);
   const int N = 6;
@@ -222,21 +201,22 @@ TEST(BranchAndBound, ParallelMatchesSerialObjective) {
            {{2, 3.0}, {3, 1.0}, {4, 2.0}, {5, 5.0}});
   M.addRow("mix", RowKind::GE, 4.0, {{0, 1.0}, {4, 1.0}, {5, 1.0}});
 
-  IntOptions Serial;
-  Serial.Threads = 1;
-  IntOptions Parallel;
-  Parallel.Threads = 4;
-  IntSolution S1 = solveInteger(M, {}, Serial);
-  IntSolution S4 = solveInteger(M, {}, Parallel);
+  std::vector<IntSolution> Out(4);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Out.size(); ++T)
+    Threads.emplace_back([&M, &Out, T] { Out[T] = solveInteger(M, {}); });
+  for (std::thread &T : Threads)
+    T.join();
+  IntSolution Lone = solveInteger(M, {});
 
-  ASSERT_EQ(S1.Status, SolveStatus::Optimal);
-  ASSERT_EQ(S4.Status, SolveStatus::Optimal);
-  EXPECT_NEAR(S1.Objective, S4.Objective, 1e-9);
-  // Deterministic incumbent: the lexicographic tie-break makes the values
-  // themselves reproducible, not just the objective.
-  ASSERT_EQ(S1.Values.size(), S4.Values.size());
-  for (size_t I = 0; I < S1.Values.size(); ++I)
-    EXPECT_NEAR(S1.Values[I], S4.Values[I], 1e-9) << "var " << I;
+  ASSERT_EQ(Lone.Status, SolveStatus::Optimal);
+  for (const IntSolution &S : Out) {
+    ASSERT_EQ(S.Status, SolveStatus::Optimal);
+    EXPECT_EQ(S.Objective, Lone.Objective);
+    EXPECT_EQ(S.Values, Lone.Values);
+    EXPECT_EQ(S.Nodes, Lone.Nodes);
+    EXPECT_EQ(S.LpPivots, Lone.LpPivots);
+  }
 }
 
 TEST(BranchAndBound, ReportsLpPivotTelemetry) {

@@ -4,150 +4,91 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The pure-logic branching pieces: branch-variable selection and the
-// bound-delta path representation branch-and-bound nodes carry instead of
-// Model copies.
+// The pure-logic branching pieces: branch-candidate selection, most
+// fractional first.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/lp/Branching.h"
-#include "aqua/support/Random.h"
 
 #include <gtest/gtest.h>
 
 using namespace aqua;
 using namespace aqua::lp;
 
-TEST(PickBranchVar, AllIntegralReturnsMinusOne) {
-  std::vector<double> Values = {1.0, 2.0, -3.0, 0.0};
-  std::vector<bool> IsInteger = {true, true, true, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), -1);
+namespace {
+
+/// The candidate variables of fractionalCandidates, in order.
+std::vector<int> candidateVars(const std::vector<double> &Values,
+                               const std::vector<bool> &IsInteger,
+                               double Tol) {
+  std::vector<int> Vars;
+  for (const BranchCandidate &C : fractionalCandidates(Values, IsInteger, Tol))
+    Vars.push_back(C.Var);
+  return Vars;
 }
 
-TEST(PickBranchVar, NearIntegralWithinTolReturnsMinusOne) {
+} // namespace
+
+TEST(FractionalCandidates, AllIntegralIsEmpty) {
+  std::vector<double> Values = {1.0, 2.0, -3.0, 0.0};
+  std::vector<bool> IsInteger = {true, true, true, true};
+  EXPECT_TRUE(fractionalCandidates(Values, IsInteger, 1e-6).empty());
+}
+
+TEST(FractionalCandidates, NearIntegralWithinTolIsEmpty) {
   // Each value is within Tol of an integer, on both sides.
   std::vector<double> Values = {2.0 + 5e-7, 3.0 - 5e-7};
   std::vector<bool> IsInteger = {true, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), -1);
+  EXPECT_TRUE(fractionalCandidates(Values, IsInteger, 1e-6).empty());
 }
 
-TEST(PickBranchVar, MostFractionalWins) {
+TEST(FractionalCandidates, MostFractionalComesFirst) {
   std::vector<double> Values = {1.1, 2.5, 3.9};
   std::vector<bool> IsInteger = {true, true, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), 1);
+  std::vector<BranchCandidate> C =
+      fractionalCandidates(Values, IsInteger, 1e-6);
+  ASSERT_EQ(C.size(), 3u);
+  EXPECT_EQ(C[0].Var, 1);
+  EXPECT_DOUBLE_EQ(C[0].Frac, 0.5);
 }
 
-TEST(PickBranchVar, TiesBreakTowardLowestIndex) {
-  // 1.5 and 7.5 are equally fractional; the first must win.
+TEST(FractionalCandidates, TiesBreakTowardLowestIndex) {
+  // 1.5 and 7.5 are equally fractional; the first must lead.
   std::vector<double> Values = {2.0, 1.5, 7.5};
   std::vector<bool> IsInteger = {true, true, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), 1);
+  EXPECT_EQ(candidateVars(Values, IsInteger, 1e-6), (std::vector<int>{1, 2}));
 }
 
-TEST(PickBranchVar, DistanceExactlyTolIsNotSelected) {
-  // Selection requires Dist strictly greater than Tol: a variable sitting
-  // exactly Tol away from an integer counts as integral.
+TEST(FractionalCandidates, DistanceExactlyTolIsNotSelected) {
+  // Selection requires a distance strictly greater than Tol: a variable
+  // sitting exactly Tol away from an integer counts as integral.
   const double Tol = 0.25;
   std::vector<double> Values = {4.25};
   std::vector<bool> IsInteger = {true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, Tol), -1);
+  EXPECT_TRUE(fractionalCandidates(Values, IsInteger, Tol).empty());
   // Nudge past the tolerance and it becomes branchable.
   Values[0] = 4.26;
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, Tol), 0);
+  EXPECT_EQ(candidateVars(Values, IsInteger, Tol), (std::vector<int>{0}));
 }
 
-TEST(PickBranchVar, ContinuousColumnsAreIgnored) {
+TEST(FractionalCandidates, ContinuousColumnsAreIgnored) {
   std::vector<double> Values = {0.5, 0.4};
   std::vector<bool> IsInteger = {false, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), 1);
+  EXPECT_EQ(candidateVars(Values, IsInteger, 1e-6), (std::vector<int>{1}));
   IsInteger[1] = false;
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), -1);
+  EXPECT_TRUE(fractionalCandidates(Values, IsInteger, 1e-6).empty());
 }
 
-TEST(PickBranchVar, NegativeValuesUseFractionalPart) {
-  // -2.5 has fractional distance 0.5, the maximum.
+TEST(FractionalCandidates, NegativeValuesUseFractionalPart) {
+  // -2.5 has fractional distance 0.5, the maximum; -2.1's fractional part
+  // is 0.9, distance 0.1.
   std::vector<double> Values = {-2.1, -2.5};
   std::vector<bool> IsInteger = {true, true};
-  EXPECT_EQ(pickBranchVar(Values, IsInteger, 1e-6), 1);
-}
-
-TEST(BoundPath, ApplyWritesTighterBounds) {
-  std::vector<double> Lower = {0.0, 0.0, 0.0};
-  std::vector<double> Upper = {10.0, 10.0, 10.0};
-  std::vector<BoundChange> Path = {
-      {0, /*IsUpper=*/true, 4.0},
-      {2, /*IsUpper=*/false, 3.0},
-  };
-  applyBoundPath(Path, Lower, Upper);
-  EXPECT_EQ(Upper[0], 4.0);
-  EXPECT_EQ(Lower[2], 3.0);
-  EXPECT_EQ(Lower[0], 0.0);
-  EXPECT_EQ(Upper[2], 10.0);
-  EXPECT_EQ(Lower[1], 0.0);
-  EXPECT_EQ(Upper[1], 10.0);
-}
-
-TEST(BoundPath, LaterEntriesForSameVarOverride) {
-  // Paths only ever tighten, so plain assignment in order must leave the
-  // deepest (last) bound in place.
-  std::vector<double> Lower = {0.0};
-  std::vector<double> Upper = {10.0};
-  std::vector<BoundChange> Path = {
-      {0, true, 7.0},
-      {0, true, 4.0},
-      {0, true, 2.0},
-  };
-  applyBoundPath(Path, Lower, Upper);
-  EXPECT_EQ(Upper[0], 2.0);
-}
-
-TEST(BoundPath, ApplyThenUndoRoundTripsRandomPaths) {
-  SplitMix64 Rng(0xB0D5);
-  for (int Case = 0; Case < 50; ++Case) {
-    int N = static_cast<int>(Rng.nextInRange(1, 8));
-    std::vector<double> RootLower(N), RootUpper(N);
-    for (int I = 0; I < N; ++I) {
-      RootLower[I] = static_cast<double>(Rng.nextInRange(-5, 0));
-      RootUpper[I] = RootLower[I] + static_cast<double>(Rng.nextInRange(1, 12));
-    }
-    std::vector<double> Lower = RootLower, Upper = RootUpper;
-
-    // A random root-relative path of tightenings, possibly revisiting the
-    // same variable several times.
-    std::vector<BoundChange> Path;
-    int Len = static_cast<int>(Rng.nextInRange(0, 10));
-    for (int I = 0; I < Len; ++I) {
-      BoundChange C;
-      C.Var = static_cast<VarId>(Rng.nextInRange(0, N - 1));
-      C.IsUpper = Rng.nextInRange(0, 1) == 1;
-      if (C.IsUpper)
-        C.Bound = Upper[C.Var] - 1.0;
-      else
-        C.Bound = Lower[C.Var] + 1.0;
-      Path.push_back(C);
-      applyBoundPath({C}, Lower, Upper);
-    }
-
-    // Re-applying the whole path from the root reproduces the same state.
-    std::vector<double> Lower2 = RootLower, Upper2 = RootUpper;
-    applyBoundPath(Path, Lower2, Upper2);
-    EXPECT_EQ(Lower, Lower2);
-    EXPECT_EQ(Upper, Upper2);
-
-    // Undo restores the root exactly (bitwise: only assignments involved).
-    undoBoundPath(Path, RootLower, RootUpper, Lower, Upper);
-    EXPECT_EQ(Lower, RootLower);
-    EXPECT_EQ(Upper, RootUpper);
-  }
-}
-
-TEST(BoundPath, UndoTouchesOnlyPathVariables) {
-  std::vector<double> RootLower = {0.0, 0.0};
-  std::vector<double> RootUpper = {9.0, 9.0};
-  std::vector<double> Lower = {0.0, 5.0}; // Var 1 modified out of band.
-  std::vector<double> Upper = {3.0, 9.0}; // Var 0 on the path.
-  std::vector<BoundChange> Path = {{0, true, 3.0}};
-  undoBoundPath(Path, RootLower, RootUpper, Lower, Upper);
-  EXPECT_EQ(Upper[0], 9.0); // Restored.
-  EXPECT_EQ(Lower[1], 5.0); // Untouched: not on the path.
+  std::vector<BranchCandidate> C =
+      fractionalCandidates(Values, IsInteger, 1e-6);
+  ASSERT_EQ(C.size(), 2u);
+  EXPECT_EQ(C[0].Var, 1);
+  EXPECT_EQ(C[1].Var, 0);
+  EXPECT_NEAR(C[1].Frac, 0.9, 1e-12);
 }

@@ -247,7 +247,6 @@ TEST(CutAndBranch, RestartsPreserveTheOptimum) {
   NoRestart.RestartNodes = 0;
   IntOptions Eager;
   Eager.RestartNodes = 4; // Force restarts through the incumbent path.
-  Eager.MaxRestarts = 2;
   IntSolution A = solveInteger(M, {}, NoRestart);
   IntSolution B = solveInteger(M, {}, Eager);
   ASSERT_EQ(A.Status, SolveStatus::Optimal);
