@@ -11,11 +11,10 @@
 //                         1/2/4/8 client threads hammer compileNow on the
 //                         warm keys. Every request must be an L1 hit (hard
 //                         gate: zero misses) served by the shard-locked
-//                         LRU with the front-end memo engaged. Every
-//                         request carries the same graph object, which
-//                         the memo keys by identity, so all threads take
-//                         one memo shard mutex: this phase cannot show
-//                         L1 concurrency (source_hit can). The
+//                         LRU with the front-end memo engaged. Each key
+//                         has its own graph object (shared by every
+//                         thread), which the memo keys by identity, so
+//                         the hits spread over the memo shards. The
 //                         timing gate asks for 8T/1T throughput scaling
 //                         against a hardware-aware target (3x on >= 4
 //                         cores; see DESIGN 12.5 for the re-basing rule) --
@@ -260,10 +259,12 @@ bool pureHits(const HammerResult &H, std::uint64_t Total, const char *Phase,
 int main() {
   const int Slots = 16;
   const unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
-  auto Graph = buildLpBoundAssay(420);
+  // One graph object per key, shared by every thread: the front-end memo
+  // keys graph requests by object identity, so distinct objects spread
+  // the hits over its shards the way distinct source texts do.
   std::vector<service::CompileRequest> Requests;
   for (int I = 0; I < Slots; ++I)
-    Requests.push_back(sweepRequest(Graph, I));
+    Requests.push_back(sweepRequest(buildLpBoundAssay(420), I));
 
   JsonReporter Json("service_hitpath");
   header("Read-path throughput: L1 hits and the mmap'd L2 index");

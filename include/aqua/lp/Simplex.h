@@ -54,9 +54,6 @@ enum class LpPricing {
   /// Maintained reduced costs scored by devex reference weights; the
   /// production default.
   Devex,
-  /// Maintained reduced costs, largest-|d| selection (classic Dantzig,
-  /// without the per-iteration full pricing scan).
-  Dantzig,
   /// Lowest-index eligible column from the first pivot on. Guarantees
   /// termination on cycling-prone instances; slow. The engine falls back
   /// to this rule automatically after a degenerate stall regardless of

@@ -56,6 +56,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -152,9 +153,6 @@ struct ServiceOptions {
   /// push the queue past this is shed with ShedReason::QueueFull. 0 means
   /// unbounded (no admission control).
   std::size_t MaxQueueDepth = 0;
-  /// Start with the workers paused (see pause()). For tests that need a
-  /// deterministically full queue.
-  bool StartPaused = false;
   /// Warm-miss basis reuse: a cache miss whose *structure* key (the
   /// request fingerprint with MaxCapacityNl / PinnedVolumeNl masked, see
   /// RequestKey.h) matches an earlier artifact hands that artifact's
@@ -196,39 +194,6 @@ struct ServiceStats {
   std::string str() const;
 };
 
-/// The drain side of a batched submit (see
-/// CompileService::submitBatchDrained): one handle for a whole batch.
-/// Workers deposit responses into pre-sized slots lock-free (each request
-/// owns a distinct slot) and only the *final* completion takes the mutex
-/// and signals -- collecting N responses costs one wakeup instead of N
-/// promise/future handoffs, which is what serialized the hit path at high
-/// request rates.
-class ResponseBatch {
-public:
-  ResponseBatch() = default;
-
-  /// Blocks until every request in the batch has completed (or was shed)
-  /// and returns the responses in request order. Call at most once; a
-  /// default-constructed or already-taken handle returns empty.
-  std::vector<CompileResponse> take();
-
-  /// Number of requests in the batch.
-  std::size_t size() const { return S ? S->Responses.size() : 0; }
-
-private:
-  friend class CompileService;
-  struct State {
-    std::vector<CompileResponse> Responses;
-    /// Requests not yet completed. The last worker to decrement (1 -> 0)
-    /// passes through the mutex and notifies; its acq_rel decrement makes
-    /// every slot write visible to the waiter's acquire load.
-    std::atomic<std::size_t> Remaining{0};
-    std::mutex Mutex;
-    std::condition_variable CV;
-  };
-  std::shared_ptr<State> S;
-};
-
 /// The concurrent assay-compilation service.
 class CompileService {
 public:
@@ -242,21 +207,9 @@ public:
   /// Under admission control the future may already hold a shed response.
   std::future<CompileResponse> submit(CompileRequest Request);
 
-  /// Enqueues a whole batch without blocking; one future per request, in
-  /// request order. The batch endpoint: one lock acquisition and one
-  /// wakeup for the lot. Admission control applies per request.
-  std::vector<std::future<CompileResponse>>
-  submitBatch(std::vector<CompileRequest> Batch);
-
-  /// Enqueues a whole batch and returns one drain handle instead of N
-  /// futures: workers write responses into pre-sized slots and only the
-  /// last completion signals, so the response side costs one wakeup for
-  /// the lot (the submit side already costs one lock + one wakeup).
-  /// Admission control applies per request, exactly as in submitBatch.
-  ResponseBatch submitBatchDrained(std::vector<CompileRequest> Batch);
-
-  /// Enqueues a whole batch and blocks until every request is done.
-  /// Responses are in request order. Implemented on the batched drain.
+  /// Enqueues a whole batch (one lock acquisition and one wakeup for the
+  /// lot) and blocks until every request is done. Responses are in
+  /// request order; admission control applies per request.
   std::vector<CompileResponse> compileBatch(std::vector<CompileRequest> Batch);
 
   /// Runs one request synchronously on the calling thread (still goes
@@ -265,7 +218,8 @@ public:
 
   /// Stops workers from dequeueing (in-flight requests finish). Submits
   /// still enqueue -- with admission control they shed past the budget,
-  /// which is how tests build a deterministically full queue.
+  /// which is how tests build a deterministically full queue (pause right
+  /// after construction, while the queue is still empty).
   void pause();
   /// Resumes dequeueing.
   void resume();
@@ -288,10 +242,6 @@ private:
   struct Job {
     CompileRequest Request;
     std::promise<CompileResponse> Promise;
-    /// When set, the response goes into Batch->Responses[BatchIndex] with
-    /// the batched-countdown protocol instead of through Promise.
-    std::shared_ptr<ResponseBatch::State> Batch;
-    std::size_t BatchIndex = 0;
     /// Trace-epoch submit time (obs::Tracer::nowMicros); the worker that
     /// dequeues the job turns it into the queue-wait histogram.
     std::uint64_t EnqueueMicros = 0;
@@ -304,9 +254,14 @@ private:
   };
 
   void workerLoop();
-  /// Delivers \p R for \p J: a slot write + countdown for batched jobs, a
-  /// promise fulfilment otherwise.
-  static void finishJob(Job &J, CompileResponse &&R);
+  /// The one way into the queue. Under one QueueMutex hold it assigns
+  /// trace ids, applies queue-depth admission (HighPriority bypasses it
+  /// and goes to the front), begins each admitted request's flow arc and
+  /// sets the queue-depth gauge; then it wakes parked workers. Returns one
+  /// future per request, in request order; a shed request's future is
+  /// already ready.
+  std::vector<std::future<CompileResponse>>
+  enqueue(std::span<CompileRequest> Requests);
   /// What the front end makes of a request: the lowered graph and its
   /// canonical form, or (both null) the lowering error.
   struct FrontEnd {
@@ -342,9 +297,11 @@ private:
   /// structure key.
   void publishDonor(const ir::Fingerprint &StructKey,
                     const CompileArtifact &Artifact);
-  /// Builds the rejection response for a shed request.
-  static CompileResponse shedResponse(const CompileRequest &Request,
-                                      ShedReason Reason);
+  /// Sheds \p Request for \p Reason: counts it in ServiceStats and the
+  /// service.shed_* metrics, records its digest and returns the rejection
+  /// response. \p QueueWaitSec is how long it waited before the decision.
+  CompileResponse shed(const CompileRequest &Request, ShedReason Reason,
+                       double QueueWaitSec);
 
   ServiceOptions Options;
   SolveCache Cache;

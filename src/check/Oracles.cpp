@@ -577,12 +577,15 @@ private:
       lp::IntOptions Base;
       Base.MaxNodes = Opts.IlpMaxNodes;
       Base.TimeLimitSec = Opts.IlpTimeLimitSec;
+      Base.RestartNodes = 0;
       lp::IntOptions NoCuts = Base;
       NoCuts.CutRounds = 0;
       lp::IntOptions NoPseudo = Base;
       NoPseudo.Reliable = 0; // Plain most-fractional branching.
-      lp::IntOptions NoRestart = Base;
-      NoRestart.RestartNodes = 0;
+      // The reference runs without restarts; this side restarts every 4
+      // nodes once it holds an incumbent.
+      lp::IntOptions Restart = Base;
+      Restart.RestartNodes = 4;
 
       lp::IntSolution Ref = lp::solveInteger(FI.Model, {}, Base);
       auto Agree = [&](const lp::IntOptions &O, const char *What) {
@@ -606,7 +609,7 @@ private:
       };
       Agree(NoCuts, "disabling root cuts");
       Agree(NoPseudo, "disabling pseudocost branching");
-      Agree(NoRestart, "disabling cut-and-branch restarts");
+      Agree(Restart, "cut-and-branch restarts");
     }
 
     // Warm-miss repair: a basis captured on the RVol LP, replayed against

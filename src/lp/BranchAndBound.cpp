@@ -129,13 +129,15 @@ struct WarmSearch {
 
   /// Pseudocost table shared with the caller (it survives restarts).
   PseudocostTable &PT;
-  /// Internal node budget for cut-and-branch restarts; 0 disables. Only
-  /// trips once an incumbent exists -- restarting without one has nothing
-  /// to tighten with.
+  /// Internal node budget for cut-and-branch restarts, counted in this
+  /// search's own nodes; 0 disables. Only trips once an incumbent exists
+  /// -- restarting without one has nothing to tighten with.
   std::int64_t NodeCap = 0;
-  /// Wall-clock seconds already spent (root cutting, earlier restarts)
-  /// before this search started; budget checks add it to Timer.
+  /// Wall-clock seconds and nodes already spent (root cutting, earlier
+  /// restarts) before this search started; budget checks add them to
+  /// Timer and Nodes, so the budgets bound the whole solve.
   double TimeOffset = 0.0;
+  std::int64_t NodeOffset = 0;
 
   std::int64_t Nodes = 0;
   std::int64_t Pivots = 0;
@@ -155,7 +157,7 @@ struct WarmSearch {
   double elapsed() { return TimeOffset + Timer.seconds(); }
 
   bool overBudget() {
-    if (Opts.MaxNodes > 0 && Nodes >= Opts.MaxNodes)
+    if (Opts.MaxNodes > 0 && NodeOffset + Nodes >= Opts.MaxNodes)
       return true;
     if (Opts.TimeLimitSec > 0.0 && elapsed() > Opts.TimeLimitSec)
       return true;
@@ -759,8 +761,9 @@ IntSolution solveIntegerWarm(const Model &M,
 
     WarmSearch S(Tree, IsInteger, Opts, PT);
     S.TimeOffset = Timer.seconds();
+    S.NodeOffset = Nodes;
     if (CutsOn && Opts.RestartNodes > 0 && Restarts < MaxRestarts)
-      S.NodeCap = Nodes + Opts.RestartNodes;
+      S.NodeCap = Opts.RestartNodes;
     if (HasInc) {
       S.HasInc = true;
       S.IncObjective = IncObj;
@@ -791,8 +794,9 @@ IntSolution solveIntegerWarm(const Model &M,
 
     // Node cap tripped with an incumbent in hand: tighten what the root's
     // reduced costs allow, re-cut, and restart the search (incumbent and
-    // pseudocosts carry over; the node counter does too, so each restart
-    // gets RestartNodes fresh nodes).
+    // pseudocosts carry over; the node counter does too, so MaxNodes
+    // bounds the whole solve and each restart gets at most RestartNodes
+    // fresh nodes).
     ++Restarts;
     met().Restarts.add();
     if (Root.Warm)

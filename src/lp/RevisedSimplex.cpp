@@ -110,8 +110,6 @@ const char *aqua::lp::lpPricingName(LpPricing P) {
   switch (P) {
   case LpPricing::Devex:
     return "devex";
-  case LpPricing::Dantzig:
-    return "dantzig";
   case LpPricing::Bland:
     return "bland";
   }
@@ -589,7 +587,6 @@ struct Budget {
 
 RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
   Budget B(Opts, NumRows, NumCols);
-  const bool Devex = Opts.Pricing == LpPricing::Devex;
   bool UseBland = Opts.Pricing == LpPricing::Bland;
   int StallCount = 0;
   int RepairStreak = 0;
@@ -780,7 +777,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
         EnterDir = Dir;
         break;
       }
-      double Score = Devex ? D * D / DevexW[C] : std::fabs(D);
+      double Score = D * D / DevexW[C];
       if (Score > BestScore) {
         BestScore = Score;
         Enter = C;
@@ -952,12 +949,10 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
           continue;
         if (C != Enter)
           PrimalD[C] -= Theta * AlphaR[C];
-        if (Devex) {
-          double Rq = AlphaR[C] / PivA;
-          double Cand = Rq * Rq * WEnter;
-          if (Cand > DevexW[C])
-            DevexW[C] = Cand;
-        }
+        double Rq = AlphaR[C] / PivA;
+        double Cand = Rq * Rq * WEnter;
+        if (Cand > DevexW[C])
+          DevexW[C] = Cand;
       }
 
       applyPivot(LeaveRow, Enter, W, PatW);
@@ -966,8 +961,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       XB[LeaveRow] = EnterVal;
       PrimalD[Enter] = 0.0;
       PrimalD[LeaveCol] = -Theta;
-      if (Devex)
-        DevexW[LeaveCol] = std::max(WEnter / (PivA * PivA), 1.0);
+      DevexW[LeaveCol] = std::max(WEnter / (PivA * PivA), 1.0);
 
       if (Phase1) {
         // The leaving column's own phase-1 cost drops from its old state
@@ -1164,7 +1158,6 @@ RevisedStatus RevisedSimplex::reoptimizeDual(const Basis &Start,
 RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
                                    bool ReuseDualState) {
   Budget B(Opts, NumRows, NumCols);
-  const bool Devex = Opts.Pricing == LpPricing::Devex;
   std::vector<double> CostB(NumRows, 0.0);
   std::vector<double> &Y = WorkY;
   std::vector<double> &W = WorkW;
@@ -1309,12 +1302,10 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
         continue;
       if (C != Enter)
         RedCost[C] -= Theta * AlphaR[C];
-      if (Devex) {
-        double Rq = AlphaR[C] / PivA;
-        double Cand = Rq * Rq * WEnter;
-        if (Cand > DevexW[C])
-          DevexW[C] = Cand;
-      }
+      double Rq = AlphaR[C] / PivA;
+      double Cand = Rq * Rq * WEnter;
+      if (Cand > DevexW[C])
+        DevexW[C] = Cand;
     }
 
     applyPivot(LeaveRow, Enter, W, PatW);
@@ -1322,8 +1313,7 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
     XB[LeaveRow] = EnterVal;
     RedCost[Enter] = 0.0;
     RedCost[LeaveCol] = -Theta;
-    if (Devex)
-      DevexW[LeaveCol] = std::max(WEnter / (PivA * PivA), 1.0);
+    DevexW[LeaveCol] = std::max(WEnter / (PivA * PivA), 1.0);
     LastNonbasic[LeaveCol] = VOut;
     ++Iterations;
     met().Pivots.add();

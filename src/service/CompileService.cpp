@@ -102,7 +102,7 @@ std::string ServiceStats::str() const {
 }
 
 CompileService::CompileService(const ServiceOptions &Options)
-    : Options(Options), Cache(Options.Cache), Paused(Options.StartPaused) {
+    : Options(Options), Cache(Options.Cache) {
   if (!Options.StoreDir.empty()) {
     auto Opened = store::SolveStore::open(
         Options.StoreDir, Options.Store,
@@ -136,13 +136,22 @@ CompileService::~CompileService() {
     W.join();
 }
 
-CompileResponse CompileService::shedResponse(const CompileRequest &Request,
-                                             ShedReason Reason) {
+CompileResponse CompileService::shed(const CompileRequest &Request,
+                                     ShedReason Reason, double QueueWaitSec) {
+  if (Reason == ShedReason::QueueFull) {
+    ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
+    met().ShedQueueFull.add();
+  } else {
+    ShedDeadline.fetch_add(1, std::memory_order_relaxed);
+    met().ShedDeadline.add();
+  }
+  met().ShedTotal.add();
   CompileResponse R;
   R.Name = Request.Name;
   R.TraceId = Request.TraceId;
   R.Shed = Reason;
   R.Error = format("request shed: %s", shedReasonName(Reason));
+  recordDigest(Request, R, QueueWaitSec, 0.0);
   return R;
 }
 
@@ -175,21 +184,6 @@ void CompileService::recordDigest(const CompileRequest &Request,
   D.LatencySec = R.LatencySec;
   D.WallMicros = wallMicrosNow();
   obs::FlightRecorder::global().record(std::move(D));
-}
-
-void CompileService::finishJob(Job &J, CompileResponse &&R) {
-  if (J.Batch) {
-    // Each request owns its slot, so the write itself is lock-free; the
-    // last decrement (acq_rel) publishes every slot to the waiter and is
-    // the only completion that touches the mutex.
-    J.Batch->Responses[J.BatchIndex] = std::move(R);
-    if (J.Batch->Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      { std::lock_guard<std::mutex> Lock(J.Batch->Mutex); }
-      J.Batch->CV.notify_all();
-    }
-    return;
-  }
-  J.Promise.set_value(std::move(R));
 }
 
 void CompileService::workerLoop() {
@@ -230,105 +224,52 @@ void CompileService::workerLoop() {
       // is dead on arrival -- running the pipeline for it only delays the
       // rest of the queue.
       if (J.Request.DeadlineMicros != 0 && Now > J.Request.DeadlineMicros) {
-        ShedDeadline.fetch_add(1, std::memory_order_relaxed);
-        met().ShedTotal.add();
-        met().ShedDeadline.add();
         {
           // The request's flow arc terminates at the shed decision.
           obs::SpanGuard Span("service.shed", "service");
           Span.arg("cause", "deadline");
           obs::traceFlowEnd("service.request", J.Request.TraceId);
         }
-        CompileResponse R =
-            shedResponse(J.Request, ShedReason::DeadlineExpired);
-        recordDigest(J.Request, R, QueueWaitSec, 0.0);
-        finishJob(J, std::move(R));
+        J.Promise.set_value(
+            shed(J.Request, ShedReason::DeadlineExpired, QueueWaitSec));
         continue;
       }
-      finishJob(J, process(J.Request, QueueWaitSec, /*EndFlow=*/true));
+      J.Promise.set_value(process(J.Request, QueueWaitSec, /*EndFlow=*/true));
     }
   }
-}
-
-std::future<CompileResponse> CompileService::submit(CompileRequest Request) {
-  Submitted.fetch_add(1, std::memory_order_relaxed);
-  met().Submitted.add();
-  if (Request.TraceId == 0)
-    Request.TraceId = obs::newTraceId();
-  Job J;
-  J.EnqueueMicros = obs::Tracer::nowMicros();
-  std::future<CompileResponse> Result = J.Promise.get_future();
-  bool Wake;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    // Queue-depth admission: shed normal work past the budget; priority
-    // work always gets in, and goes to the front.
-    if (Options.MaxQueueDepth != 0 && !Request.HighPriority &&
-        Queue.size() >= Options.MaxQueueDepth) {
-      ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      met().ShedTotal.add();
-      met().ShedQueueFull.add();
-      CompileResponse R = shedResponse(Request, ShedReason::QueueFull);
-      recordDigest(Request, R, 0.0, 0.0);
-      J.Promise.set_value(std::move(R));
-      return Result;
-    }
-    bool Priority = Request.HighPriority;
-    // The flow arc's 's' end: begun only for requests actually enqueued,
-    // so every arc that starts also ends (at the worker, or at a shed).
-    if (obs::Tracer::enabled()) {
-      obs::SpanGuard Span("service.submit", "service");
-      Span.arg("name", Request.Name);
-      obs::traceFlowBegin("service.request", Request.TraceId);
-    }
-    J.Request = std::move(Request);
-    if (Priority)
-      Queue.push_front(std::move(J));
-    else
-      Queue.push_back(std::move(J));
-    met().QueueDepth.set(static_cast<double>(Queue.size()));
-    Wake = IdleWorkers > 0;
-  }
-  // Only signal when a worker is actually parked: busy workers re-check
-  // the queue on their next loop anyway, and the skipped futex wake is
-  // most of submit's cost under saturation.
-  if (Wake)
-    QueueCV.notify_one();
-  return Result;
 }
 
 std::vector<std::future<CompileResponse>>
-CompileService::submitBatch(std::vector<CompileRequest> Batch) {
+CompileService::enqueue(std::span<CompileRequest> Requests) {
   std::vector<std::future<CompileResponse>> Futures;
-  Futures.reserve(Batch.size());
-  if (Batch.empty())
-    return Futures;
-  // Bulk enqueue: one lock acquisition and one (possibly collective)
-  // wakeup for the whole batch instead of a lock + notify per request.
-  Submitted.fetch_add(Batch.size(), std::memory_order_relaxed);
-  met().Submitted.add(Batch.size());
-  std::uint64_t Now = obs::Tracer::nowMicros();
+  Futures.reserve(Requests.size());
+  Submitted.fetch_add(Requests.size(), std::memory_order_relaxed);
+  met().Submitted.add(Requests.size());
+  const std::uint64_t Now = obs::Tracer::nowMicros();
   std::size_t Enqueued = 0, Parked = 0;
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
-    for (CompileRequest &R : Batch) {
+    for (CompileRequest &R : Requests) {
       if (R.TraceId == 0)
         R.TraceId = obs::newTraceId();
       Job J;
       J.EnqueueMicros = Now;
       Futures.push_back(J.Promise.get_future());
+      // Queue-depth admission: shed normal work past the budget; priority
+      // work always gets in, and goes to the front.
       if (Options.MaxQueueDepth != 0 && !R.HighPriority &&
           Queue.size() >= Options.MaxQueueDepth) {
-        ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-        met().ShedTotal.add();
-        met().ShedQueueFull.add();
-        CompileResponse Response = shedResponse(R, ShedReason::QueueFull);
-        recordDigest(R, Response, 0.0, 0.0);
-        J.Promise.set_value(std::move(Response));
+        J.Promise.set_value(shed(R, ShedReason::QueueFull, 0.0));
         continue;
       }
-      obs::traceFlowBegin("service.request", R.TraceId);
-      bool Priority = R.HighPriority;
+      // The flow arc's 's' end: begun only for requests actually enqueued,
+      // so every arc that starts also ends (at the worker, or at a shed).
+      if (obs::Tracer::enabled()) {
+        obs::SpanGuard Span("service.submit", "service");
+        Span.arg("name", R.Name);
+        obs::traceFlowBegin("service.request", R.TraceId);
+      }
+      const bool Priority = R.HighPriority;
       J.Request = std::move(R);
       if (Priority)
         Queue.push_front(std::move(J));
@@ -339,6 +280,9 @@ CompileService::submitBatch(std::vector<CompileRequest> Batch) {
     met().QueueDepth.set(static_cast<double>(Queue.size()));
     Parked = static_cast<std::size_t>(IdleWorkers);
   }
+  // Only signal parked workers: busy ones re-check the queue on their next
+  // loop anyway, and the skipped futex wake is most of submit's cost under
+  // saturation.
   if (Parked > 0 && Enqueued > 0) {
     if (Enqueued >= Parked)
       QueueCV.notify_all();
@@ -349,87 +293,18 @@ CompileService::submitBatch(std::vector<CompileRequest> Batch) {
   return Futures;
 }
 
-std::vector<CompileResponse> ResponseBatch::take() {
-  if (!S)
-    return {};
-  std::shared_ptr<State> Mine = std::move(S);
-  std::unique_lock<std::mutex> Lock(Mine->Mutex);
-  Mine->CV.wait(Lock, [&] {
-    return Mine->Remaining.load(std::memory_order_acquire) == 0;
-  });
-  return std::move(Mine->Responses);
-}
-
-ResponseBatch
-CompileService::submitBatchDrained(std::vector<CompileRequest> Batch) {
-  ResponseBatch Result;
-  Result.S = std::make_shared<ResponseBatch::State>();
-  ResponseBatch::State &St = *Result.S;
-  St.Responses.resize(Batch.size());
-  // Seed the countdown before any job can complete, so it never dips
-  // through zero transiently.
-  St.Remaining.store(Batch.size(), std::memory_order_relaxed);
-  if (Batch.empty())
-    return Result;
-  Submitted.fetch_add(Batch.size(), std::memory_order_relaxed);
-  met().Submitted.add(Batch.size());
-  std::uint64_t Now = obs::Tracer::nowMicros();
-  std::size_t Enqueued = 0, Parked = 0, Shed = 0;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    for (std::size_t I = 0; I < Batch.size(); ++I) {
-      CompileRequest &R = Batch[I];
-      if (R.TraceId == 0)
-        R.TraceId = obs::newTraceId();
-      if (Options.MaxQueueDepth != 0 && !R.HighPriority &&
-          Queue.size() >= Options.MaxQueueDepth) {
-        ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-        met().ShedTotal.add();
-        met().ShedQueueFull.add();
-        CompileResponse Response = shedResponse(R, ShedReason::QueueFull);
-        recordDigest(R, Response, 0.0, 0.0);
-        St.Responses[I] = std::move(Response);
-        ++Shed;
-        continue;
-      }
-      obs::traceFlowBegin("service.request", R.TraceId);
-      bool Priority = R.HighPriority;
-      Job J;
-      J.EnqueueMicros = Now;
-      J.Batch = Result.S;
-      J.BatchIndex = I;
-      J.Request = std::move(R);
-      if (Priority)
-        Queue.push_front(std::move(J));
-      else
-        Queue.push_back(std::move(J));
-      ++Enqueued;
-    }
-    met().QueueDepth.set(static_cast<double>(Queue.size()));
-    Parked = static_cast<std::size_t>(IdleWorkers);
-  }
-  // Retire the shed slots in one decrement (their responses are already
-  // written; no waiter can be parked yet, so no notify is needed unless
-  // the whole batch shed).
-  if (Shed > 0 &&
-      St.Remaining.fetch_sub(Shed, std::memory_order_acq_rel) == Shed) {
-    { std::lock_guard<std::mutex> Lock(St.Mutex); }
-    St.CV.notify_all();
-  }
-  if (Parked > 0 && Enqueued > 0) {
-    if (Enqueued >= Parked)
-      QueueCV.notify_all();
-    else
-      for (std::size_t I = 0; I < Enqueued; ++I)
-        QueueCV.notify_one();
-  }
-  return Result;
+std::future<CompileResponse> CompileService::submit(CompileRequest Request) {
+  return std::move(enqueue({&Request, 1}).front());
 }
 
 std::vector<CompileResponse>
 CompileService::compileBatch(std::vector<CompileRequest> Batch) {
-  // One wakeup in (submit), one wakeup out (the last completion).
-  return submitBatchDrained(std::move(Batch)).take();
+  std::vector<std::future<CompileResponse>> Futures = enqueue(Batch);
+  std::vector<CompileResponse> Responses;
+  Responses.reserve(Futures.size());
+  for (std::future<CompileResponse> &F : Futures)
+    Responses.push_back(F.get());
+  return Responses;
 }
 
 CompileResponse CompileService::compileNow(const CompileRequest &Request) {
@@ -439,14 +314,8 @@ CompileResponse CompileService::compileNow(const CompileRequest &Request) {
   if (Traced.TraceId == 0)
     Traced.TraceId = obs::newTraceId();
   if (Traced.DeadlineMicros != 0 &&
-      obs::Tracer::nowMicros() > Traced.DeadlineMicros) {
-    ShedDeadline.fetch_add(1, std::memory_order_relaxed);
-    met().ShedTotal.add();
-    met().ShedDeadline.add();
-    CompileResponse R = shedResponse(Traced, ShedReason::DeadlineExpired);
-    recordDigest(Traced, R, 0.0, 0.0);
-    return R;
-  }
+      obs::Tracer::nowMicros() > Traced.DeadlineMicros)
+    return shed(Traced, ShedReason::DeadlineExpired, 0.0);
   return process(Traced);
 }
 
@@ -674,19 +543,6 @@ CompileResponse CompileService::process(const CompileRequest &Request,
       bool FromL2 = false;
       if (!Options.EnableCache) {
         R.Artifact = solveAndGenerate(Request, *Graph, SK, &SolveSec);
-      } else if (auto Hit = Cache.lookup(R.Key, &FromL2)) {
-        R.CacheHit = true;
-        R.CacheHitL2 = FromL2;
-        CacheHits.fetch_add(1, std::memory_order_relaxed);
-        met().CacheHits.add();
-        if (FromL2)
-          CacheHitsL2.fetch_add(1, std::memory_order_relaxed);
-        // A hit still seeds the donor index: after a daemon restart the
-        // L2-decoded artifact carries its basis, so the first *miss* in a
-        // volume sweep can already warm start.
-        if (SK)
-          publishDonor(*SK, *Hit);
-        R.Artifact = std::move(Hit);
       } else {
         // ----- Single-flight: at most one solve per fingerprint, ever.
         // The solver publishes to the cache *before* retiring its flight
@@ -694,30 +550,35 @@ CompileResponse CompileService::process(const CompileRequest &Request,
         // re-checks the cache under FlightMutex before opening a new
         // flight -- so a request that finds neither a flight nor a cache
         // entry is genuinely first.
+        std::shared_ptr<const CompileArtifact> Hit =
+            Cache.lookup(R.Key, &FromL2);
         std::shared_ptr<Flight> Mine, Theirs;
-        std::shared_ptr<const CompileArtifact> Raced;
-        {
+        if (!Hit) {
           std::lock_guard<std::mutex> Lock(FlightMutex);
           auto It = Flights.find(R.Key.str());
           if (It != Flights.end()) {
             Theirs = It->second;
-          } else if ((Raced = Cache.lookup(R.Key, &FromL2))) {
-            ; // The flight we raced with retired between our first lookup
-              // and here; its artifact is already cached.
-          } else {
+          } else if (!(Hit = Cache.lookup(R.Key, &FromL2))) {
+            // Not raced by a flight that retired since the first lookup:
+            // this request solves.
             Mine = std::make_shared<Flight>();
             Mine->Result = Mine->Promise.get_future().share();
             Flights.emplace(R.Key.str(), Mine);
           }
         }
-        if (Raced) {
+        if (Hit) {
           R.CacheHit = true;
           R.CacheHitL2 = FromL2;
           CacheHits.fetch_add(1, std::memory_order_relaxed);
           met().CacheHits.add();
           if (FromL2)
             CacheHitsL2.fetch_add(1, std::memory_order_relaxed);
-          R.Artifact = std::move(Raced);
+          // A hit still seeds the donor index: after a daemon restart the
+          // L2-decoded artifact carries its basis, so the first *miss* in a
+          // volume sweep can already warm start.
+          if (SK)
+            publishDonor(*SK, *Hit);
+          R.Artifact = std::move(Hit);
         } else if (Theirs) {
           R.Deduplicated = true;
           SingleFlightJoins.fetch_add(1, std::memory_order_relaxed);

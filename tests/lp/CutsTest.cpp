@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "aqua/assays/PaperAssays.h"
+#include "aqua/core/Formulation.h"
 #include "aqua/lp/BranchAndBound.h"
 #include "aqua/lp/Cuts.h"
 #include "aqua/lp/Solver.h"
@@ -252,6 +254,24 @@ TEST(CutAndBranch, RestartsPreserveTheOptimum) {
   ASSERT_EQ(A.Status, SolveStatus::Optimal);
   ASSERT_EQ(B.Status, SolveStatus::Optimal);
   EXPECT_NEAR(A.Objective, B.Objective, 1e-6);
+}
+
+TEST(CutAndBranch, MaxNodesBoundsTheWholeSolveAcrossRestarts) {
+  // The glucose IVol ILP with an eager restart cap: every restart starts a
+  // new tree search, and the node budget must count the nodes of all of
+  // them, not only the current one's.
+  core::MachineSpec Spec;
+  core::FormulationOptions IOpts;
+  IOpts.UnitNl = Spec.LeastCountNl;
+  core::Formulation F =
+      core::buildVolumeModel(assays::buildGlucoseAssay(), Spec, IOpts);
+  for (std::int64_t Budget : {8, 16}) {
+    IntOptions O;
+    O.RestartNodes = 3;
+    O.MaxNodes = Budget;
+    IntSolution S = solveInteger(F.Model, {}, O);
+    EXPECT_LE(S.Nodes, Budget) << "MaxNodes " << Budget;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -325,10 +327,9 @@ TEST(CompileService, WarmMissReusesDonorBasisAcrossCapacitySweep) {
   EXPECT_EQ(R2.Artifact->VM.Rounded.EdgeUnits, C2.Artifact->VM.Rounded.EdgeUnits);
 }
 
-TEST(CompileService, BatchedDrainDeliversEveryResponseInOrder) {
-  // The batched response drain: one handle for the whole batch, slots
-  // written by workers, one wakeup at the end. Order, shed handling, and
-  // per-request outcomes must match the future-based path exactly.
+TEST(CompileService, CompileBatchDeliversEveryResponseInOrder) {
+  // Order and per-request outcomes survive a batch whose requests finish
+  // on different workers in any order.
   ServiceOptions Options;
   Options.Threads = 4;
   CompileService Service(Options);
@@ -336,9 +337,8 @@ TEST(CompileService, BatchedDrainDeliversEveryResponseInOrder) {
   Batch.push_back(graphRequest("glucose", assays::buildGlucoseAssay()));
   Batch.push_back(sourceRequest("bad", "not an assay"));
   Batch.push_back(graphRequest("mic", assays::buildMicPanel(6)));
-  ResponseBatch Drain = Service.submitBatchDrained(std::move(Batch));
-  EXPECT_EQ(Drain.size(), 3u);
-  std::vector<CompileResponse> Responses = Drain.take();
+  std::vector<CompileResponse> Responses =
+      Service.compileBatch(std::move(Batch));
   ASSERT_EQ(Responses.size(), 3u);
   EXPECT_EQ(Responses[0].Name, "glucose");
   EXPECT_TRUE(Responses[0].Ok) << Responses[0].Error;
@@ -346,28 +346,32 @@ TEST(CompileService, BatchedDrainDeliversEveryResponseInOrder) {
   EXPECT_FALSE(Responses[1].Ok);
   EXPECT_EQ(Responses[2].Name, "mic");
   EXPECT_TRUE(Responses[2].Ok) << Responses[2].Error;
-  // A second take() on the same handle is empty, not a hang.
-  EXPECT_TRUE(Drain.take().empty());
-  // An empty batch drains immediately.
-  EXPECT_TRUE(Service.submitBatchDrained({}).take().empty());
+  // An empty batch returns at once.
+  EXPECT_TRUE(Service.compileBatch({}).empty());
 }
 
 TEST(CompileService, BatchedDrainAppliesAdmissionPerRequest) {
   ServiceOptions Options;
   Options.Threads = 1;
   Options.MaxQueueDepth = 1;
-  Options.StartPaused = true;
   CompileService Service(Options);
+  Service.pause();
   std::vector<CompileRequest> Batch;
   for (int I = 0; I < 3; ++I)
     Batch.push_back(graphRequest("glucose", assays::buildGlucoseAssay()));
-  ResponseBatch Drain = Service.submitBatchDrained(std::move(Batch));
+  auto Pending = std::async(std::launch::async, [&] {
+    return Service.compileBatch(std::move(Batch));
+  });
+  // compileBatch blocks until the paused queue drains; the one request it
+  // admitted is visible meanwhile.
+  while (Service.queueDepth() < 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Service.resume();
-  std::vector<CompileResponse> Responses = Drain.take();
+  std::vector<CompileResponse> Responses = Pending.get();
   ASSERT_EQ(Responses.size(), 3u);
   EXPECT_TRUE(Responses[0].Ok) << Responses[0].Error;
-  // The queue had room for one; the rest shed at submit, and their shed
-  // responses arrive through the same drain.
+  // The queue had room for one; the rest shed at enqueue, and their shed
+  // responses come back in the same batch.
   EXPECT_EQ(Responses[1].Shed, ShedReason::QueueFull);
   EXPECT_EQ(Responses[2].Shed, ShedReason::QueueFull);
   EXPECT_EQ(Service.stats().ShedQueueFull, 2u);

@@ -6,8 +6,9 @@
 //
 // The service's production shaping: per-request deadlines, queue-depth
 // admission control, priority bypass, and the shed accounting that backs
-// the service.shed_* metrics. StartPaused + pause()/resume() make every
-// scenario deterministic -- the queue is built while no worker drains it.
+// the service.shed_* metrics. pause() right after construction (the queue
+// is still empty) and resume() make every scenario deterministic -- the
+// queue is built while no worker drains it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,10 +41,9 @@ CompileRequest glucoseRequest(const char *Name = "glucose") {
   return R;
 }
 
-ServiceOptions pausedOptions(std::size_t MaxQueueDepth = 0) {
+ServiceOptions oneWorker(std::size_t MaxQueueDepth = 0) {
   ServiceOptions O;
   O.Threads = 1;
-  O.StartPaused = true;
   O.MaxQueueDepth = MaxQueueDepth;
   return O;
 }
@@ -64,7 +66,8 @@ TEST(ServiceShedding, QueueFullShedsWithDistinctStatus) {
   std::uint64_t ShedBefore = Reg.counter("service.shed_total").value();
   std::uint64_t FullBefore = Reg.counter("service.shed.queue_full").value();
 
-  CompileService Service(pausedOptions(/*MaxQueueDepth=*/2));
+  CompileService Service(oneWorker(/*MaxQueueDepth=*/2));
+  Service.pause();
   std::vector<std::future<CompileResponse>> Futures;
   for (int I = 0; I < 4; ++I)
     Futures.push_back(Service.submit(glucoseRequest()));
@@ -98,7 +101,8 @@ TEST(ServiceShedding, QueueFullShedsWithDistinctStatus) {
 }
 
 TEST(ServiceShedding, OverloadKeepsAcceptingHighPriority) {
-  CompileService Service(pausedOptions(/*MaxQueueDepth=*/1));
+  CompileService Service(oneWorker(/*MaxQueueDepth=*/1));
+  Service.pause();
   std::vector<std::future<CompileResponse>> Futures;
   Futures.push_back(Service.submit(glucoseRequest("normal-0")));
   // Queue is at budget: normal work sheds...
@@ -122,7 +126,8 @@ TEST(ServiceShedding, ExpiredBeforeDequeueIsShedWithDeadlineStatus) {
   obs::MetricsRegistry &Reg = obs::metrics();
   std::uint64_t DeadlineBefore = Reg.counter("service.shed.deadline").value();
 
-  CompileService Service(pausedOptions());
+  CompileService Service(oneWorker());
+  Service.pause();
   CompileRequest Expired = glucoseRequest("expired");
   // Already past its deadline when it reaches the queue: the worker must
   // shed it at dequeue instead of burning a solve on it.
@@ -169,26 +174,37 @@ TEST(ServiceShedding, CompileNowRespectsDeadlines) {
 }
 
 TEST(ServiceShedding, SubmitBatchAppliesAdmissionPerRequest) {
-  CompileService Service(pausedOptions(/*MaxQueueDepth=*/2));
+  CompileService Service(oneWorker(/*MaxQueueDepth=*/2));
+  Service.pause();
   std::vector<CompileRequest> Batch;
   for (int I = 0; I < 5; ++I)
     Batch.push_back(glucoseRequest());
   Batch[4].HighPriority = true; // Admitted past the full queue.
-  auto Futures = Service.submitBatch(std::move(Batch));
-  ASSERT_EQ(Futures.size(), 5u);
+  auto Pending = std::async(std::launch::async, [&] {
+    return Service.compileBatch(std::move(Batch));
+  });
+  // compileBatch blocks until the paused queue drains; what it admitted is
+  // visible meanwhile.
+  while (Service.queueDepth() < 3)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(Service.queueDepth(), 3u);
-  EXPECT_EQ(Futures[2].get().Shed, ShedReason::QueueFull);
-  EXPECT_EQ(Futures[3].get().Shed, ShedReason::QueueFull);
   Service.resume();
-  EXPECT_TRUE(Futures[0].get().Ok);
-  EXPECT_TRUE(Futures[1].get().Ok);
-  EXPECT_TRUE(Futures[4].get().Ok);
+  std::vector<CompileResponse> Responses = Pending.get();
+  ASSERT_EQ(Responses.size(), 5u);
+  EXPECT_TRUE(Responses[0].Ok) << Responses[0].Error;
+  EXPECT_TRUE(Responses[1].Ok) << Responses[1].Error;
+  // The shed responses come back in their request's slot.
+  EXPECT_EQ(Responses[2].Shed, ShedReason::QueueFull);
+  EXPECT_EQ(Responses[3].Shed, ShedReason::QueueFull);
+  EXPECT_TRUE(Responses[4].Ok) << Responses[4].Error;
+  EXPECT_EQ(Responses[4].Shed, ShedReason::None);
   EXPECT_EQ(Service.stats().ShedQueueFull, 2u);
 }
 
 TEST(ServiceShedding, QueueDepthGaugeTracksTheQueue) {
   obs::MetricsRegistry &Reg = obs::metrics();
-  CompileService Service(pausedOptions());
+  CompileService Service(oneWorker());
+  Service.pause();
   std::vector<std::future<CompileResponse>> Futures;
   for (int I = 0; I < 3; ++I)
     Futures.push_back(Service.submit(glucoseRequest()));
@@ -200,7 +216,8 @@ TEST(ServiceShedding, QueueDepthGaugeTracksTheQueue) {
 }
 
 TEST(ServiceShedding, PauseAndResumeRoundTrip) {
-  CompileService Service(pausedOptions());
+  CompileService Service(oneWorker());
+  Service.pause();
   auto F = Service.submit(glucoseRequest());
   EXPECT_EQ(Service.queueDepth(), 1u);
   Service.resume();
@@ -225,7 +242,8 @@ TEST(ServiceShedding, ShedReasonNamesAreStable) {
 }
 
 TEST(ServiceShedding, UnboundedQueueNeverShedsOnDepth) {
-  CompileService Service(pausedOptions(/*MaxQueueDepth=*/0));
+  CompileService Service(oneWorker(/*MaxQueueDepth=*/0));
+  Service.pause();
   std::vector<std::future<CompileResponse>> Futures;
   for (int I = 0; I < 32; ++I)
     Futures.push_back(Service.submit(glucoseRequest()));
@@ -237,4 +255,92 @@ TEST(ServiceShedding, UnboundedQueueNeverShedsOnDepth) {
     EXPECT_EQ(R.Shed, ShedReason::None);
   }
   EXPECT_EQ(Service.stats().shedTotal(), 0u);
+}
+
+TEST(ServiceShedding, EveryEntryPointKeepsTheBooks) {
+  // Four clients mix submit, compileBatch and compileNow against two
+  // workers and a queue budget of two, with expired deadlines and
+  // priority work in the mix. Every response must come back in its
+  // request's place with a shed reason that request allows, and at
+  // quiescence every submission is either a completion or a shed.
+  ServiceOptions O;
+  O.Threads = 2;
+  O.MaxQueueDepth = 2;
+  CompileService Service(O);
+  auto Graph =
+      std::make_shared<const ir::AssayGraph>(assays::buildGlucoseAssay());
+  const std::uint64_t Expired = expiredDeadline();
+  constexpr int Clients = 4, Rounds = 6, PerRound = 6;
+  enum Entry { Submit, Batch, Now };
+
+  std::atomic<std::uint64_t> Done{0}, QueueFull{0}, Deadline{0};
+  auto Client = [&](int C) {
+    for (int Round = 0; Round < Rounds; ++Round) {
+      const Entry Via = static_cast<Entry>((C + Round) % 3);
+      std::vector<CompileRequest> Requests;
+      for (int I = 0; I < PerRound; ++I) {
+        CompileRequest R;
+        R.Name = std::to_string(C) + "/" + std::to_string(Round) + "/" +
+                 std::to_string(I);
+        R.Graph = Graph;
+        R.DeadlineMicros = I % 3 == 2 ? Expired : 0;
+        R.HighPriority = I % 4 == 3;
+        Requests.push_back(std::move(R));
+      }
+      std::vector<CompileResponse> Responses;
+      if (Via == Batch) {
+        Responses = Service.compileBatch(Requests);
+      } else if (Via == Submit) {
+        std::vector<std::future<CompileResponse>> Futures;
+        for (const CompileRequest &R : Requests)
+          Futures.push_back(Service.submit(R));
+        for (auto &F : Futures)
+          Responses.push_back(F.get());
+      } else {
+        for (const CompileRequest &R : Requests)
+          Responses.push_back(Service.compileNow(R));
+      }
+      ASSERT_EQ(Responses.size(), Requests.size());
+      for (std::size_t I = 0; I < Requests.size(); ++I) {
+        const CompileRequest &Req = Requests[I];
+        const CompileResponse &R = Responses[I];
+        EXPECT_EQ(R.Name, Req.Name) << "responses must keep request order";
+        // Only queued normal-priority work can shed on depth; an expired
+        // deadline sheds every other request (at dequeue, or at
+        // compileNow's entry check).
+        const bool Expires = Req.DeadlineMicros != 0;
+        const bool MayQueueFull = Via != Now && !Req.HighPriority;
+        if (R.Shed == ShedReason::QueueFull)
+          EXPECT_TRUE(MayQueueFull) << R.Name;
+        else
+          EXPECT_EQ(R.Shed, Expires ? ShedReason::DeadlineExpired
+                                    : ShedReason::None)
+              << R.Name;
+        EXPECT_EQ(R.Ok, R.Shed == ShedReason::None) << R.Name << ": " << R.Error;
+        (R.Shed == ShedReason::QueueFull        ? QueueFull
+         : R.Shed == ShedReason::DeadlineExpired ? Deadline
+                                                 : Done)
+            .fetch_add(1);
+      }
+    }
+  };
+  std::vector<std::thread> Threads;
+  for (int C = 0; C < Clients; ++C)
+    Threads.emplace_back(Client, C);
+  for (std::thread &T : Threads)
+    T.join();
+
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Submitted, std::uint64_t{Clients * Rounds * PerRound});
+  EXPECT_EQ(S.Completed, Done.load());
+  EXPECT_EQ(S.ShedQueueFull, QueueFull.load());
+  EXPECT_EQ(S.ShedDeadline, Deadline.load());
+  EXPECT_EQ(S.Submitted, S.Completed + S.shedTotal());
+  // Both kinds of shed are certain: enqueue holds the queue lock across a
+  // whole batch, so a compileBatch round's third normal request always
+  // finds the two-deep queue full, and compileNow rounds always see the
+  // expired deadlines.
+  EXPECT_GT(S.ShedQueueFull, 0u);
+  EXPECT_GT(S.ShedDeadline, 0u);
+  EXPECT_EQ(Service.queueDepth(), 0u);
 }
