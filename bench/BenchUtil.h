@@ -123,6 +123,8 @@ struct BenchRecord {
   std::string Name;
   std::vector<std::pair<std::string, std::string>> Params;
   std::vector<std::pair<std::string, double>> Metrics;
+  /// Keys of the metrics that measure time, or a rate or ratio of times.
+  std::vector<std::string> Timed;
 
   BenchRecord &param(std::string Key, std::string Value) {
     Params.emplace_back(std::move(Key), std::move(Value));
@@ -131,6 +133,10 @@ struct BenchRecord {
   BenchRecord &metric(std::string Key, double Value) {
     Metrics.emplace_back(std::move(Key), Value);
     return *this;
+  }
+  BenchRecord &timed(std::string Key, double Value) {
+    Timed.push_back(Key);
+    return metric(std::move(Key), Value);
   }
   BenchRecord &timing(const TimingStats &S) {
     metric("median_sec", S.MedianSec);

@@ -73,6 +73,8 @@ struct SimplexMetrics {
   /// snapshot, skipping the O(m^2) dual recomputation.
   obs::Counter &WarmDualInherits =
       obs::metrics().counter("lp.warm_dual_inherits");
+  /// Solves handed to the dense tableau after a NumericFail.
+  obs::Counter &DenseFallbacks = obs::metrics().counter("lp.dense_fallbacks");
   /// Wall time of each basis factorization (refactorizations and logical
   /// installs).
   obs::Histogram &RefactorSec = obs::metrics().histogram(
@@ -1392,6 +1394,7 @@ Solution aqua::lp::solveRevisedSimplex(const Model &M, const SolveOptions &Opts,
   RevisedStatus S = Warm ? RS.reoptimizeDual(*Warm, RO) : RS.solve(RO);
   Sol.Iterations = RS.iterations();
   if (S == RevisedStatus::NumericFail) {
+    met().DenseFallbacks.add();
     Solution Dense = solveSimplex(M, Opts);
     Dense.Iterations += Sol.Iterations;
     Dense.Seconds = Timer.seconds();

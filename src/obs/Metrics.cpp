@@ -280,9 +280,9 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
         "lp.pricing_full_recomputes", "lp.pricing_drift_repairs",
         "lp.devex_resets", "lp.ftran_hypersparse", "lp.ftran_dense",
         "lp.warm_dual_inherits", "lp.warm_shape_repairs",
-        "lp.cuts_generated", "lp.cuts_active", "lp.cut_rounds",
-        "lp.bb.solves", "lp.bb.nodes", "lp.bb.pruned", "lp.bb.incumbents",
-        "lp.bb.numeric_fallbacks", "ilp.pseudocost_inits",
+        "lp.dense_fallbacks", "lp.cuts_generated", "lp.cuts_active",
+        "lp.cut_rounds", "lp.bb.solves", "lp.bb.nodes", "lp.bb.pruned",
+        "lp.bb.incumbents", "lp.bb.numeric_fallbacks", "ilp.pseudocost_inits",
         "ilp.strong_branches", "ilp.restarts"})
     R.counter(Name);
   R.histogram("lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
