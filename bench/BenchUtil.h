@@ -17,6 +17,7 @@
 
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Timer.h"
+#include "aqua/support/Json.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -179,13 +180,14 @@ private:
 /// Accumulates BenchRecords and writes them as BENCH_<bench>.json -- the
 /// machine-readable artifact the CI perf-smoke job uploads and diffs. The
 /// output directory defaults to the working directory and can be overridden
-/// with AQUAVOL_BENCH_JSON_DIR.
+/// with AQUAVOL_BENCH_JSON_DIR. Nothing is written until the bench calls
+/// write() on completion, so a bench that stops early on a failed gate
+/// leaves the previous record in place instead of a partial one.
 class JsonReporter {
 public:
   explicit JsonReporter(std::string BenchName) : Bench(std::move(BenchName)) {}
   JsonReporter(const JsonReporter &) = delete;
   JsonReporter &operator=(const JsonReporter &) = delete;
-  ~JsonReporter() { write(); }
 
   BenchRecord &add(std::string Name) {
     Records.emplace_back();
@@ -205,25 +207,33 @@ public:
       std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
       return false;
     }
-    std::fprintf(F, "{\n  \"bench\": %s,\n  \"provenance\": %s,\n"
-                 "  \"records\": [",
-                 quoted(Bench).c_str(), provenance().c_str());
+    std::string Out = "{\n  \"bench\": ";
+    aqua::json::appendQuoted(Out, Bench);
+    Out += ",\n  \"provenance\": " + provenance() + ",\n  \"records\": [";
     for (size_t I = 0; I < Records.size(); ++I) {
       const BenchRecord &R = Records[I];
-      std::fprintf(F, "%s\n    {\"name\": %s,\n     \"params\": {",
-                   I ? "," : "", quoted(R.Name).c_str());
-      for (size_t J = 0; J < R.Params.size(); ++J)
-        std::fprintf(F, "%s%s: %s", J ? ", " : "",
-                     quoted(R.Params[J].first).c_str(),
-                     quoted(R.Params[J].second).c_str());
-      std::fprintf(F, "},\n     \"metrics\": {");
-      for (size_t J = 0; J < R.Metrics.size(); ++J)
-        std::fprintf(F, "%s%s: %s", J ? ", " : "",
-                     quoted(R.Metrics[J].first).c_str(),
-                     number(R.Metrics[J].second).c_str());
-      std::fprintf(F, "}}");
+      Out += I ? ",\n    {\"name\": " : "\n    {\"name\": ";
+      aqua::json::appendQuoted(Out, R.Name);
+      Out += ",\n     \"params\": {";
+      for (size_t J = 0; J < R.Params.size(); ++J) {
+        if (J)
+          Out += ", ";
+        aqua::json::appendQuoted(Out, R.Params[J].first);
+        Out += ": ";
+        aqua::json::appendQuoted(Out, R.Params[J].second);
+      }
+      Out += "},\n     \"metrics\": {";
+      for (size_t J = 0; J < R.Metrics.size(); ++J) {
+        if (J)
+          Out += ", ";
+        aqua::json::appendQuoted(Out, R.Metrics[J].first);
+        Out += ": ";
+        aqua::json::appendNumber(Out, R.Metrics[J].second);
+      }
+      Out += "}}";
     }
-    std::fprintf(F, "\n  ]\n}\n");
+    Out += "\n  ]\n}\n";
+    std::fputs(Out.c_str(), F);
     std::fclose(F);
     std::printf("\nwrote %s (%zu records)\n", Path.c_str(), Records.size());
     return true;
@@ -254,50 +264,15 @@ private:
 #else
     const std::string Compiler = "unknown";
 #endif
-    return "{\"commit\": " + quoted(Commit) +
-           ", \"build_type\": " + quoted(AQUAVOL_BUILD_TYPE) +
-           ", \"compiler\": " + quoted(Compiler) + ", \"nproc\": " +
+    std::string Out = "{\"commit\": ";
+    aqua::json::appendQuoted(Out, Commit);
+    Out += ", \"build_type\": ";
+    aqua::json::appendQuoted(Out, AQUAVOL_BUILD_TYPE);
+    Out += ", \"compiler\": ";
+    aqua::json::appendQuoted(Out, Compiler);
+    Out += ", \"nproc\": " +
            std::to_string(std::thread::hardware_concurrency()) + "}";
-  }
-
-  static std::string quoted(const std::string &S) {
-    std::string Out = "\"";
-    for (char C : S) {
-      switch (C) {
-      case '"':
-        Out += "\\\"";
-        break;
-      case '\\':
-        Out += "\\\\";
-        break;
-      case '\n':
-        Out += "\\n";
-        break;
-      case '\t':
-        Out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          char Buf[8];
-          std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-          Out += Buf;
-        } else {
-          Out += C;
-        }
-      }
-    }
-    Out += '"';
     return Out;
-  }
-
-  /// JSON has no infinity/nan literals; clamp to null.
-  static std::string number(double V) {
-    if (!(V == V) || V == std::numeric_limits<double>::infinity() ||
-        V == -std::numeric_limits<double>::infinity())
-      return "null";
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-    return Buf;
   }
 
   std::string Bench;

@@ -101,5 +101,6 @@ int main() {
               "assay but fails to\nproduce a proven solution on the enzyme "
               "assay within any reasonable budget,\nwhile LP finishes in "
               "well under a second.\n");
+  Json.write();
   return 0;
 }

@@ -126,5 +126,6 @@ int main() {
               DisabledArgSpanNs <= BudgetNs && DisabledRequestNs <= BudgetNs;
   std::printf("\n  disabled-path budget %.0f ns: %s\n", BudgetNs,
               Pass ? "PASS" : "FAIL");
+  Json.write();
   return Pass ? 0 : 1;
 }

@@ -175,5 +175,6 @@ int main() {
               "(~N^3); LP grows\nmuch faster in wall time per instance, "
               "reproducing the paper's Enzyme10 gap\n(1.57 s vs >20 min on "
               "their hardware).\n");
+  Json.write();
   return 0;
 }

@@ -1081,5 +1081,6 @@ int main() {
                    metricOf(recordOf(H, "mp_warm_hitpath"), "throughput_rps"),
                    10000.0) &&
         Met;
+  Json.write();
   return Met ? 0 : 1;
 }

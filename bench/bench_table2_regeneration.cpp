@@ -143,5 +143,6 @@ int main() {
               "the naive counts grow from a handful (Glucose)\nthrough tens "
               "(Enzyme) to thousands (Enzyme10), matching the paper's "
               "ordering.\n");
+  Json.write();
   return 0;
 }

@@ -252,5 +252,6 @@ int main() {
   std::printf("\nShape check: DAGSolve is consistently orders of magnitude "
               "faster than LP,\nand the gap widens with assay size "
               "(the paper's ~80x average and Enzyme10 blow-up).\n");
+  Json.write();
   return 0;
 }

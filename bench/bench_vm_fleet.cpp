@@ -263,5 +263,6 @@ int main() {
     }
   }
 
+  Json.write();
   return Ok ? 0 : 1;
 }

@@ -62,6 +62,14 @@ struct Fingerprint {
   std::string str() const;
 };
 
+/// Hash functor for unordered containers keyed on Fingerprint. The key is
+/// already uniformly mixed; this folds its two halves into one word.
+struct FingerprintHash {
+  std::size_t operator()(const Fingerprint &F) const {
+    return static_cast<std::size_t>(F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL));
+  }
+};
+
 /// Streaming 128-bit hasher (two independently-seeded 64-bit lanes with a
 /// splitmix-style avalanche per absorbed word). Not cryptographic; meant
 /// for memoization keys where accidental collisions must be negligible.

@@ -47,7 +47,8 @@ struct IntOptions {
 /// Result of an integer solve.
 struct IntSolution {
   /// Optimal when proven; IterationLimit/TimeLimit when a budget expired
-  /// (the incumbent, if any, is still reported); Infeasible when proven.
+  /// and NumericFail when a node's LP failed numerically (the incumbent,
+  /// if any, is still reported); Infeasible when proven.
   SolveStatus Status = SolveStatus::Infeasible;
   /// True when an integral incumbent was found (even if not proven optimal).
   bool HasIncumbent = false;

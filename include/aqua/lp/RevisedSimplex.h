@@ -35,10 +35,13 @@
 /// violation of the logical basis, no artificial columns) followed by the
 /// bounded primal phase 2. All tolerances come from aqua/lp/Tolerances.h.
 ///
-/// The engine reports `NumericFail` instead of guessing when pivoting
-/// stalls or the factorization drifts; callers (BranchAndBound, Solver)
-/// fall back to the dense path, and the aqua/check solver-vs-solver oracle
-/// cross-checks the two engines on every generated model.
+/// The engine reports `SolveStatus::NumericFail` instead of guessing when
+/// pivoting stalls past the watchdog, exceeds the pivot safety cap, or the
+/// factorization cannot be rebuilt. It is the only engine production runs:
+/// `lp::solve` returns that status as is, and branch-and-bound ends its
+/// search unproven. The dense tableau in Simplex.h runs only when selected
+/// by name (`LpEngine::Dense`), and the aqua/check `engines` oracle
+/// cross-checks the two on every generated model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,38 +90,6 @@ struct Basis {
   bool empty() const { return BasicCol.empty(); }
 };
 
-/// Outcome of a revised-simplex solve. Mirrors SolveStatus but adds the
-/// explicit numeric-failure escape hatch.
-enum class RevisedStatus {
-  Optimal,
-  Infeasible,
-  Unbounded,
-  IterationLimit,
-  TimeLimit,
-  NumericFail, ///< Stalled or lost the factorization; use the dense path.
-};
-
-const char *revisedStatusName(RevisedStatus S);
-
-/// Converts to the public SolveStatus (NumericFail maps to IterationLimit;
-/// callers that care must check for it before converting).
-SolveStatus toSolveStatus(RevisedStatus S);
-
-/// Per-solve knobs. Iteration/time budgets of zero mean unlimited.
-struct RevisedOptions {
-  std::int64_t MaxIterations = 0;
-  double TimeLimitSec = 0.0;
-  /// Pivots between basis refactorizations. Each refactorization also
-  /// rebuilds the maintained reduced-cost vector from scratch, so this is
-  /// the pricing drift-control interval too.
-  int RefactorInterval = 100;
-  /// Non-improving pivots tolerated before the engine switches to a
-  /// Bland-style anti-cycling rule.
-  int StallThreshold = 512;
-  /// Entering-variable rule for the primal loops.
-  LpPricing Pricing = LpPricing::Devex;
-};
-
 /// Bounded-variable revised simplex over one model. The model's rows and
 /// objective are fixed at construction; variable bounds are mutable state,
 /// which is exactly the degree of freedom branch-and-bound needs.
@@ -149,14 +120,14 @@ public:
   }
 
   /// Cold solve: installs the all-logical basis, then primal phase 1 + 2.
-  RevisedStatus solve(const RevisedOptions &Opts = {});
+  SolveStatus solve(const SolveOptions &Opts = {});
 
   /// Warm solve from \p Start (typically the parent node's optimal basis):
   /// runs the dual simplex, which repairs primal feasibility after bound
   /// changes without disturbing dual feasibility. Falls back to a cold
   /// primal solve if the start basis is singular or dual-infeasible.
-  RevisedStatus reoptimizeDual(const Basis &Start,
-                               const RevisedOptions &Opts = {});
+  SolveStatus reoptimizeDual(const Basis &Start,
+                             const SolveOptions &Opts = {});
 
   /// Snapshot of the current basis (valid after any solve that returned
   /// Optimal; also after Infeasible for diagnostic reuse).
@@ -185,6 +156,11 @@ public:
 
   /// Column basic at position \p P.
   int basicCol(int P) const { return BasicCol[P]; }
+
+  /// Sets the number of pivots between basis refactorizations (default
+  /// 100). Each refactorization also rebuilds the maintained reduced
+  /// costs, so this is the pricing drift-control interval too.
+  void setRefactorInterval(int N) { RefactorInterval = N; }
 
   /// True when the most recent solve call ever switched to the Bland
   /// anti-cycling rule (either configured or forced by the stall
@@ -242,7 +218,7 @@ private:
   void gatherRowAlphas(const double *Rho, const std::vector<int> &Pat);
 
   // --- primal
-  RevisedStatus primal(const RevisedOptions &Opts, bool Phase1);
+  SolveStatus primal(const SolveOptions &Opts, bool Phase1);
   double infeasibilitySum() const;
 
   // --- dual
@@ -254,7 +230,7 @@ private:
   /// With \p ReuseDualState the initial O(m^2) refresh is skipped: XB and
   /// DualRedCost are taken as current (the plunge fast path in
   /// reoptimizeDual maintains them incrementally across nodes).
-  RevisedStatus dual(const RevisedOptions &Opts, bool ReuseDualState);
+  SolveStatus dual(const SolveOptions &Opts, bool ReuseDualState);
 
   void extract();
 
@@ -263,6 +239,7 @@ private:
   int NumRows = 0;
   int NumStruct = 0;
   int NumCols = 0; // NumStruct + NumRows (logicals).
+  int RefactorInterval = 100;
 
   /// Internal minimization costs per column (logicals cost zero).
   std::vector<double> Cost;
@@ -354,23 +331,6 @@ private:
   /// must not reset the drift clock.
   int SinceRefactor = 0;
 };
-
-/// Drop-in alternative to solveSimplex backed by the revised engine: cold
-/// primal solve with an automatic dense-tableau fallback when the engine
-/// reports NumericFail, so callers always get a definitive status.
-Solution solveRevisedSimplex(const Model &M, const SolveOptions &Opts = {});
-
-/// As above, with warm-start repair and basis capture. When \p Warm is
-/// non-null the engine repairs it with the dual simplex instead of solving
-/// cold (a basis that no longer installs -- wrong dimensions, singular --
-/// degrades to a cold solve inside the engine, never to a wrong answer).
-/// When \p Captured is non-null and the solve ends Optimal it receives the
-/// optimal basis, snapshot with its reduced costs where available so a
-/// future warm start can skip the dual-feasibility recompute. The dense
-/// NumericFail fallback never captures a basis.
-Solution solveRevisedSimplex(const Model &M, const SolveOptions &Opts,
-                             const Basis *Warm,
-                             std::shared_ptr<const Basis> *Captured);
 
 } // namespace aqua::lp
 

@@ -42,14 +42,16 @@ enum class SolveStatus {
   IterationLimit, ///< Stopped at the iteration budget.
   TimeLimit,      ///< Stopped at the wall-clock budget.
   TooLarge,       ///< Tableau would exceed the memory budget.
+  NumericFail,    ///< The revised engine stalled past its watchdog or lost
+                  ///< its factorization; nothing is proven.
 };
 
 /// Returns a short human-readable name for \p S.
 const char *solveStatusName(SolveStatus S);
 
 /// Entering-variable pricing rule for the revised simplex engine. The
-/// dense tableau path ignores it (its Dantzig-with-Bland-fallback rule is
-/// the differential baseline).
+/// dense tableau ignores it (its Dantzig-with-Bland-fallback rule is the
+/// differential baseline).
 enum class LpPricing {
   /// Maintained reduced costs scored by devex reference weights; the
   /// production default.
@@ -64,16 +66,18 @@ enum class LpPricing {
 /// Returns a short human-readable name for \p P.
 const char *lpPricingName(LpPricing P);
 
-/// Knobs for the simplex solver.
+/// Knobs for both simplex engines.
 struct SolveOptions {
   /// Wall-clock budget in seconds; 0 means unlimited.
   double TimeLimitSec = 0.0;
   /// Pivot budget; 0 means unlimited.
   std::int64_t MaxIterations = 0;
-  /// Memory budget for the dense tableau, in bytes.
+  /// Memory budget for the dense tableau, in bytes. The revised engine
+  /// works in O(nnz) memory and ignores it.
   std::size_t MaxTableauBytes = std::size_t(2) << 30;
   /// Number of non-improving pivots tolerated before switching to Bland's
-  /// rule.
+  /// rule. The revised engine reports NumericFail after four times as
+  /// many (scaled by the basis dimension above 256 rows).
   int StallThreshold = 512;
   /// Entering-variable rule for the revised engine.
   LpPricing Pricing = LpPricing::Devex;

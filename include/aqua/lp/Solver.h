@@ -24,9 +24,13 @@ struct Basis; // RevisedSimplex.h
 
 /// Which simplex implementation carries the solve.
 enum class LpEngine {
-  Dense,   ///< Two-phase dense tableau (Simplex.h); the reference path.
-  Revised, ///< Bounded-variable revised simplex (RevisedSimplex.h) with an
-           ///< automatic dense fallback on numeric failure.
+  /// Two-phase dense tableau (Simplex.h). A reference only: it runs when a
+  /// caller selects it by name (the aqua/check oracles and reference ILP,
+  /// perfbench's reference objective), never as a fallback.
+  Dense,
+  /// Bounded-variable revised simplex (RevisedSimplex.h); the production
+  /// engine. A numeric failure is returned as SolveStatus::NumericFail.
+  Revised,
 };
 
 /// Options for the full solve pipeline.
@@ -36,7 +40,7 @@ struct SolverOptions {
   bool Presolve = true;
   /// Simplex implementation. The two engines are cross-checked against
   /// each other on every generated model by the aqua/check "engines"
-  /// oracle.
+  /// oracle. Not part of request fingerprints (RequestKey.cpp).
   LpEngine Engine = LpEngine::Revised;
   /// Optimal basis captured from a structurally identical earlier solve
   /// (SolveInfo::OptBasis). Used only by the Revised engine, and only when
@@ -63,8 +67,8 @@ struct SolveInfo {
   /// given; 0 otherwise.
   std::uint64_t ShapeHash = 0;
   /// The optimal basis, captured when CaptureBasis was set, the Revised
-  /// engine finished Optimal itself (no dense fallback), and presolve did
-  /// not prove the model infeasible outright. Null otherwise.
+  /// engine finished Optimal, and presolve did not prove the model
+  /// infeasible outright. Null otherwise.
   std::shared_ptr<const Basis> OptBasis;
   /// True when the solve reused WarmStart (shape hashes matched and the
   /// Revised engine ran a dual repair instead of a cold solve).
@@ -81,10 +85,10 @@ struct SolveInfo {
 /// dual-feasible under any rhs/bound change.
 std::uint64_t modelShapeHash(const Model &M);
 
-/// Solves \p M (presolve + two-phase simplex + postsolve). Values in the
-/// returned Solution are indexed by the original model's variables, and the
-/// objective is evaluated on the original model. \p Info, when non-null,
-/// receives presolve statistics.
+/// Solves \p M (presolve + simplex + postsolve); the only LP entry point.
+/// Values in the returned Solution are indexed by the original model's
+/// variables, and the objective is evaluated on the original model. \p
+/// Info, when non-null, receives presolve statistics.
 Solution solve(const Model &M, const SolverOptions &Opts = {},
                SolveInfo *Info = nullptr);
 

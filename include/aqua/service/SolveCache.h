@@ -110,6 +110,12 @@ public:
   std::shared_ptr<const CompileArtifact> lookup(const ir::Fingerprint &Key,
                                                 bool *FromL2 = nullptr);
 
+  /// The L1 half of lookup(): a hit counts and stamps the entry as
+  /// lookup() does, but a miss counts nothing and never reads the store.
+  /// For a caller that already counted this key's miss through lookup()
+  /// and re-checks under its own lock.
+  std::shared_ptr<const CompileArtifact> lookupL1(const ir::Fingerprint &Key);
+
   /// Publishes \p Value under \p Key (replacing any previous entry) as
   /// its shard's most recently used, then evicts least recently used
   /// entries until the shard is within its entry and byte budgets.
@@ -133,12 +139,6 @@ private:
   };
   using Dropped = std::vector<std::shared_ptr<const CompileArtifact>>;
 
-  struct KeyHash {
-    std::size_t operator()(const ir::Fingerprint &F) const {
-      return static_cast<std::size_t>(F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL));
-    }
-  };
-
   /// An eviction candidate: a key and its stamp when the shard was last
   /// scanned.
   struct Victim {
@@ -155,7 +155,7 @@ private:
   struct alignas(64) Shard {
     std::mutex Mutex;
     std::uint64_t Tick = 0, Hits = 0;
-    std::unordered_map<ir::Fingerprint, Entry, KeyHash> Entries;
+    std::unordered_map<ir::Fingerprint, Entry, ir::FingerprintHash> Entries;
     std::vector<Victim> Victims;
     std::size_t MaxEntries = 0, MaxBytes = 0;
     std::size_t Bytes = 0;
@@ -164,6 +164,11 @@ private:
   };
 
   Shard &shardFor(const ir::Fingerprint &Key) const;
+  /// The L1 probe (caller holds S.Mutex): on a hit, stamps the entry as
+  /// the shard's most recent, counts the hit and returns the artifact.
+  /// Counts nothing on a miss.
+  std::shared_ptr<const CompileArtifact> hitLocked(Shard &S,
+                                                   const ir::Fingerprint &Key);
   /// Publishes \p Value as the most recent entry of \p S under \p Key
   /// (caller holds S.Mutex), then evicts least recently used entries until
   /// S is within budget. Replaced and evicted values go to \p Out, so the

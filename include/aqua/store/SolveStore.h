@@ -244,11 +244,6 @@ private:
     std::uint64_t Hi = 0, Lo = 0, Offset = 0;
     std::uint32_t PayloadLen = 0;
   };
-  struct KeyHash {
-    std::size_t operator()(const ir::Fingerprint &F) const {
-      return static_cast<std::size_t>(F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL));
-    }
-  };
 
   SolveStore(std::string Dir, const StoreOptions &Opts, Env &E);
 
@@ -305,7 +300,7 @@ private:
 
   mutable std::mutex Mutex;
   std::vector<Segment> Segments;
-  std::unordered_map<ir::Fingerprint, RecordLoc, KeyHash> Index;
+  std::unordered_map<ir::Fingerprint, RecordLoc, ir::FingerprintHash> Index;
   /// Index into Segments of our active writer segment; -1 until first put.
   int WriterSegment = -1;
   /// Directory generation observed before the last full refresh; nullopt

@@ -9,7 +9,8 @@
 /// exists so the observability tooling (trace-shard merging, `aquatop`,
 /// the multi-process bench aggregation, and the tests that verify merged
 /// traces) can *read back* the JSON this codebase writes without an
-/// external dependency.
+/// external dependency. Also the two helpers every JSON writer here uses
+/// for string literals and plain numbers.
 ///
 /// Scope: full JSON syntax (objects, arrays, strings with \uXXXX escapes
 /// including surrogate pairs, numbers, booleans, null). Not streaming, not
@@ -80,6 +81,15 @@ private:
 /// Parses one complete JSON document (leading/trailing whitespace allowed;
 /// trailing garbage is an error).
 Expected<Value> parse(std::string_view Text);
+
+/// Appends \p S as a JSON string literal: `"` and `\` are escaped, `\n`
+/// and `\t` by name and every other byte below 0x20 as `\u00XX`; all
+/// other bytes are copied as they are.
+void appendQuoted(std::string &Out, std::string_view S);
+
+/// Appends \p V formatted `%.9g`. JSON has no infinity or NaN literals,
+/// so those become `null`.
+void appendNumber(std::string &Out, double V);
 
 } // namespace aqua::json
 

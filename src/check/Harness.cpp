@@ -6,6 +6,7 @@
 
 #include "aqua/check/Harness.h"
 
+#include "aqua/support/Json.h"
 #include "aqua/support/Random.h"
 #include "aqua/support/StringUtils.h"
 
@@ -13,24 +14,6 @@
 
 using namespace aqua;
 using namespace aqua::check;
-
-namespace {
-
-/// JSON string escaping for the summary (ASCII content only).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\', Out += C;
-    else if (C == '\n')
-      Out += "\\n";
-    else
-      Out += C;
-  }
-  return Out;
-}
-
-} // namespace
 
 std::string HarnessResult::summary() const {
   std::string Out;
@@ -67,17 +50,18 @@ std::string HarnessResult::json() const {
     const FailedCase &F = Failed[I];
     if (I)
       Out += ",";
-    Out += format("{\"seed\":%llu,\"statements\":%d,\"repro\":\"%s\","
-                  "\"oracles\":[",
+    Out += format("{\"seed\":%llu,\"statements\":%d,\"repro\":",
                   static_cast<unsigned long long>(F.CaseSeed),
-                  F.Minimal.numStatements(),
-                  jsonEscape(F.ReproPath).c_str());
+                  F.Minimal.numStatements());
+    json::appendQuoted(Out, F.ReproPath);
+    Out += ",\"oracles\":[";
     for (size_t J = 0; J < F.Report.Failures.size(); ++J) {
       if (J)
         Out += ",";
-      Out += format("{\"oracle\":\"%s\",\"message\":\"%s\"}",
-                    oracleName(F.Report.Failures[J].O),
-                    jsonEscape(F.Report.Failures[J].Message).c_str());
+      Out += format("{\"oracle\":\"%s\",\"message\":",
+                    oracleName(F.Report.Failures[J].O));
+      json::appendQuoted(Out, F.Report.Failures[J].Message);
+      Out += "}";
     }
     Out += "]}";
   }

@@ -61,8 +61,6 @@ struct BbMetrics {
   obs::Counter &Nodes = obs::metrics().counter("lp.bb.nodes");
   obs::Counter &Pruned = obs::metrics().counter("lp.bb.pruned");
   obs::Counter &Incumbents = obs::metrics().counter("lp.bb.incumbents");
-  obs::Counter &NumericFallbacks =
-      obs::metrics().counter("lp.bb.numeric_fallbacks");
   obs::Counter &CutsGenerated = obs::metrics().counter("lp.cuts_generated");
   obs::Counter &CutsActive = obs::metrics().counter("lp.cuts_active");
   obs::Counter &CutRounds = obs::metrics().counter("lp.cut_rounds");
@@ -126,6 +124,9 @@ struct WarmSearch {
   bool BudgetHit = false;
   bool Unbounded = false;
   bool CapHit = false; // Restart node cap tripped.
+  /// A node's LP ended NumericFail: the search stops unproven, with the
+  /// node neither pruned nor branched.
+  bool NumericFail = false;
 
   /// Pseudocost table shared with the caller (it survives restarts).
   PseudocostTable &PT;
@@ -194,27 +195,18 @@ struct WarmSearch {
   void run(WarmNode Root);
 };
 
-/// Dense per-node fallback for the rare NumericFail escape: materializes
-/// the node's model and solves it cold through presolve + dense simplex.
-Solution denseNodeSolve(const Model &M, const std::vector<BoundChange> &Path,
-                        const SolverOptions &LPOpts) {
-  Model Sub = M;
-  for (const BoundChange &C : Path) {
-    if (C.IsUpper)
-      Sub.tightenUpper(C.Var, C.Bound);
-    else
-      Sub.tightenLower(C.Var, C.Bound);
-  }
-  SolverOptions O = LPOpts;
-  O.Engine = LpEngine::Dense;
-  return solve(Sub, O);
-}
-
 /// Searches the tree below \p Root: pops pool nodes best-bound first and
 /// plunges each subtree depth-first until the pool drains or a budget, the
-/// restart cap or unboundedness stops the search.
+/// restart cap, unboundedness or a numeric failure stops the search.
 void WarmSearch::run(WarmNode Root) {
   RevisedSimplex Engine(M, Cols);
+  // Node reoptimizations run a handful of dual pivots each; the
+  // refactorization clock ticks across nodes, so the default interval
+  // would spend most of the search rebuilding B^-1. Drift from the
+  // product-form updates is caught by the per-node dual-feasibility
+  // validation (which falls back to a cold solve), so a long interval is
+  // safe here.
+  Engine.setRefactorInterval(2000);
   std::vector<BoundChange> Applied; // Engine's current bound overrides.
   std::priority_queue<WarmNode, std::vector<WarmNode>, WarmNodeOrder> Pool;
   Pool.push(std::move(Root));
@@ -254,52 +246,26 @@ void WarmSearch::run(WarmNode Root) {
           Engine.setLower(C.Var, C.Bound);
       }
 
-      RevisedOptions RO;
-      RO.MaxIterations = Opts.LP.Simplex.MaxIterations;
-      RO.StallThreshold = Opts.LP.Simplex.StallThreshold;
       // Children inherit the configured pricing rule along with the
       // parent's reduced costs and devex weights from the warm basis.
-      RO.Pricing = Opts.LP.Simplex.Pricing;
-      // Node reoptimizations run a handful of dual pivots each; the
-      // refactorization clock ticks across nodes, so the default interval
-      // would spend most of the search rebuilding B^-1. Drift from the
-      // product-form updates is caught by the per-node dual-feasibility
-      // validation (which falls back to a cold solve), so a long interval
-      // is safe here.
-      RO.RefactorInterval = 2000;
-      if (Opts.TimeLimitSec > 0.0) {
-        double Remaining = Opts.TimeLimitSec - elapsed();
-        RO.TimeLimitSec = std::max(Remaining, 1e-3);
-      } else {
-        RO.TimeLimitSec = Opts.LP.Simplex.TimeLimitSec;
-      }
+      SolveOptions RO = Opts.LP.Simplex;
+      if (Opts.TimeLimitSec > 0.0)
+        RO.TimeLimitSec = std::max(Opts.TimeLimitSec - elapsed(), 1e-3);
 
-      RevisedStatus RS =
+      SolveStatus St =
           Engine.reoptimizeDual(Node.Warm ? *Node.Warm : Basis{}, RO);
       Pivots += Engine.iterations();
-
-      SolveStatus St;
-      double Obj = 0.0;
-      const std::vector<double> *Vals = nullptr;
-      Solution DenseSol;
-      if (RS == RevisedStatus::NumericFail) {
-        // Engine gave up on this node: solve it on the dense LP.
-        DenseSol = denseNodeSolve(M, Node.Path, Opts.LP);
-        met().NumericFallbacks.add();
-        Pivots += DenseSol.Iterations;
-        St = DenseSol.Status;
-        Obj = DenseSol.Objective;
-        Vals = &DenseSol.Values;
-      } else {
-        St = toSolveStatus(RS);
-        Obj = Engine.objective();
-        Vals = &Engine.values();
-      }
 
       if (St == SolveStatus::Infeasible)
         continue;
       if (St == SolveStatus::Unbounded) {
         Unbounded = true;
+        return;
+      }
+      if (St == SolveStatus::NumericFail) {
+        // The node's bound is unknown, so it can be neither pruned nor
+        // branched on: stop unproven, keeping the incumbent.
+        NumericFail = true;
         return;
       }
       if (St != SolveStatus::Optimal) {
@@ -308,6 +274,8 @@ void WarmSearch::run(WarmNode Root) {
         return;
       }
 
+      const double Obj = Engine.objective();
+      const std::vector<double> &Vals = Engine.values();
       double Bound = Sign * Obj;
       // The parent predicted this branch's degradation when it plunged;
       // feed the realized one back into the pseudocost table.
@@ -323,9 +291,9 @@ void WarmSearch::run(WarmNode Root) {
       }
 
       std::vector<BranchCandidate> Cands =
-          fractionalCandidates(*Vals, IsInteger, IntTol);
+          fractionalCandidates(Vals, IsInteger, IntTol);
       if (Cands.empty()) {
-        std::vector<double> Snapped = *Vals;
+        std::vector<double> Snapped = Vals;
         for (size_t I = 0; I < Snapped.size(); ++I)
           if (IsInteger[I])
             Snapped[I] = std::round(Snapped[I]);
@@ -336,11 +304,11 @@ void WarmSearch::run(WarmNode Root) {
       // Strong-branch probes reuse the engine, clobbering Engine.values()
       // and the held basis; snapshot both first. Children warm-start from
       // the node's optimal basis either way.
-      std::vector<double> NodeVals = *Vals;
+      std::vector<double> NodeVals = Vals;
       auto NodeBasis = std::make_shared<const Basis>(Engine.basis());
 
       int BranchVar;
-      if (Opts.Reliable > 0 && RS != RevisedStatus::NumericFail) {
+      if (Opts.Reliable > 0) {
         // Reliability branching: initialize the pseudocosts of the most
         // fractional unreliable candidates with pivot-capped dual-simplex
         // probes, then pick by the product-rule score.
@@ -362,17 +330,17 @@ void WarmSearch::run(WarmNode Root) {
               Engine.setLower(C.Var, Fl + 1.0);
             else
               Engine.setUpper(C.Var, Fl);
-            RevisedOptions PRO = RO;
+            SolveOptions PRO = RO;
             PRO.MaxIterations = StrongIterations;
-            RevisedStatus PS = Engine.reoptimizeDual(*NodeBasis, PRO);
+            SolveStatus PS = Engine.reoptimizeDual(*NodeBasis, PRO);
             Pivots += Engine.iterations();
-            if (PS == RevisedStatus::Optimal) {
+            if (PS == SolveStatus::Optimal) {
               double Deg = std::max(0.0, Bound - Sign * Engine.objective());
               double F = Up ? Fl + 1.0 - NodeVals[C.Var]
                             : NodeVals[C.Var] - Fl;
               if (PT.record(C.Var, Up, Deg / std::max(F, 1e-9)))
                 met().PseudocostInits.add();
-            } else if (PS == RevisedStatus::Infeasible) {
+            } else if (PS == SolveStatus::Infeasible) {
               // The probe proved this side empty, so its complement is
               // valid for the whole node: tighten and re-solve the node.
               Node.Path.push_back(Up ? BoundChange{C.Var, true, Fl}
@@ -457,7 +425,7 @@ void WarmSearch::run(WarmNode Root) {
 
 /// What the tree search inherits from the root cutting-plane loop.
 struct RootResult {
-  RevisedStatus Status = RevisedStatus::NumericFail;
+  SolveStatus Status = SolveStatus::NumericFail;
   /// Optimal basis of the final cut-strengthened model (null on failure).
   std::shared_ptr<const Basis> Warm;
   double Objective = 0.0; // Model direction.
@@ -546,28 +514,23 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
   RootResult Out;
   WallTimer Timer;
 
-  RevisedOptions RO;
-  RO.MaxIterations = Opts.LP.Simplex.MaxIterations;
-  RO.StallThreshold = Opts.LP.Simplex.StallThreshold;
-  RO.Pricing = Opts.LP.Simplex.Pricing;
+  SolveOptions RO = Opts.LP.Simplex;
   auto SetTime = [&] {
     if (Opts.TimeLimitSec > 0.0)
       RO.TimeLimitSec =
           std::max(Opts.TimeLimitSec - Elapsed - Timer.seconds(), 1e-3);
-    else
-      RO.TimeLimitSec = Opts.LP.Simplex.TimeLimitSec;
   };
 
   Tree = modelWithCuts(Base, Pool);
   auto Engine = std::make_unique<RevisedSimplex>(Tree);
   SetTime();
-  RevisedStatus RS = Engine->solve(RO);
+  SolveStatus RS = Engine->solve(RO);
   Out.Pivots += Engine->iterations();
 
   CutOptions CO;
   double PrevBound = Infinity;
   for (int Round = 0; Round < Opts.CutRounds; ++Round) {
-    if (RS != RevisedStatus::Optimal)
+    if (RS != SolveStatus::Optimal)
       break;
     if (fractionalCandidates(Engine->values(), IsInteger, IntTol)
             .empty())
@@ -604,7 +567,7 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
     SetTime();
     RS = Engine->reoptimizeDual(Warm, RO);
     Out.Pivots += Engine->iterations();
-    if (RS != RevisedStatus::Optimal)
+    if (RS != SolveStatus::Optimal)
       break;
 
     const double Bound = Sign * Engine->objective();
@@ -615,7 +578,7 @@ RootResult rootCutLoop(const Model &Base, const std::vector<bool> &IsInteger,
   met().CutsActive.add(static_cast<std::uint64_t>(Pool.size()));
 
   Out.Status = RS;
-  if (RS == RevisedStatus::Optimal) {
+  if (RS == SolveStatus::Optimal) {
     Out.Warm = std::make_shared<const Basis>(Engine->basis());
     Out.Objective = Engine->objective();
     Out.Values = Engine->values();
@@ -723,18 +686,18 @@ IntSolution solveIntegerWarm(const Model &M,
                          Timer.seconds());
       Pivots += Root.Pivots;
       switch (Root.Status) {
-      case RevisedStatus::Optimal:
+      case SolveStatus::Optimal:
         RootWarm = Root.Warm;
         break;
-      case RevisedStatus::Infeasible:
+      case SolveStatus::Infeasible:
         // With no incumbent the ILP is infeasible outright; with one, the
         // overlay only excludes non-improving solutions, so an infeasible
         // root proves the incumbent optimal.
         return Finish(HasInc ? SolveStatus::Optimal
                              : SolveStatus::Infeasible);
-      case RevisedStatus::Unbounded:
+      case SolveStatus::Unbounded:
         return Finish(SolveStatus::Unbounded);
-      case RevisedStatus::NumericFail:
+      case SolveStatus::NumericFail:
         // Cut machinery lost the root; run the plain warm search.
         CutsOn = false;
         Tree = Base;
@@ -742,7 +705,7 @@ IntSolution solveIntegerWarm(const Model &M,
       default: // Iteration or time budget died inside the root LP.
         return Finish(SolveStatus::TimeLimit);
       }
-      if (Root.Status == RevisedStatus::Optimal && Root.Integral) {
+      if (Root.Status == SolveStatus::Optimal && Root.Integral) {
         // The root relaxation decided the problem; it counts as the one
         // node the tree search would otherwise have processed.
         ++Nodes;
@@ -788,6 +751,8 @@ IntSolution solveIntegerWarm(const Model &M,
       return Finish(SolveStatus::Unbounded);
     if (S.BudgetHit)
       return Finish(SolveStatus::TimeLimit);
+    if (S.NumericFail)
+      return Finish(SolveStatus::NumericFail);
     if (!S.CapHit)
       return Finish(HasInc ? SolveStatus::Optimal
                            : SolveStatus::Infeasible);

@@ -73,8 +73,6 @@ struct SimplexMetrics {
   /// snapshot, skipping the O(m^2) dual recomputation.
   obs::Counter &WarmDualInherits =
       obs::metrics().counter("lp.warm_dual_inherits");
-  /// Solves handed to the dense tableau after a NumericFail.
-  obs::Counter &DenseFallbacks = obs::metrics().counter("lp.dense_fallbacks");
   /// Wall time of each basis factorization (refactorizations and logical
   /// installs).
   obs::Histogram &RefactorSec = obs::metrics().histogram(
@@ -89,25 +87,6 @@ SimplexMetrics &met() {
 
 } // namespace
 
-
-const char *aqua::lp::revisedStatusName(RevisedStatus S) {
-  switch (S) {
-  case RevisedStatus::Optimal:
-    return "optimal";
-  case RevisedStatus::Infeasible:
-    return "infeasible";
-  case RevisedStatus::Unbounded:
-    return "unbounded";
-  case RevisedStatus::IterationLimit:
-    return "iteration-limit";
-  case RevisedStatus::TimeLimit:
-    return "time-limit";
-  case RevisedStatus::NumericFail:
-    return "numeric-fail";
-  }
-  AQUA_UNREACHABLE("bad RevisedStatus");
-}
-
 const char *aqua::lp::lpPricingName(LpPricing P) {
   switch (P) {
   case LpPricing::Devex:
@@ -116,23 +95,6 @@ const char *aqua::lp::lpPricingName(LpPricing P) {
     return "bland";
   }
   AQUA_UNREACHABLE("bad LpPricing");
-}
-
-SolveStatus aqua::lp::toSolveStatus(RevisedStatus S) {
-  switch (S) {
-  case RevisedStatus::Optimal:
-    return SolveStatus::Optimal;
-  case RevisedStatus::Infeasible:
-    return SolveStatus::Infeasible;
-  case RevisedStatus::Unbounded:
-    return SolveStatus::Unbounded;
-  case RevisedStatus::IterationLimit:
-  case RevisedStatus::NumericFail:
-    return SolveStatus::IterationLimit;
-  case RevisedStatus::TimeLimit:
-    return SolveStatus::TimeLimit;
-  }
-  AQUA_UNREACHABLE("bad RevisedStatus");
 }
 
 namespace {
@@ -563,31 +525,31 @@ namespace {
 /// when the caller asked for "unlimited": a cycling pivot sequence must
 /// surface as NumericFail, never as a hang.
 struct Budget {
-  const RevisedOptions &Opts;
+  const SolveOptions &Opts;
   WallTimer Timer;
   std::int64_t SafetyCap;
 
-  Budget(const RevisedOptions &Opts, int Rows, int Cols)
+  Budget(const SolveOptions &Opts, int Rows, int Cols)
       : Opts(Opts),
         SafetyCap(10000 + 500LL * (static_cast<std::int64_t>(Rows) + Cols)) {}
 
   /// Returns the status that should abort the loop, or Optimal to keep
   /// going.
-  RevisedStatus check(std::int64_t Iterations) {
+  SolveStatus check(std::int64_t Iterations) {
     if (Opts.MaxIterations > 0 && Iterations >= Opts.MaxIterations)
-      return RevisedStatus::IterationLimit;
+      return SolveStatus::IterationLimit;
     if (Iterations >= SafetyCap)
-      return RevisedStatus::NumericFail;
+      return SolveStatus::NumericFail;
     if (Opts.TimeLimitSec > 0.0 && (Iterations & 63) == 0 &&
         Timer.seconds() > Opts.TimeLimitSec)
-      return RevisedStatus::TimeLimit;
-    return RevisedStatus::Optimal;
+      return SolveStatus::TimeLimit;
+    return SolveStatus::Optimal;
   }
 };
 
 } // namespace
 
-RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
+SolveStatus RevisedSimplex::primal(const SolveOptions &Opts, bool Phase1) {
   Budget B(Opts, NumRows, NumCols);
   bool UseBland = Opts.Pricing == LpPricing::Bland;
   int StallCount = 0;
@@ -723,7 +685,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
   };
 
   for (;;) {
-    if (RevisedStatus S = B.check(Iterations); S != RevisedStatus::Optimal)
+    if (SolveStatus S = B.check(Iterations); S != SolveStatus::Optimal)
       return S;
 
     if (Phase1 && Merit <= tol::Phase1) {
@@ -731,7 +693,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       // maintained merit accumulates float dust across pivots.
       Merit = phase1Merit();
       if (Merit <= tol::Phase1)
-        return RevisedStatus::Optimal;
+        return SolveStatus::Optimal;
     }
 
     // Stall detection keys off the incrementally maintained merit -- no
@@ -751,7 +713,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       if (++StallCount > Stall)
         UseBland = true;
       if (StallCount > 4 * Stall)
-        return RevisedStatus::NumericFail;
+        return SolveStatus::NumericFail;
     }
     if (UseBland)
       UsedBland = true;
@@ -795,8 +757,8 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
         continue;
       }
       if (Phase1)
-        return RevisedStatus::Infeasible; // Infeasibility minimized but > 0.
-      return RevisedStatus::Optimal;
+        return SolveStatus::Infeasible; // Infeasibility minimized but > 0.
+      return SolveStatus::Optimal;
     }
 
     ftran(Enter, W, &PatW);
@@ -821,7 +783,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
         // Pervasive drift: rebuild everything instead of repairing one
         // entry at a time.
         if (!refactorize())
-          return RevisedStatus::NumericFail;
+          return SolveStatus::NumericFail;
         refresh();
         RepairStreak = 0;
       }
@@ -892,7 +854,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
         // No block anywhere. In phase 2 that is unboundedness; in phase 1
         // it cannot happen (the infeasibility would fall below zero), so
         // treat it as numeric trouble.
-        return Phase1 ? RevisedStatus::NumericFail : RevisedStatus::Unbounded;
+        return Phase1 ? SolveStatus::NumericFail : SolveStatus::Unbounded;
       }
       // Bound flip: the entering column traverses its whole range. The
       // basis is untouched, so the maintained reduced costs survive as-is
@@ -927,7 +889,7 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       if (std::fabs(AlphaR[Enter] - W[LeaveRow]) >
           1e-6 * (1.0 + std::fabs(W[LeaveRow]))) {
         if (!refactorize())
-          return RevisedStatus::NumericFail;
+          return SolveStatus::NumericFail;
         refresh();
         continue;
       }
@@ -983,27 +945,27 @@ RevisedStatus RevisedSimplex::primal(const RevisedOptions &Opts, bool Phase1) {
       // break-even point of the ski-rental rule -- pay for a fresh factor.
       // The configured interval is only a drift-control ceiling.
       if (ReplayOps >= Base.factorCost() + static_cast<std::size_t>(NumRows) ||
-          SinceRefactor >= std::max(1, Opts.RefactorInterval)) {
+          SinceRefactor >= std::max(1, RefactorInterval)) {
         if (!refactorize())
-          return RevisedStatus::NumericFail;
+          return SolveStatus::NumericFail;
         refresh();
       }
     }
   }
 }
 
-RevisedStatus RevisedSimplex::solve(const RevisedOptions &Opts) {
+SolveStatus RevisedSimplex::solve(const SolveOptions &Opts) {
   met().ColdSolves.add();
   Iterations = 0;
   UsedBland = Opts.Pricing == LpPricing::Bland;
   // Primal pivots rebuild the dual-state cache below only on success.
   DualStateValid = false;
   installLogicalBasis();
-  RevisedStatus S = primal(Opts, /*Phase1=*/true);
-  if (S != RevisedStatus::Optimal)
+  SolveStatus S = primal(Opts, /*Phase1=*/true);
+  if (S != SolveStatus::Optimal)
     return S;
   S = primal(Opts, /*Phase1=*/false);
-  if (S == RevisedStatus::Optimal) {
+  if (S == SolveStatus::Optimal) {
     // Phase 2 only declares Optimal with freshly verified prices, so the
     // maintained reduced costs are exact for this basis: publish them as
     // the dual-state cache so branch-and-bound children of a cold-solved
@@ -1050,8 +1012,8 @@ bool RevisedSimplex::plungeFastPathOk(const Basis &Start) const {
   return true;
 }
 
-RevisedStatus RevisedSimplex::reoptimizeDual(const Basis &Start,
-                                             const RevisedOptions &Opts) {
+SolveStatus RevisedSimplex::reoptimizeDual(const Basis &Start,
+                                           const SolveOptions &Opts) {
   met().WarmReopts.add();
   Iterations = 0;
   UsedBland = Opts.Pricing == LpPricing::Bland;
@@ -1081,12 +1043,12 @@ RevisedStatus RevisedSimplex::reoptimizeDual(const Basis &Start,
         XB[R] -= Delta * WorkW[R];
       LastNonbasic[C] = NewVal;
     }
-    RevisedStatus S = dual(Opts, /*ReuseDualState=*/true);
-    if (S == RevisedStatus::NumericFail) {
+    SolveStatus S = dual(Opts, /*ReuseDualState=*/true);
+    if (S == SolveStatus::NumericFail) {
       met().WarmColdFallbacks.add();
       return solve(Opts);
     }
-    if (S == RevisedStatus::Optimal)
+    if (S == SolveStatus::Optimal)
       extract();
     return S;
   }
@@ -1147,18 +1109,18 @@ RevisedStatus RevisedSimplex::reoptimizeDual(const Basis &Start,
     }
   }
 
-  RevisedStatus S = dual(Opts, /*ReuseDualState=*/Inherited);
-  if (S == RevisedStatus::NumericFail) {
+  SolveStatus S = dual(Opts, /*ReuseDualState=*/Inherited);
+  if (S == SolveStatus::NumericFail) {
     met().WarmColdFallbacks.add();
     return solve(Opts);
   }
-  if (S == RevisedStatus::Optimal)
+  if (S == SolveStatus::Optimal)
     extract();
   return S;
 }
 
-RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
-                                   bool ReuseDualState) {
+SolveStatus RevisedSimplex::dual(const SolveOptions &Opts,
+                                 bool ReuseDualState) {
   Budget B(Opts, NumRows, NumCols);
   std::vector<double> CostB(NumRows, 0.0);
   std::vector<double> &Y = WorkY;
@@ -1200,7 +1162,7 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
   }
 
   for (;;) {
-    if (RevisedStatus S = B.check(Iterations); S != RevisedStatus::Optimal)
+    if (SolveStatus S = B.check(Iterations); S != SolveStatus::Optimal)
       return S;
 
     // Leaving: the basic variable with the largest bound violation.
@@ -1226,7 +1188,7 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
     }
     if (LeaveRow < 0) {
       DualStateValid = true;
-      return RevisedStatus::Optimal;
+      return SolveStatus::Optimal;
     }
 
     // Pivot-row alphas gathered row-sparsely: BTRAN the leaving row
@@ -1271,16 +1233,16 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
       }
     }
     if (Enter < 0)
-      return RevisedStatus::Infeasible; // Farkas: no entering column exists.
+      return SolveStatus::Infeasible; // Farkas: no entering column exists.
 
     ftran(Enter, W, &PatW);
     if (std::fabs(W[LeaveRow]) <= tol::Pivot)
-      return RevisedStatus::NumericFail;
+      return SolveStatus::NumericFail;
     // The gathered alpha and the FTRAN pivot element are the same number
     // computed two ways; a mismatch means the factorization drifted.
     if (std::fabs(AlphaR[Enter] - W[LeaveRow]) >
         1e-6 * (1.0 + std::fabs(W[LeaveRow])))
-      return RevisedStatus::NumericFail;
+      return SolveStatus::NumericFail;
 
     int LeaveCol = BasicCol[LeaveRow];
 
@@ -1322,9 +1284,9 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
     // Same rent-or-buy factorization reset as the primal loop: refactor
     // once eta replay has burned the last factor's counted work.
     if (ReplayOps >= Base.factorCost() + static_cast<std::size_t>(NumRows) ||
-        SinceRefactor >= std::max(1, Opts.RefactorInterval)) {
+        SinceRefactor >= std::max(1, RefactorInterval)) {
       if (!refactorize())
-        return RevisedStatus::NumericFail;
+        return SolveStatus::NumericFail;
       Refresh();
     }
 
@@ -1334,7 +1296,7 @@ RevisedStatus RevisedSimplex::dual(const RevisedOptions &Opts,
     if (WorstViol >= LastViol - 1e-12) {
       if (++StallCount >
           4 * Opts.StallThreshold * std::max(1, NumRows / 256))
-        return RevisedStatus::NumericFail;
+        return SolveStatus::NumericFail;
     } else {
       StallCount = 0;
       LastViol = WorstViol;
@@ -1370,45 +1332,6 @@ Basis RevisedSimplex::basis() const {
     B.RedCost = DualRedCost;
   B.DevexW = DevexW;
   return B;
-}
-
-Solution aqua::lp::solveRevisedSimplex(const Model &M,
-                                       const SolveOptions &Opts) {
-  return solveRevisedSimplex(M, Opts, nullptr, nullptr);
-}
-
-Solution aqua::lp::solveRevisedSimplex(const Model &M, const SolveOptions &Opts,
-                                       const Basis *Warm,
-                                       std::shared_ptr<const Basis> *Captured) {
-  WallTimer Timer;
-  Solution Sol;
-  // The engine's working set is O(nnz) -- the sparse LU plus the eta file
-  // -- so no memory gate is needed: models the dense tableau would refuse
-  // as TooLarge solve comfortably here.
-  RevisedSimplex RS(M);
-  RevisedOptions RO;
-  RO.MaxIterations = Opts.MaxIterations;
-  RO.TimeLimitSec = Opts.TimeLimitSec;
-  RO.StallThreshold = Opts.StallThreshold;
-  RO.Pricing = Opts.Pricing;
-  RevisedStatus S = Warm ? RS.reoptimizeDual(*Warm, RO) : RS.solve(RO);
-  Sol.Iterations = RS.iterations();
-  if (S == RevisedStatus::NumericFail) {
-    met().DenseFallbacks.add();
-    Solution Dense = solveSimplex(M, Opts);
-    Dense.Iterations += Sol.Iterations;
-    Dense.Seconds = Timer.seconds();
-    return Dense;
-  }
-  Sol.Status = toSolveStatus(S);
-  Sol.Seconds = Timer.seconds();
-  if (Sol.Status == SolveStatus::Optimal) {
-    Sol.Values = RS.values();
-    Sol.Objective = RS.objective();
-    if (Captured)
-      *Captured = std::make_shared<Basis>(RS.basis());
-  }
-  return Sol;
 }
 
 void RevisedSimplex::extract() {

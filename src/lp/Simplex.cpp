@@ -30,6 +30,8 @@ const char *aqua::lp::solveStatusName(SolveStatus S) {
     return "time-limit";
   case SolveStatus::TooLarge:
     return "too-large";
+  case SolveStatus::NumericFail:
+    return "numeric-fail";
   }
   AQUA_UNREACHABLE("bad SolveStatus");
 }

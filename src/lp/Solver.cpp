@@ -38,28 +38,41 @@ struct ShapeHasher {
   }
 };
 
+/// Runs the selected engine on \p M. The revised engine is the only one
+/// production runs; it reports NumericFail as is, and the dense tableau
+/// runs only when a caller selects it by name.
 Solution runSimplex(const Model &M, const SolverOptions &Opts,
                     SolveInfo *Info) {
-  if (Opts.Engine != LpEngine::Revised)
+  if (Opts.Engine == LpEngine::Dense)
     return solveSimplex(M, Opts.Simplex);
 
-  const bool WantBasis = Opts.CaptureBasis || Opts.WarmStart != nullptr;
-  if (!WantBasis)
-    return solveRevisedSimplex(M, Opts.Simplex);
-
-  const std::uint64_t Shape = modelShapeHash(M);
-  if (Info)
-    Info->ShapeHash = Shape;
-  const Basis *Warm = (Opts.WarmStart && Opts.WarmShapeHash == Shape)
-                          ? Opts.WarmStart.get()
-                          : nullptr;
-  std::shared_ptr<const Basis> Captured;
-  Solution Sol = solveRevisedSimplex(M, Opts.Simplex, Warm,
-                                     Opts.CaptureBasis ? &Captured : nullptr);
-  if (Info) {
-    Info->OptBasis = std::move(Captured);
-    Info->WarmStarted = Warm != nullptr;
+  const Basis *Warm = nullptr;
+  if (Opts.CaptureBasis || Opts.WarmStart) {
+    const std::uint64_t Shape = modelShapeHash(M);
+    if (Info)
+      Info->ShapeHash = Shape;
+    if (Opts.WarmStart && Opts.WarmShapeHash == Shape)
+      Warm = Opts.WarmStart.get();
   }
+
+  // The engine's working set is O(nnz) -- the sparse LU plus the eta file
+  // -- so no memory gate is needed: models the dense tableau would refuse
+  // as TooLarge solve comfortably here. A warm basis that no longer
+  // installs (singular, dual infeasible) degrades to a cold solve inside
+  // the engine, never to a wrong answer.
+  RevisedSimplex RS(M);
+  Solution Sol;
+  Sol.Status = Warm ? RS.reoptimizeDual(*Warm, Opts.Simplex)
+                    : RS.solve(Opts.Simplex);
+  Sol.Iterations = RS.iterations();
+  if (Sol.Status == SolveStatus::Optimal) {
+    Sol.Values = RS.values();
+    Sol.Objective = RS.objective();
+    if (Opts.CaptureBasis && Info)
+      Info->OptBasis = std::make_shared<Basis>(RS.basis());
+  }
+  if (Info)
+    Info->WarmStarted = Warm != nullptr;
   if (Warm)
     obs::metrics().counter("lp.warm_shape_repairs").add();
   return Sol;

@@ -23,6 +23,7 @@
 #include "aqua/obs/FlightRecorder.h"
 
 #include "aqua/obs/Metrics.h"
+#include "aqua/support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -145,39 +146,6 @@ std::vector<RequestDigest> FlightRecorder::snapshot() const {
   return Out;
 }
 
-namespace {
-
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
-
 std::string FlightRecorder::json() const {
   std::vector<RequestDigest> Digests = snapshot();
   std::uint64_t Recorded = recordedCount();
@@ -197,7 +165,7 @@ std::string FlightRecorder::json() const {
     std::snprintf(Buf, sizeof(Buf), "{\"trace\": \"0x%llx\", \"name\": ",
                   static_cast<unsigned long long>(D.TraceId));
     Out += Buf;
-    appendQuoted(Out, D.Name);
+    json::appendQuoted(Out, D.Name);
     std::snprintf(Buf, sizeof(Buf),
                   ", \"outcome\": \"%s\", \"cause\": \"%s\", "
                   "\"frontend\": \"%s\", \"ok\": %s, "

@@ -25,10 +25,11 @@
 
 #include "aqua/obs/Metrics.h"
 
+#include "aqua/support/Json.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <limits>
 
 using namespace aqua;
 using namespace aqua::obs;
@@ -111,47 +112,6 @@ std::map<std::string, std::uint64_t> MetricsRegistry::counterValues() const {
 
 namespace {
 
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-/// JSON has no infinity/nan literals; clamp to null.
-void appendNumber(std::string &Out, double V) {
-  if (!(V == V) || V == std::numeric_limits<double>::infinity() ||
-      V == -std::numeric_limits<double>::infinity()) {
-    Out += "null";
-    return;
-  }
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
 void appendUint(std::string &Out, std::uint64_t V) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%llu",
@@ -168,7 +128,7 @@ std::string MetricsRegistry::json() const {
   for (const auto &[Name, C] : Counters) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendQuoted(Out, Name);
+    json::appendQuoted(Out, Name);
     Out += ": ";
     appendUint(Out, C->value());
   }
@@ -177,20 +137,20 @@ std::string MetricsRegistry::json() const {
   for (const auto &[Name, G] : Gauges) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendQuoted(Out, Name);
+    json::appendQuoted(Out, Name);
     Out += ": ";
-    appendNumber(Out, G->value());
+    json::appendNumber(Out, G->value());
   }
   Out += "\n  },\n  \"histograms\": {";
   First = true;
   for (const auto &[Name, H] : Histograms) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendQuoted(Out, Name);
+    json::appendQuoted(Out, Name);
     Out += ": {\"count\": ";
     appendUint(Out, H->count());
     Out += ", \"sum\": ";
-    appendNumber(Out, H->sum());
+    json::appendNumber(Out, H->sum());
     Out += ", \"buckets\": [";
     const std::vector<double> &Bounds = H->bounds();
     for (std::size_t I = 0; I <= Bounds.size(); ++I) {
@@ -198,7 +158,7 @@ std::string MetricsRegistry::json() const {
         Out += ", ";
       Out += "{\"le\": ";
       if (I < Bounds.size())
-        appendNumber(Out, Bounds[I]);
+        json::appendNumber(Out, Bounds[I]);
       else
         Out += "\"inf\"";
       Out += ", \"count\": ";
@@ -280,10 +240,9 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
         "lp.pricing_full_recomputes", "lp.pricing_drift_repairs",
         "lp.devex_resets", "lp.ftran_hypersparse", "lp.ftran_dense",
         "lp.warm_dual_inherits", "lp.warm_shape_repairs",
-        "lp.dense_fallbacks", "lp.cuts_generated", "lp.cuts_active",
-        "lp.cut_rounds", "lp.bb.solves", "lp.bb.nodes", "lp.bb.pruned",
-        "lp.bb.incumbents", "lp.bb.numeric_fallbacks", "ilp.pseudocost_inits",
-        "ilp.strong_branches", "ilp.restarts"})
+        "lp.cuts_generated", "lp.cuts_active", "lp.cut_rounds",
+        "lp.bb.solves", "lp.bb.nodes", "lp.bb.pruned", "lp.bb.incumbents",
+        "ilp.pseudocost_inits", "ilp.strong_branches", "ilp.restarts"})
     R.counter(Name);
   R.histogram("lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
                                   3e-3, 1e-2, 3e-2, 1e-1});

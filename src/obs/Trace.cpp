@@ -7,6 +7,7 @@
 #include "aqua/obs/Trace.h"
 
 #include "aqua/obs/Metrics.h"
+#include "aqua/support/Json.h"
 
 #include <algorithm>
 #include <chrono>
@@ -181,35 +182,6 @@ std::vector<TraceEvent> Tracer::snapshot() const {
 
 namespace {
 
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 std::string metadataLine(std::uint32_t Pid, const char *Name) {
   char Buf[160];
   std::snprintf(Buf, sizeof(Buf),
@@ -223,7 +195,7 @@ std::string metadataLine(std::uint32_t Pid, const char *Name) {
 void appendEvent(std::string &Out, const TraceEvent &E) {
   char Buf[160];
   Out += "{\"name\": ";
-  appendQuoted(Out, E.Name);
+  json::appendQuoted(Out, E.Name);
   std::snprintf(Buf, sizeof(Buf),
                 ", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %llu", E.Cat,
                 E.Phase, static_cast<unsigned long long>(E.TsMicros));
@@ -252,9 +224,9 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
       if (!First)
         Out += ", ";
       First = false;
-      appendQuoted(Out, A.Key);
+      json::appendQuoted(Out, A.Key);
       Out += ": ";
-      appendQuoted(Out, A.Val);
+      json::appendQuoted(Out, A.Val);
     }
     Out += '}';
   }

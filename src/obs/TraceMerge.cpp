@@ -21,35 +21,6 @@ using namespace aqua::obs;
 
 namespace {
 
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 void appendNumber(std::string &Out, double V) {
   char Buf[64];
   // Timestamps/durations/counts round-trip as integers; anything else
@@ -74,7 +45,7 @@ void writeValue(const json::Value &V, std::string &Out) {
     appendNumber(Out, V.number());
     break;
   case json::Value::Kind::String:
-    appendQuoted(Out, V.str());
+    json::appendQuoted(Out, V.str());
     break;
   case json::Value::Kind::Array: {
     Out += '[';
@@ -95,7 +66,7 @@ void writeValue(const json::Value &V, std::string &Out) {
       if (!First)
         Out += ", ";
       First = false;
-      appendQuoted(Out, Key);
+      json::appendQuoted(Out, Key);
       Out += ": ";
       writeValue(Member, Out);
     }
@@ -197,7 +168,7 @@ Expected<MergedTrace> aqua::obs::mergeShards(
         if (!First)
           Out += ", ";
         First = false;
-        appendQuoted(Out, Key);
+        json::appendQuoted(Out, Key);
         Out += ": ";
         if (Key == "ts")
           appendNumber(Out, static_cast<double>(TsPrime));
@@ -237,7 +208,7 @@ Expected<MergedTrace> aqua::obs::mergeShards(
     Out += format("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %llu, "
                   "\"tid\": 0, \"args\": {\"name\": ",
                   static_cast<unsigned long long>(Pid));
-    appendQuoted(Out, Name);
+    json::appendQuoted(Out, Name);
     Out += "}}";
   }
   for (const MergedEvent &E : Events) {

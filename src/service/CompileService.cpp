@@ -547,9 +547,12 @@ CompileResponse CompileService::process(const CompileRequest &Request,
         // ----- Single-flight: at most one solve per fingerprint, ever.
         // The solver publishes to the cache *before* retiring its flight
         // (both flight transitions happen under FlightMutex), and a miss
-        // re-checks the cache under FlightMutex before opening a new
-        // flight -- so a request that finds neither a flight nor a cache
-        // entry is genuinely first.
+        // re-checks the L1 under FlightMutex before opening a new flight
+        // -- so a request that finds neither a flight nor a cache entry is
+        // genuinely first. The re-check reads no store and counts no
+        // second miss: a flight that retired since the first lookup has
+        // published to the L1. Only an eviction in that window slips
+        // through, and it costs a repeat solve of an identical artifact.
         std::shared_ptr<const CompileArtifact> Hit =
             Cache.lookup(R.Key, &FromL2);
         std::shared_ptr<Flight> Mine, Theirs;
@@ -558,7 +561,7 @@ CompileResponse CompileService::process(const CompileRequest &Request,
           auto It = Flights.find(R.Key.str());
           if (It != Flights.end()) {
             Theirs = It->second;
-          } else if (!(Hit = Cache.lookup(R.Key, &FromL2))) {
+          } else if (!(Hit = Cache.lookupL1(R.Key))) {
             // Not raced by a flight that retired since the first lookup:
             // this request solves.
             Mine = std::make_shared<Flight>();

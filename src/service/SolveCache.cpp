@@ -91,19 +91,31 @@ SolveCache::Shard &SolveCache::shardFor(const ir::Fingerprint &Key) const {
 }
 
 std::shared_ptr<const CompileArtifact>
+SolveCache::hitLocked(Shard &S, const ir::Fingerprint &Key) {
+  auto It = S.Entries.find(Key);
+  if (It == S.Entries.end())
+    return nullptr;
+  It->second.LastUse = ++S.Tick;
+  ++S.Hits;
+  return It->second.Value;
+}
+
+std::shared_ptr<const CompileArtifact>
+SolveCache::lookupL1(const ir::Fingerprint &Key) {
+  Shard &S = shardFor(Key);
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  return hitLocked(S, Key);
+}
+
+std::shared_ptr<const CompileArtifact>
 SolveCache::lookup(const ir::Fingerprint &Key, bool *FromL2) {
   if (FromL2)
     *FromL2 = false;
   Shard &S = shardFor(Key);
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = S.Entries.find(Key);
-    if (It != S.Entries.end()) {
-      Entry &E = It->second;
-      E.LastUse = ++S.Tick;
-      ++S.Hits;
-      return E.Value;
-    }
+    if (std::shared_ptr<const CompileArtifact> Hit = hitLocked(S, Key))
+      return Hit;
     if (!L2) {
       ++S.Misses;
       return nullptr;

@@ -915,7 +915,7 @@ Status SolveStore::compact() {
   // ones, which override them, as they do on get (a re-put after the last
   // seal lives in the Index). Other duplicates collapse as on get too:
   // the higher segment wins.
-  std::unordered_map<ir::Fingerprint, RecordLoc, KeyHash> Surviving;
+  std::unordered_map<ir::Fingerprint, RecordLoc, ir::FingerprintHash> Surviving;
   std::vector<IdxEntry> VictimEntries;
   for (int V : Victims) {
     VictimEntries.clear();
@@ -997,7 +997,7 @@ Status SolveStore::compact() {
 
 std::vector<ir::Fingerprint> SolveStore::keys() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  std::unordered_set<ir::Fingerprint, KeyHash> Seen;
+  std::unordered_set<ir::Fingerprint, ir::FingerprintHash> Seen;
   Seen.reserve(Index.size());
   for (const auto &[Key, Loc] : Index)
     Seen.insert(Key);

@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -347,4 +348,43 @@ private:
 
 Expected<Value> aqua::json::parse(std::string_view Text) {
   return Parser(Text).run();
+}
+
+void aqua::json::appendQuoted(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
+}
+
+void aqua::json::appendNumber(std::string &Out, double V) {
+  if (!std::isfinite(V)) {
+    Out += "null";
+    return;
+  }
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
+  Out += Buf;
 }

@@ -15,6 +15,7 @@
 #include "aqua/check/Harness.h"
 #include "aqua/ir/Canonical.h"
 #include "aqua/lang/Lower.h"
+#include "aqua/support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -157,6 +158,26 @@ TEST(CheckShrinker, MinimizesSyntheticFailure) {
   EXPECT_EQ(S.Report.Failures.front().O, Original.Failures.front().O);
   // The minimal program must still be a valid assay.
   EXPECT_TRUE(lang::compileAssay(S.Minimal.render()).ok());
+}
+
+TEST(CheckHarness, JsonEscapesControlCharacters) {
+  // A failure message or repro path may carry any byte; the summary must
+  // stay valid JSON and read back the exact strings.
+  HarnessResult R;
+  R.Cases = R.Failures = 1;
+  FailedCase F;
+  F.CaseSeed = 7;
+  F.ReproPath = "dir\\with \"quotes\"\n";
+  F.Report.Failures.push_back(
+      {Oracle::Solvers, std::string("tab\there, SOH \x01, CR \r end")});
+  R.Failed.push_back(F);
+
+  Expected<json::Value> Doc = json::parse(R.json());
+  ASSERT_TRUE(Doc.ok()) << Doc.message() << "\n" << R.json();
+  const json::Value &Failed = Doc->find("failed")->array().at(0);
+  EXPECT_EQ(Failed.strOr("repro", ""), F.ReproPath);
+  EXPECT_EQ(Failed.find("oracles")->array().at(0).strOr("message", ""),
+            F.Report.Failures[0].Message);
 }
 
 TEST(CheckMetamorphic, RatioScalingPreservesFingerprint) {

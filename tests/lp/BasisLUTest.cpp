@@ -99,7 +99,7 @@ BasisCase enzymeOptimalBasis(int N) {
       core::buildVolumeModel(assays::buildEnzymeAssay(N, 1), Spec);
   Presolved P = Presolved::run(F.Model);
   RevisedSimplex Engine(P.reduced());
-  EXPECT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  EXPECT_EQ(Engine.solve(), SolveStatus::Optimal);
   BasisCase B;
   B.A = SparseMatrix(P.reduced());
   B.NumStruct = P.reduced().numVars();

@@ -138,7 +138,7 @@ TEST(Separation, GomoryCutsAreValidAndViolatedAtTheVertex) {
   M.addRow("cap", RowKind::LE, 10.0, {{0, 6.0}, {1, 5.0}});
 
   RevisedSimplex Engine(M);
-  ASSERT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
   std::vector<double> X = Engine.values();
 
   CutPool Pool;
@@ -289,6 +289,21 @@ Model shapeModel(double Rhs, double UpperY) {
   return M;
 }
 
+/// lp::solve on the revised engine without presolve, so the basis belongs
+/// to \p M itself. Warm starts from \p Donor when given (its shape hash
+/// must match \p M's) and returns the captured optimal basis in \p Info.
+Solution revisedSolve(const Model &M, SolveInfo *Info,
+                      const SolveInfo *Donor = nullptr) {
+  SolverOptions O;
+  O.Presolve = false;
+  O.CaptureBasis = true;
+  if (Donor) {
+    O.WarmStart = Donor->OptBasis;
+    O.WarmShapeHash = Donor->ShapeHash;
+  }
+  return solve(M, O, Info);
+}
+
 } // namespace
 
 TEST(ShapeHash, BlindToRhsAndBoundsSensitiveToStructure) {
@@ -310,16 +325,17 @@ TEST(WarmShapeRepair, PerturbedRhsAndBoundsMatchColdSolve) {
   // and variable bounds both moved; the repair must agree with a cold
   // solve of the perturbed model.
   Model A = shapeModel(6.0, 5.0);
-  SolveOptions SO;
-  std::shared_ptr<const Basis> Donor;
-  Solution SA = solveRevisedSimplex(A, SO, nullptr, &Donor);
+  SolveInfo Donor;
+  Solution SA = revisedSolve(A, &Donor);
   ASSERT_EQ(SA.Status, SolveStatus::Optimal);
-  ASSERT_TRUE(Donor);
+  ASSERT_TRUE(Donor.OptBasis);
 
   Model B = shapeModel(4.5, 1.0);
   ASSERT_EQ(modelShapeHash(A), modelShapeHash(B));
-  Solution Warm = solveRevisedSimplex(B, SO, Donor.get(), nullptr);
-  Solution Cold = solveRevisedSimplex(B, SO);
+  SolveInfo WarmInfo, ColdInfo;
+  Solution Warm = revisedSolve(B, &WarmInfo, &Donor);
+  Solution Cold = revisedSolve(B, &ColdInfo);
+  EXPECT_TRUE(WarmInfo.WarmStarted);
   ASSERT_EQ(Warm.Status, SolveStatus::Optimal);
   ASSERT_EQ(Cold.Status, SolveStatus::Optimal);
   EXPECT_NEAR(Warm.Objective, Cold.Objective, 1e-8);
@@ -331,11 +347,9 @@ TEST(WarmShapeRepair, FlippedBoundStatusesAreSanitizedNotTrusted) {
   // the status against the new bounds (or reject and fall back cold) --
   // either way the answer matches the cold solve.
   Model A = shapeModel(6.0, 5.0);
-  SolveOptions SO;
-  std::shared_ptr<const Basis> Donor;
-  ASSERT_EQ(solveRevisedSimplex(A, SO, nullptr, &Donor).Status,
-            SolveStatus::Optimal);
-  ASSERT_TRUE(Donor);
+  SolveInfo Donor;
+  ASSERT_EQ(revisedSolve(A, &Donor).Status, SolveStatus::Optimal);
+  ASSERT_TRUE(Donor.OptBasis);
 
   // y's upper bound collapses onto a tighter window than the donor optimum
   // used; x's lower bound rises above zero.
@@ -344,8 +358,10 @@ TEST(WarmShapeRepair, FlippedBoundStatusesAreSanitizedNotTrusted) {
   B.addVar("y", 0.5, 1.0, 2.0);
   B.addRow("r0", RowKind::LE, 6.0, {{0, 1.0}, {1, 1.0}});
   B.addRow("r1", RowKind::LE, 8.0, {{0, 2.0}, {1, 1.0}});
-  Solution Warm = solveRevisedSimplex(B, SO, Donor.get(), nullptr);
-  Solution Cold = solveRevisedSimplex(B, SO);
+  SolveInfo WarmInfo, ColdInfo;
+  Solution Warm = revisedSolve(B, &WarmInfo, &Donor);
+  Solution Cold = revisedSolve(B, &ColdInfo);
+  EXPECT_TRUE(WarmInfo.WarmStarted);
   ASSERT_EQ(Warm.Status, Cold.Status);
   ASSERT_EQ(Warm.Status, SolveStatus::Optimal);
   EXPECT_NEAR(Warm.Objective, Cold.Objective, 1e-8);

@@ -7,13 +7,16 @@
 // The warm-start contract of the revised engine: a dual reoptimization
 // from a previously optimal basis must land on the same optimum as a cold
 // solve of the modified model. Randomized models cross-check the engine
-// against the dense tableau.
+// against the dense tableau, and a numeric failure reaches lp::solve's
+// caller as a status, never as a dense re-solve.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/lp/RevisedSimplex.h"
 
 #include "aqua/lp/Simplex.h"
+#include "aqua/lp/Solver.h"
+#include "aqua/obs/Metrics.h"
 #include "aqua/support/Random.h"
 
 #include <gtest/gtest.h>
@@ -64,21 +67,36 @@ Model randomModel(SplitMix64 &Rng) {
   return M;
 }
 
+/// A fully degenerate chain: max sum x_i with x_i +- x_{i+1} <= 0 and
+/// x >= 0 forces x = 0, so the objective never improves and every pivot
+/// is degenerate.
+Model degenerateChain() {
+  Model M;
+  std::vector<VarId> X;
+  for (int I = 0; I < 6; ++I)
+    X.push_back(M.addVar("x", 0.0, Infinity, 1.0));
+  for (int I = 0; I + 1 < 6; ++I) {
+    M.addRow("p", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], 1.0}});
+    M.addRow("m", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], -1.0}});
+  }
+  return M;
+}
+
 } // namespace
 
 TEST(RevisedSimplex, ColdSolveMatchesKnownOptimum) {
   Model M = twoVarModel();
   RevisedSimplex Engine(M);
-  ASSERT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
   EXPECT_NEAR(Engine.objective(), 12.0, 1e-8);
   EXPECT_NEAR(Engine.values()[0], 4.0, 1e-8);
   EXPECT_NEAR(Engine.values()[1], 0.0, 1e-8);
 }
 
-TEST(RevisedSimplex, SolveRevisedSimplexAgreesWithDense) {
+TEST(RevisedSimplex, SolveAgreesWithDense) {
   Model M = twoVarModel();
   Solution Dense = solveSimplex(M);
-  Solution Revised = solveRevisedSimplex(M);
+  Solution Revised = solve(M);
   ASSERT_EQ(Revised.Status, Dense.Status);
   EXPECT_NEAR(Revised.Objective, Dense.Objective, 1e-8);
 }
@@ -86,14 +104,14 @@ TEST(RevisedSimplex, SolveRevisedSimplexAgreesWithDense) {
 TEST(RevisedSimplex, WarmReoptimizeAfterBoundTightening) {
   Model M = twoVarModel();
   RevisedSimplex Engine(M);
-  ASSERT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
   Basis B = Engine.basis();
 
   // Branch-style tightening: x <= 3 cuts off the old optimum. The dual
   // reoptimization must land on the new optimum (x=3, y=1 -> obj 11) in a
   // handful of pivots.
   Engine.setUpper(0, 3.0);
-  ASSERT_EQ(Engine.reoptimizeDual(B), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.reoptimizeDual(B), SolveStatus::Optimal);
   EXPECT_NEAR(Engine.objective(), 11.0, 1e-8);
   EXPECT_NEAR(Engine.values()[0], 3.0, 1e-8);
   EXPECT_NEAR(Engine.values()[1], 1.0, 1e-8);
@@ -105,23 +123,23 @@ TEST(RevisedSimplex, WarmDetectsInfeasibleSubproblem) {
   M.addVar("x", 0.0, Infinity, 1.0);
   M.addRow("eq", RowKind::EQ, 1.0, {{0, 2.0}});
   RevisedSimplex Engine(M);
-  ASSERT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
   Basis B = Engine.basis();
   Engine.setLower(0, 1.0);
-  EXPECT_EQ(Engine.reoptimizeDual(B), RevisedStatus::Infeasible);
+  EXPECT_EQ(Engine.reoptimizeDual(B), SolveStatus::Infeasible);
 }
 
 TEST(RevisedSimplex, BoundResetRestoresRootProblem) {
   Model M = twoVarModel();
   RevisedSimplex Engine(M);
-  ASSERT_EQ(Engine.solve(), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
   Basis B = Engine.basis();
   Engine.setUpper(0, 2.0);
-  ASSERT_EQ(Engine.reoptimizeDual(B), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.reoptimizeDual(B), SolveStatus::Optimal);
   EXPECT_LT(Engine.objective(), 12.0);
 
   Engine.resetBounds(0);
-  ASSERT_EQ(Engine.reoptimizeDual(Engine.basis()), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.reoptimizeDual(Engine.basis()), SolveStatus::Optimal);
   EXPECT_NEAR(Engine.objective(), 12.0, 1e-8);
 }
 
@@ -133,7 +151,7 @@ TEST_P(RevisedWarmRandomTest, WarmMatchesColdAfterRandomTightenings) {
   for (int Case = 0; Case < 40; ++Case) {
     Model M = randomModel(Rng);
     RevisedSimplex Warm(M);
-    if (Warm.solve() != RevisedStatus::Optimal)
+    if (Warm.solve() != SolveStatus::Optimal)
       continue;
 
     // A chain of random bound tightenings, reoptimizing warm after each;
@@ -149,18 +167,18 @@ TEST_P(RevisedWarmRandomTest, WarmMatchesColdAfterRandomTightenings) {
         Warm.setLower(V, Warm.lower(V) + 1.0);
       if (Warm.lower(V) > Warm.upper(V))
         break; // Crossed bounds would be rejected upstream; skip.
-      RevisedStatus WS = Warm.reoptimizeDual(B);
+      SolveStatus WS = Warm.reoptimizeDual(B);
 
       RevisedSimplex Cold(M);
       for (VarId U = 0; U < M.numVars(); ++U) {
         Cold.setLower(U, Warm.lower(U));
         Cold.setUpper(U, Warm.upper(U));
       }
-      RevisedStatus CS = Cold.solve();
+      SolveStatus CS = Cold.solve();
 
       ASSERT_EQ(WS, CS) << "warm/cold status divergence (case " << Case
                         << ", step " << Step << ")";
-      if (WS != RevisedStatus::Optimal)
+      if (WS != SolveStatus::Optimal)
         break;
       EXPECT_NEAR(Warm.objective(), Cold.objective(), 1e-6)
           << "warm/cold optimum divergence (case " << Case << ", step "
@@ -180,32 +198,50 @@ TEST(RevisedSimplex, BlandPricingSolvesAndReports) {
   // reported through usedBland().
   Model M = twoVarModel();
   RevisedSimplex Engine(M);
-  RevisedOptions Opts;
+  SolveOptions Opts;
   Opts.Pricing = LpPricing::Bland;
-  ASSERT_EQ(Engine.solve(Opts), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(Opts), SolveStatus::Optimal);
   EXPECT_NEAR(Engine.objective(), 12.0, 1e-9);
   EXPECT_TRUE(Engine.usedBland());
 }
 
 TEST(RevisedSimplex, StallEngagesBlandOnDegenerateModel) {
-  // A fully degenerate chain (max sum x_i with x_i +- x_{i+1} <= 0 and
-  // x >= 0 forces x = 0): the objective never improves, every pivot is
-  // degenerate, and with a two-iteration stall threshold the watchdog
-  // must hand pricing to Bland's rule -- which then proves optimality
-  // instead of cycling or tripping the numeric-failure backstop.
-  Model M;
-  std::vector<VarId> X;
-  for (int I = 0; I < 6; ++I)
-    X.push_back(M.addVar("x", 0.0, Infinity, 1.0));
-  for (int I = 0; I + 1 < 6; ++I) {
-    M.addRow("p", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], 1.0}});
-    M.addRow("m", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], -1.0}});
-  }
-
+  // Every pivot on the chain is degenerate, and with a two-iteration
+  // stall threshold the watchdog must hand pricing to Bland's rule --
+  // which then proves optimality instead of cycling or tripping the
+  // numeric-failure backstop.
+  Model M = degenerateChain();
   RevisedSimplex Engine(M);
-  RevisedOptions Opts;
+  SolveOptions Opts;
   Opts.StallThreshold = 2;
-  ASSERT_EQ(Engine.solve(Opts), RevisedStatus::Optimal);
+  ASSERT_EQ(Engine.solve(Opts), SolveStatus::Optimal);
   EXPECT_NEAR(Engine.objective(), 0.0, 1e-9);
   EXPECT_TRUE(Engine.usedBland());
+}
+
+TEST(RevisedSimplex, NumericFailSurfacesFromSolveWithoutDenseFallback) {
+  // A watchdog that tolerates no non-improving pivot gives up on the
+  // chain's first degenerate pivot. lp::solve must return that as
+  // NumericFail: every pivot it reports is one the revised engine counted
+  // (a dense re-solve would add its own), and exactly one cold revised
+  // solve ran. The dense tableau, selected by name, solves the same model.
+  Model M = degenerateChain();
+  SolverOptions O;
+  O.Simplex.StallThreshold = 0;
+  obs::Counter &Pivots = obs::metrics().counter("lp.pivots");
+  obs::Counter &Cold = obs::metrics().counter("lp.cold_solves");
+  const std::uint64_t Pivots0 = Pivots.value(), Cold0 = Cold.value();
+  Solution S = solve(M, O);
+  EXPECT_EQ(S.Status, SolveStatus::NumericFail);
+  EXPECT_STREQ(solveStatusName(S.Status), "numeric-fail");
+  EXPECT_GT(S.Iterations, 0);
+  EXPECT_EQ(Pivots.value() - Pivots0,
+            static_cast<std::uint64_t>(S.Iterations));
+  EXPECT_EQ(Cold.value() - Cold0, 1u);
+  EXPECT_TRUE(S.Values.empty());
+
+  O.Engine = LpEngine::Dense;
+  Solution Dense = solve(M, O);
+  ASSERT_EQ(Dense.Status, SolveStatus::Optimal);
+  EXPECT_NEAR(Dense.Objective, 0.0, 1e-9);
 }

@@ -180,8 +180,8 @@ TEST(CompileService, CacheCountersMatchSolveCacheStats) {
   // instrumented at the service's hit paths and the cache's insertion
   // path; they must agree exactly with the SolveCache's own accounting.
   // (service.cache.misses intentionally counts genuine first solves, not
-  // cache-level lookup misses -- the single-flight re-check probes the
-  // cache a second time, so the two miss notions differ by design.)
+  // cache-level lookup misses -- a request that joins a flight misses the
+  // cache without solving, so the two miss notions differ by design.)
   obs::MetricsRegistry &Reg = obs::metrics();
   std::uint64_t HitsBefore = Reg.counter("service.cache.hits").value();
   std::uint64_t InsertionsBefore =
@@ -207,6 +207,36 @@ TEST(CompileService, CacheCountersMatchSolveCacheStats) {
   EXPECT_EQ(Reg.counter("service.cache.insertions").value() -
                 InsertionsBefore,
             S.Cache.Insertions);
+}
+
+TEST(CompileService, ColdMissCountsOnceAndReadsTheStoreOnce) {
+  // One cold request misses the L1 and the store once each: the
+  // single-flight re-check under the flight lock probes the L1 only. The
+  // repeat is an L1 hit that reads no store.
+  store::MemEnv Env;
+  ServiceOptions Options;
+  Options.StoreDir = "db";
+  Options.StoreEnv = &Env;
+  CompileService Service(Options);
+  ASSERT_NE(Service.store(), nullptr);
+  CompileRequest Glucose =
+      graphRequest("glucose", assays::buildGlucoseAssay());
+
+  ASSERT_TRUE(Service.compileNow(Glucose).Ok);
+  CacheStats Cold = Service.stats().Cache;
+  EXPECT_EQ(Cold.Misses, 1u);
+  EXPECT_EQ(Cold.Hits, 0u);
+  EXPECT_EQ(Service.store()->stats().Gets, 1u);
+  EXPECT_EQ(Service.store()->stats().Appends, 1u);
+
+  CompileResponse Again = Service.compileNow(Glucose);
+  ASSERT_TRUE(Again.Ok);
+  EXPECT_TRUE(Again.CacheHit);
+  EXPECT_FALSE(Again.CacheHitL2);
+  CacheStats Warm = Service.stats().Cache;
+  EXPECT_EQ(Warm.Misses, 1u);
+  EXPECT_EQ(Warm.Hits, 1u);
+  EXPECT_EQ(Service.store()->stats().Gets, 1u);
 }
 
 TEST(CompileService, UnknownVolumeAssaysCompileRelative) {
