@@ -64,16 +64,10 @@ private:
 
 /// A double-valued gauge: `set()` for level quantities (queue depth),
 /// `add()` for accumulated physical quantities (nanoliters of waste).
-/// `add()` is a CAS loop because pre-C++20-atomic toolchains lack
-/// fetch_add on atomic<double>.
 class Gauge {
 public:
   void set(double X) { V.store(X, std::memory_order_relaxed); }
-  void add(double X) {
-    double Old = V.load(std::memory_order_relaxed);
-    while (!V.compare_exchange_weak(Old, Old + X, std::memory_order_relaxed))
-      ;
-  }
+  void add(double X) { V.fetch_add(X, std::memory_order_relaxed); }
   double value() const { return V.load(std::memory_order_relaxed); }
   void reset() { V.store(0.0, std::memory_order_relaxed); }
 

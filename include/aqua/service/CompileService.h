@@ -13,11 +13,14 @@
 ///
 ///  1. a fixed-size worker pool drains a shared queue, so independent
 ///     requests compile concurrently;
-///  2. a sharded LRU cache (SolveCache.h) memoizes the full compile
-///     artifact under the canonical request fingerprint (RequestKey.h);
-///  3. *single-flight* deduplication: when N requests with the same
-///     fingerprint are in flight at once, one worker solves and the other
-///     N-1 block on its result instead of re-solving -- the cold-cache
+///  2. a front-end memo maps a request's source bytes (or graph object)
+///     to its lowered graph and canonical form, and the solve cache
+///     (SolveCache.h) maps the canonical request fingerprint
+///     (RequestKey.h) to the full compile artifact;
+///  3. *single flight*: both are instances of one keyed table
+///     (KeyedTable.h), a sharded LRU whose keys can be pending, so when
+///     N requests miss the same key at once, one lowers, reads the store
+///     or solves, and the other N-1 wait for its result -- the cold-cache
 ///     thundering herd collapses to a single solve.
 ///
 /// Production shaping: `ServiceOptions::StoreDir` attaches a persistent
@@ -32,9 +35,12 @@
 /// from failure.
 ///
 /// Thread-safety contract: every public method may be called from any
-/// thread. Artifacts are immutable and shared by `shared_ptr<const>`;
-/// callers must not mutate through the pointer. The destructor drains
-/// outstanding work and joins the workers.
+/// thread. No code path holds two locks: a memo claim, an L1 claim, the
+/// donor index and the queue each take their own mutex alone, and a
+/// request lowers, reads the store, solves or waits for another's result
+/// with none held. Artifacts are immutable and shared by
+/// `shared_ptr<const>`; callers must not mutate through the pointer. The
+/// destructor drains outstanding work and joins the workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +51,10 @@
 #include "aqua/core/Manager.h"
 #include "aqua/ir/Canonical.h"
 #include "aqua/obs/FlightRecorder.h"
+#include "aqua/service/KeyedTable.h"
 #include "aqua/service/SolveCache.h"
 #include "aqua/store/SolveStore.h"
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -58,6 +64,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -91,15 +98,10 @@ struct CompileRequest {
   std::uint64_t TraceId = 0;
 };
 
-/// Why a request was rejected without running the pipeline.
-enum class ShedReason {
-  None,            ///< Not shed.
-  QueueFull,       ///< Rejected at submit: queue past MaxQueueDepth.
-  DeadlineExpired, ///< Dropped at dequeue: deadline passed while queued.
-};
-
-/// Returns a short lower-case name for \p R ("none"/"queue_full"/...).
-const char *shedReasonName(ShedReason R);
+/// Why a request was rejected without running the pipeline: the flight
+/// recorder's vocabulary (None, QueueFull, DeadlineExpired; named by
+/// obs::shedCauseName).
+using ShedReason = obs::ShedCause;
 
 /// One compile outcome.
 struct CompileResponse {
@@ -117,7 +119,8 @@ struct CompileResponse {
   /// The cache hit was satisfied by the persistent L2 store (a subset of
   /// CacheHit).
   bool CacheHitL2 = false;
-  /// Joined an identical in-flight solve (single-flight).
+  /// Waited for another request's fetch of the same fingerprint (single
+  /// flight): its store read or its solve.
   bool Deduplicated = false;
   /// Non-None when the request was shed by admission control; Ok is false
   /// and no artifact is attached.
@@ -171,6 +174,8 @@ struct ServiceStats {
   std::uint64_t CacheHits = 0;
   /// Cache hits satisfied by the persistent L2 store.
   std::uint64_t CacheHitsL2 = 0;
+  /// Requests that waited for another request's fetch of the same
+  /// fingerprint (Cache.Joins).
   std::uint64_t SingleFlightJoins = 0;
   /// Requests served by the front-end memo: a repeated source text (or a
   /// resubmitted shared graph) that skipped parse, lower and WL
@@ -229,8 +234,6 @@ public:
 
   ServiceStats stats() const;
 
-  const SolveCache &cache() const { return Cache; }
-
   /// The attached persistent store; null when persistence is disabled.
   const store::SolveStore *store() const { return Store.get(); }
 
@@ -246,13 +249,6 @@ private:
     /// dequeues the job turns it into the queue-wait histogram.
     std::uint64_t EnqueueMicros = 0;
   };
-  /// Single-flight rendezvous for one fingerprint: the first arriving
-  /// worker publishes the artifact here; later arrivals wait on it.
-  struct Flight {
-    std::promise<std::shared_ptr<const CompileArtifact>> Promise;
-    std::shared_future<std::shared_ptr<const CompileArtifact>> Result;
-  };
-
   void workerLoop();
   /// The one way into the queue. Under one QueueMutex hold it assigns
   /// trace ids, applies queue-depth admission (HighPriority bypasses it
@@ -269,12 +265,10 @@ private:
     std::shared_ptr<const ir::CanonicalForm> Canon;
     std::string Error;
   };
-  using FrontEndFuture = std::shared_future<FrontEnd>;
   /// Lowers (source text) and canonicalizes \p Request, or reuses the
   /// memoized result of an earlier request with the same key. \p Path
   /// receives which of the two the request paid for.
-  FrontEndFuture frontEnd(const CompileRequest &Request,
-                          obs::FrontEndPath &Path);
+  FrontEnd frontEnd(const CompileRequest &Request, obs::FrontEndPath &Path);
   /// Runs the pipeline for one admitted request. \p QueueWaitSec feeds the
   /// request digest; \p EndFlow ends the submit-side flow arc inside the
   /// request span (true only when submit began one, i.e. queued paths).
@@ -290,7 +284,8 @@ private:
                    double *SolveSecOut = nullptr);
   /// Records the request's flight-recorder digest.
   static void recordDigest(const CompileRequest &Request,
-                           const CompileResponse &R, double QueueWaitSec,
+                           const CompileResponse &R,
+                           obs::RequestOutcome Outcome, double QueueWaitSec,
                            double SolveSec,
                            obs::FrontEndPath Path = obs::FrontEndPath::None);
   /// Records \p Artifact's LP basis (if any) as the donor for its
@@ -321,9 +316,6 @@ private:
   bool ShuttingDown = false;
   std::vector<std::thread> Workers;
 
-  std::mutex FlightMutex;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> Flights;
-
   /// Warm-start donor index: structure key -> the most recent optimal LP
   /// basis solved under that structure (and the presolved-shape hash it
   /// is valid for). Bases are immutable shared snapshots, a few KB each;
@@ -333,39 +325,44 @@ private:
     std::uint64_t ShapeHash = 0;
   };
   std::mutex DonorMutex;
-  std::unordered_map<std::string, Donor> Donors;
+  std::unordered_map<ir::Fingerprint, Donor, ir::FingerprintHash> Donors;
 
+  /// Front-end memo key: a source-text request's exact bytes, or a graph
+  /// request's graph object. The key holds the graph, so an identity
+  /// match can never be a recycled address. A request probes the memo as
+  /// a MemoProbe, which views its bytes instead of copying them.
+  template <class Text, class GraphRef> struct MemoKeyOf {
+    std::size_t Hash;
+    Text Source;
+    GraphRef Graph;
+  };
+  using GraphPtr = std::shared_ptr<const ir::AssayGraph>;
+  using MemoProbe = MemoKeyOf<std::string_view, const GraphPtr &>;
+  struct MemoKey : MemoKeyOf<std::string, GraphPtr> {
+    explicit MemoKey(const MemoProbe &P)
+        : MemoKeyOf{P.Hash, P.Graph ? "" : std::string(P.Source), P.Graph} {}
+  };
+  struct MemoOps {
+    using is_transparent = void;
+    template <class A> std::size_t operator()(const A &X) const {
+      return X.Hash;
+    }
+    template <class A, class B>
+    bool operator()(const A &X, const B &Y) const {
+      return X.Hash == Y.Hash && X.Graph == Y.Graph &&
+             (X.Graph || std::string_view(X.Source) == Y.Source);
+    }
+  };
   /// Front-end memo: a repeated request skips parse, lower and WL
-  /// canonicalization. A source-text request is keyed by its exact bytes
-  /// (hash, then full compare), a graph request by its graph object's
-  /// identity; the entry holds that graph, so an identity match can never
-  /// be a recycled address. An entry is a future, so concurrent first
-  /// submissions of a key wait on one lowering, which runs outside the
-  /// shard lock. Failed lowerings are dropped, not memoized. LRU within
-  /// each shard.
-  struct MemoEntry {
-    std::uint64_t Hash = 0;
-    std::string Source;                          ///< Source-text key.
-    std::shared_ptr<const ir::AssayGraph> Keyed; ///< Graph key.
-    FrontEndFuture Result;
-    std::uint64_t LastUse = 0;
-  };
-  struct MemoShard {
-    mutable std::mutex Mutex; ///< Guards Entries and Tick.
-    std::vector<MemoEntry> Entries;
-    std::uint64_t Tick = 0;
-  };
-  static constexpr std::size_t MemoShards = 8;
-  static constexpr std::size_t MemoWays = FrontEndMemoCapacity / MemoShards;
-  std::array<MemoShard, MemoShards> Memo;
+  /// canonicalization. Concurrent first submissions of a key wait on one
+  /// lowering, which runs outside the shard lock; a failed lowering is
+  /// abandoned, not memoized.
+  KeyedTable<MemoKey, FrontEnd, MemoOps, MemoOps> Memo{FrontEndMemoCapacity,
+                                                       SIZE_MAX, 8};
 
   std::atomic<std::uint64_t> Submitted{0};
   std::atomic<std::uint64_t> Completed{0};
   std::atomic<std::uint64_t> Failed{0};
-  std::atomic<std::uint64_t> CacheHits{0};
-  std::atomic<std::uint64_t> CacheHitsL2{0};
-  std::atomic<std::uint64_t> SingleFlightJoins{0};
-  std::atomic<std::uint64_t> CanonMemoHitCount{0};
   std::atomic<std::uint64_t> WarmMissHits{0};
   std::atomic<std::uint64_t> ShedQueueFull{0};
   std::atomic<std::uint64_t> ShedDeadline{0};

@@ -13,15 +13,8 @@
 /// result can be memoized wholesale -- the managed graph, the volume
 /// assignment, and the generated AIS program.
 ///
-/// The in-memory table (the L1) is a set of independently locked shards,
-/// each holding its share of the entry and byte budgets. Eviction is
-/// exact LRU: every use stamps the entry with the shard's next tick, and
-/// an insert over budget evicts the entry with the oldest stamp. A hit
-/// takes the shard's mutex for one hash probe and one stamp. Evictions
-/// take their victims from a list of the shard's oldest eighth, found by
-/// one scan and refilled when it runs out; a listed entry used since the
-/// scan is skipped. Replaced and evicted artifacts are released after the
-/// mutex is dropped.
+/// The in-memory L1 is a KeyedTable (KeyedTable.h); fetch() is the
+/// service's single-flight path through both tiers.
 ///
 /// Values are immutable `shared_ptr<const CompileArtifact>`: a hit hands
 /// out a reference to the cached artifact with no copy, and eviction never
@@ -42,13 +35,13 @@
 #define AQUA_SERVICE_SOLVECACHE_H
 
 #include "aqua/ir/Canonical.h"
+#include "aqua/obs/FlightRecorder.h"
+#include "aqua/service/KeyedTable.h"
 #include "aqua/service/Pipeline.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 namespace aqua::store {
 class SolveStore;
@@ -72,19 +65,16 @@ struct CacheConfig {
   int Shards = 8;
 };
 
-/// Aggregate counters across shards. Monotone except Entries/Bytes.
-struct CacheStats {
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
-  std::uint64_t Insertions = 0;
-  std::uint64_t Evictions = 0;
+/// The L1's counters, with store hits moved from Misses to Hits: Hits
+/// counts L1 and L2 hits, Misses the fetches and lookups neither tier
+/// answered, and Joins the fetches that waited for another caller's miss
+/// of the same key (neither hits nor misses).
+struct CacheStats : KeyedTableStats {
   /// L1 misses satisfied by the attached L2 store (a subset of Hits).
   std::uint64_t HitsL2 = 0;
   /// L2 payloads that failed to decode (version skew, corruption the
   /// store's checksums could not see) and were demoted to misses.
   std::uint64_t L2DecodeErrors = 0;
-  std::size_t Entries = 0;
-  std::size_t Bytes = 0;
 
   double hitRate() const {
     std::uint64_t Total = Hits + Misses;
@@ -92,9 +82,12 @@ struct CacheStats {
   }
 };
 
-/// Sharded LRU map from fingerprint to compile artifact.
+/// Sharded LRU map from fingerprint to compile artifact, over an optional
+/// persistent L2.
 class SolveCache {
 public:
+  using Value = std::shared_ptr<const CompileArtifact>;
+
   explicit SolveCache(const CacheConfig &Config = {});
 
   /// Attaches \p Store as the write-through L2 (non-owning; pass nullptr
@@ -102,89 +95,77 @@ public:
   /// without synchronization.
   void attachStore(store::SolveStore *Store) { L2 = Store; }
 
+  /// Returns \p Key's artifact, and in \p How which tier produced it: Hit
+  /// (L1), HitL2 (the store, decoded and promoted into the L1), Join
+  /// (another caller's fetch of the key, waited for) or Miss (\p Solve(),
+  /// run by this caller and inserted as insert() does).
+  template <class SolveFn>
+  Value fetch(const ir::Fingerprint &Key, SolveFn &&Solve,
+              obs::RequestOutcome &How);
+
   /// Returns the cached artifact or nullptr; a hit makes the entry its
   /// shard's most recently used. On an L1 miss with an L2 attached,
   /// consults the store and promotes any hit into L1 without writing it
   /// back. If \p FromL2 is non-null it is set to true exactly when the
-  /// hit came from the store's encoded bytes.
-  std::shared_ptr<const CompileArtifact> lookup(const ir::Fingerprint &Key,
-                                                bool *FromL2 = nullptr);
+  /// hit came from the store's encoded bytes. Never waits on a fetch().
+  Value lookup(const ir::Fingerprint &Key, bool *FromL2 = nullptr);
 
-  /// The L1 half of lookup(): a hit counts and stamps the entry as
-  /// lookup() does, but a miss counts nothing and never reads the store.
-  /// For a caller that already counted this key's miss through lookup()
-  /// and re-checks under its own lock.
-  std::shared_ptr<const CompileArtifact> lookupL1(const ir::Fingerprint &Key);
-
-  /// Publishes \p Value under \p Key (replacing any previous entry) as
-  /// its shard's most recently used, then evicts least recently used
-  /// entries until the shard is within its entry and byte budgets.
-  /// Write-through: with an L2 attached the encoded artifact is also
-  /// appended to the store (a store failure only drops persistence, never
-  /// the L1 insert).
-  void insert(const ir::Fingerprint &Key,
-              std::shared_ptr<const CompileArtifact> Value);
+  /// Publishes \p V under \p Key (replacing any previous entry) as its
+  /// shard's most recently used, evicting to budget. Write-through: with
+  /// an L2 attached the encoded artifact is also appended to the store (a
+  /// store failure only drops persistence, never the L1 insert). With
+  /// MaxEntries == 0 nothing is kept or written.
+  void insert(const ir::Fingerprint &Key, Value V);
 
   /// Aggregated counters (consistent per shard, not across shards).
   CacheStats stats() const;
 
   /// Drops all entries (counters are retained).
-  void clear();
+  void clear() { L1.clear(); }
 
 private:
-  struct Entry {
-    std::shared_ptr<const CompileArtifact> Value;
-    std::size_t Bytes = 0;
-    std::uint64_t LastUse = 0;
+  /// A fingerprint is uniformly mixed, so its high word serves as the
+  /// hash: its top bits pick the shard and the whole word the bucket.
+  struct HighWord {
+    std::size_t operator()(const ir::Fingerprint &F) const { return F.Hi; }
   };
-  using Dropped = std::vector<std::shared_ptr<const CompileArtifact>>;
+  using Table = KeyedTable<ir::Fingerprint, Value, HighWord>;
 
-  /// An eviction candidate: a key and its stamp when the shard was last
-  /// scanned.
-  struct Victim {
-    std::uint64_t LastUse;
-    ir::Fingerprint Key;
-  };
+  /// Reads and decodes \p Key from the L2; null when there is no L2, the
+  /// store misses, or the payload fails to decode.
+  Value readStore(const ir::Fingerprint &Key);
+  /// Appends \p V to the L2 when one is attached and the L1 is on.
+  void writeThrough(const ir::Fingerprint &Key, const CompileArtifact &V);
+  void countPublish(std::size_t Evicted);
 
-  /// One shard: its entries, each stamped with the shard's tick at its
-  /// last use, and the oldest of them as of the last eviction scan,
-  /// oldest last; guarded by Mutex together with the budgets' accounting
-  /// and counters. Cache-line aligned, and the two fields every hit
-  /// writes share the mutex's line, so a hit dirties that line and the
-  /// entry it stamps, and no other part of the shard.
-  struct alignas(64) Shard {
-    std::mutex Mutex;
-    std::uint64_t Tick = 0, Hits = 0;
-    std::unordered_map<ir::Fingerprint, Entry, ir::FingerprintHash> Entries;
-    std::vector<Victim> Victims;
-    std::size_t MaxEntries = 0, MaxBytes = 0;
-    std::size_t Bytes = 0;
-    std::uint64_t Misses = 0, Insertions = 0, Evictions = 0;
-    std::uint64_t HitsL2 = 0, L2DecodeErrors = 0;
-  };
-
-  Shard &shardFor(const ir::Fingerprint &Key) const;
-  /// The L1 probe (caller holds S.Mutex): on a hit, stamps the entry as
-  /// the shard's most recent, counts the hit and returns the artifact.
-  /// Counts nothing on a miss.
-  std::shared_ptr<const CompileArtifact> hitLocked(Shard &S,
-                                                   const ir::Fingerprint &Key);
-  /// Publishes \p Value as the most recent entry of \p S under \p Key
-  /// (caller holds S.Mutex), then evicts least recently used entries until
-  /// S is within budget. Replaced and evicted values go to \p Out, so the
-  /// caller frees them after it drops the lock.
-  void publishLocked(Shard &S, const ir::Fingerprint &Key,
-                     std::shared_ptr<const CompileArtifact> Value,
-                     std::size_t Bytes, Dropped &Out);
-  /// Evicts the least recently used entry of \p S (caller holds S.Mutex;
-  /// S has at least two entries) into \p Out.
-  void evictOldestLocked(Shard &S, Dropped &Out);
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-
+  Table L1;
   /// Optional persistent L2 (not owned). SolveStore is itself thread-safe.
   store::SolveStore *L2 = nullptr;
+  /// L1 misses the store answered, and store payloads that failed to
+  /// decode. stats() reads them before the L1's counters, so they never
+  /// exceed the misses they are carved out of.
+  std::atomic<std::uint64_t> HitsL2{0}, L2DecodeErrors{0};
 };
+
+template <class SolveFn>
+SolveCache::Value SolveCache::fetch(const ir::Fingerprint &Key,
+                                    SolveFn &&Solve,
+                                    obs::RequestOutcome &How) {
+  Table::Claim C = L1.claim(Key);
+  if (C.found() != Table::Found::Owner) {
+    How = C.found() == Table::Found::Hit ? obs::RequestOutcome::Hit
+                                         : obs::RequestOutcome::Join;
+    return C.get();
+  }
+  Value V = readStore(Key);
+  How = V ? obs::RequestOutcome::HitL2 : obs::RequestOutcome::Miss;
+  if (!V) {
+    V = Solve();
+    writeThrough(Key, *V);
+  }
+  countPublish(C.publish(V, V->approxBytes()));
+  return V;
+}
 
 } // namespace aqua::service
 

@@ -56,9 +56,7 @@ void Histogram::observe(double X) {
       std::lower_bound(Bounds.begin(), Bounds.end(), X) - Bounds.begin();
   Buckets[I].fetch_add(1, std::memory_order_relaxed);
   Count.fetch_add(1, std::memory_order_relaxed);
-  double Old = Sum.load(std::memory_order_relaxed);
-  while (!Sum.compare_exchange_weak(Old, Old + X, std::memory_order_relaxed))
-    ;
+  Sum.fetch_add(X, std::memory_order_relaxed);
 }
 
 void Histogram::reset() {

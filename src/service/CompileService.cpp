@@ -23,13 +23,6 @@ using namespace aqua::service;
 
 namespace {
 
-/// Lock-free accumulate for pre-C++20-atomic-float toolchains.
-void addDouble(std::atomic<double> &Sink, double V) {
-  double Old = Sink.load(std::memory_order_relaxed);
-  while (!Sink.compare_exchange_weak(Old, Old + V, std::memory_order_relaxed))
-    ;
-}
-
 /// Global-registry instruments, resolved once (registry lookups take a
 /// mutex; the references are stable).
 struct ServiceMetrics {
@@ -66,18 +59,6 @@ std::uint64_t wallMicrosNow() {
 }
 
 } // namespace
-
-const char *aqua::service::shedReasonName(ShedReason R) {
-  switch (R) {
-  case ShedReason::None:
-    return "none";
-  case ShedReason::QueueFull:
-    return "queue_full";
-  case ShedReason::DeadlineExpired:
-    return "deadline_expired";
-  }
-  return "unknown";
-}
 
 std::string ServiceStats::str() const {
   return format(
@@ -150,34 +131,22 @@ CompileResponse CompileService::shed(const CompileRequest &Request,
   R.Name = Request.Name;
   R.TraceId = Request.TraceId;
   R.Shed = Reason;
-  R.Error = format("request shed: %s", shedReasonName(Reason));
-  recordDigest(Request, R, QueueWaitSec, 0.0);
+  R.Error = format("request shed: %s", obs::shedCauseName(Reason));
+  recordDigest(Request, R, obs::RequestOutcome::Shed, QueueWaitSec, 0.0);
   return R;
 }
 
 void CompileService::recordDigest(const CompileRequest &Request,
                                   const CompileResponse &R,
+                                  obs::RequestOutcome Outcome,
                                   double QueueWaitSec, double SolveSec,
                                   obs::FrontEndPath Path) {
   obs::RequestDigest D;
   D.TraceId = Request.TraceId;
   D.Name = Request.Name;
   D.FrontEnd = Path;
-  if (R.Shed == ShedReason::QueueFull) {
-    D.Outcome = obs::RequestOutcome::Shed;
-    D.Cause = obs::ShedCause::QueueFull;
-  } else if (R.Shed == ShedReason::DeadlineExpired) {
-    D.Outcome = obs::RequestOutcome::Shed;
-    D.Cause = obs::ShedCause::DeadlineExpired;
-  } else if (R.Deduplicated) {
-    D.Outcome = obs::RequestOutcome::Join;
-  } else if (R.CacheHitL2) {
-    D.Outcome = obs::RequestOutcome::HitL2;
-  } else if (R.CacheHit) {
-    D.Outcome = obs::RequestOutcome::Hit;
-  } else {
-    D.Outcome = obs::RequestOutcome::Miss;
-  }
+  D.Outcome = Outcome;
+  D.Cause = R.Shed;
   D.Ok = R.Ok;
   D.QueueWaitSec = QueueWaitSec;
   D.SolveSec = SolveSec;
@@ -337,7 +306,7 @@ std::size_t CompileService::queueDepth() const {
   return Queue.size();
 }
 
-CompileService::FrontEndFuture
+CompileService::FrontEnd
 CompileService::frontEnd(const CompileRequest &Request,
                          obs::FrontEndPath &Path) {
   const bool FromSource = !Request.Graph;
@@ -360,80 +329,31 @@ CompileService::frontEnd(const CompileRequest &Request,
         std::make_shared<const ir::CanonicalForm>(ir::canonicalize(*FE.Graph));
     return FE;
   };
-  std::promise<FrontEnd> Promise;
-  FrontEndFuture Mine = Promise.get_future().share();
   // Cache off means the full pipeline on every request, front end included.
-  if (!Options.EnableCache) {
-    Promise.set_value(Run());
-    return Mine;
-  }
+  if (!Options.EnableCache)
+    return Run();
 
   // compileAssay is a pure function of the source bytes, so equal bytes
   // may share one lowering; a graph is immutable, so one object may share
   // one canonical form.
-  std::uint64_t Hash =
+  std::size_t Hash =
       FromSource ? std::hash<std::string_view>{}(Request.Source)
                  : (reinterpret_cast<std::uintptr_t>(Request.Graph.get()) >>
                     4) * 0x9e3779b97f4a7c15ULL;
-  MemoShard &Shard = Memo[(Hash >> 32) % MemoShards];
-  auto Matches = [&](const MemoEntry &E) {
-    return E.Hash == Hash && (FromSource ? !E.Keyed && E.Source == Request.Source
-                                         : E.Keyed == Request.Graph);
-  };
-  // Dropped entries die after the shard lock is released.
-  MemoEntry Displaced;
-  FrontEndFuture Result;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    ++Shard.Tick;
-    auto &Entries = Shard.Entries;
-    auto It = std::find_if(Entries.begin(), Entries.end(), Matches);
-    if (It != Entries.end()) {
-      It->LastUse = Shard.Tick;
-      Result = It->Result;
-    } else {
-      MemoEntry *Slot;
-      if (Entries.size() < MemoWays) {
-        Slot = &Entries.emplace_back();
-      } else {
-        Slot = &*std::min_element(Entries.begin(), Entries.end(),
-                                  [](const MemoEntry &A, const MemoEntry &B) {
-                                    return A.LastUse < B.LastUse;
-                                  });
-        Displaced = std::move(*Slot);
-      }
-      *Slot = MemoEntry{Hash, FromSource ? Request.Source : std::string(),
-                        FromSource ? nullptr : Request.Graph,
-                        Mine, Shard.Tick};
-    }
-  }
-  if (Result.valid()) {
+  auto Claim = Memo.claim(MemoProbe{Hash, Request.Source, Request.Graph});
+  if (Claim.found() != decltype(Memo)::Found::Owner) {
     Path = obs::FrontEndPath::Memo;
-    CanonMemoHitCount.fetch_add(1, std::memory_order_relaxed);
     met().CanonMemoHits.add();
-    return Result;
+    return Claim.get();
   }
-  auto Forget = [&] {
-    MemoEntry Dropped;
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    auto It = std::find_if(Shard.Entries.begin(), Shard.Entries.end(), Matches);
-    if (It != Shard.Entries.end()) {
-      Dropped = std::move(*It);
-      Shard.Entries.erase(It);
-    }
-  };
-  try {
-    FrontEnd FE = Run();
-    bool Failed = !FE.Graph;
-    Promise.set_value(std::move(FE));
-    if (Failed)
-      Forget(); // Waiters already joined see the error; later ones retry.
-  } catch (...) {
-    Promise.set_exception(std::current_exception());
-    Forget();
-    throw;
-  }
-  return Mine;
+  FrontEnd FE = Run();
+  // A failed lowering is not memoized: waiters already joined see the
+  // error, later requests lower again.
+  if (FE.Graph)
+    Claim.publish(FE);
+  else
+    Claim.abandon(FE);
+  return FE;
 }
 
 void CompileService::publishDonor(const ir::Fingerprint &StructKey,
@@ -444,7 +364,7 @@ void CompileService::publishDonor(const ir::Fingerprint &StructKey,
   if (!Artifact.VM.LpBasis)
     return;
   std::lock_guard<std::mutex> Lock(DonorMutex);
-  Donor &D = Donors[StructKey.str()];
+  Donor &D = Donors[StructKey];
   D.Basis = Artifact.VM.LpBasis;
   D.ShapeHash = Artifact.VM.LpShapeHash;
 }
@@ -468,7 +388,7 @@ CompileService::solveAndGenerate(const CompileRequest &Request,
       // cold solve.
       Manage.LPOptions.CaptureBasis = true;
       std::lock_guard<std::mutex> Lock(DonorMutex);
-      auto It = Donors.find(StructKey->str());
+      auto It = Donors.find(*StructKey);
       if (It != Donors.end()) {
         Manage.LPOptions.WarmStart = It->second.Basis;
         Manage.LPOptions.WarmShapeHash = It->second.ShapeHash;
@@ -484,7 +404,7 @@ CompileService::solveAndGenerate(const CompileRequest &Request,
     if (StructKey)
       publishDonor(*StructKey, *Artifact);
   }
-  addDouble(SolveSec, Sec);
+  SolveSec.fetch_add(Sec, std::memory_order_relaxed);
   met().SolveSec.observe(Sec);
   if (SolveSecOut)
     *SolveSecOut = Sec;
@@ -510,6 +430,7 @@ CompileResponse CompileService::process(const CompileRequest &Request,
   double Latency = 0.0;
   double SolveSec = 0.0;
   obs::FrontEndPath Path = obs::FrontEndPath::None;
+  obs::RequestOutcome Outcome = obs::RequestOutcome::Miss;
   {
     ScopedTimer Timer(Latency);
 
@@ -519,84 +440,49 @@ CompileResponse CompileService::process(const CompileRequest &Request,
     // graph and form and pays only the (cheap) fingerprint mixes. The
     // structure key (volume inputs masked) keys the warm-start donor
     // index.
-    FrontEndFuture Front;
+    FrontEnd FE;
     ir::Fingerprint StructKey;
     {
       obs::SpanGuard FpSpan("service.fingerprint", "service");
-      Front = frontEnd(Request, Path);
+      FE = frontEnd(Request, Path);
       FpSpan.arg("frontend", obs::frontEndPathName(Path));
-      if (const auto &Canon = Front.get().Canon) {
-        R.Key = requestFingerprint(*Canon, Request.Spec, Request.Manage,
+      if (FE.Canon) {
+        R.Key = requestFingerprint(*FE.Canon, Request.Spec, Request.Manage,
                                    Request.Layout);
         if (Options.WarmMiss)
-          StructKey = structureFingerprint(*Canon, Request.Spec,
+          StructKey = structureFingerprint(*FE.Canon, Request.Spec,
                                            Request.Manage, Request.Layout);
       }
     }
-    const FrontEnd &FE = Front.get();
     if (!FE.Graph)
       R.Error = FE.Error;
 
     if (const ir::AssayGraph *Graph = FE.Graph.get()) {
       const ir::Fingerprint *SK = Options.WarmMiss ? &StructKey : nullptr;
 
-      bool FromL2 = false;
       if (!Options.EnableCache) {
         R.Artifact = solveAndGenerate(Request, *Graph, SK, &SolveSec);
       } else {
-        // ----- Single-flight: at most one solve per fingerprint, ever.
-        // The solver publishes to the cache *before* retiring its flight
-        // (both flight transitions happen under FlightMutex), and a miss
-        // re-checks the L1 under FlightMutex before opening a new flight
-        // -- so a request that finds neither a flight nor a cache entry is
-        // genuinely first. The re-check reads no store and counts no
-        // second miss: a flight that retired since the first lookup has
-        // published to the L1. Only an eviction in that window slips
-        // through, and it costs a repeat solve of an identical artifact.
-        std::shared_ptr<const CompileArtifact> Hit =
-            Cache.lookup(R.Key, &FromL2);
-        std::shared_ptr<Flight> Mine, Theirs;
-        if (!Hit) {
-          std::lock_guard<std::mutex> Lock(FlightMutex);
-          auto It = Flights.find(R.Key.str());
-          if (It != Flights.end()) {
-            Theirs = It->second;
-          } else if (!(Hit = Cache.lookupL1(R.Key))) {
-            // Not raced by a flight that retired since the first lookup:
-            // this request solves.
-            Mine = std::make_shared<Flight>();
-            Mine->Result = Mine->Promise.get_future().share();
-            Flights.emplace(R.Key.str(), Mine);
-          }
-        }
-        if (Hit) {
-          R.CacheHit = true;
-          R.CacheHitL2 = FromL2;
-          CacheHits.fetch_add(1, std::memory_order_relaxed);
-          met().CacheHits.add();
-          if (FromL2)
-            CacheHitsL2.fetch_add(1, std::memory_order_relaxed);
-          // A hit still seeds the donor index: after a daemon restart the
-          // L2-decoded artifact carries its basis, so the first *miss* in a
-          // volume sweep can already warm start.
-          if (SK)
-            publishDonor(*SK, *Hit);
-          R.Artifact = std::move(Hit);
-        } else if (Theirs) {
-          R.Deduplicated = true;
-          SingleFlightJoins.fetch_add(1, std::memory_order_relaxed);
-          met().Joins.add();
-          R.Artifact = Theirs->Result.get();
-        } else {
-          met().CacheMisses.add();
-          R.Artifact = solveAndGenerate(Request, *Graph, SK, &SolveSec);
-          Cache.insert(R.Key, R.Artifact);
-          {
-            std::lock_guard<std::mutex> Lock(FlightMutex);
-            Flights.erase(R.Key.str());
-          }
-          Mine->Promise.set_value(R.Artifact);
-        }
+        // ----- Single flight: at most one solve per fingerprint, ever.
+        // The first request to miss the L1 owns the key, reads the L2 and
+        // only then solves; concurrent requests for it wait for the
+        // owner's artifact.
+        R.Artifact = Cache.fetch(
+            R.Key,
+            [&] { return solveAndGenerate(Request, *Graph, SK, &SolveSec); },
+            Outcome);
+        R.CacheHitL2 = Outcome == obs::RequestOutcome::HitL2;
+        R.CacheHit = R.CacheHitL2 || Outcome == obs::RequestOutcome::Hit;
+        R.Deduplicated = Outcome == obs::RequestOutcome::Join;
+        (R.CacheHit        ? met().CacheHits
+         : R.Deduplicated ? met().Joins
+                          : met().CacheMisses)
+            .add();
+        // A hit still seeds the donor index: after a daemon restart the
+        // L2-decoded artifact carries its basis, so the first *miss* in a
+        // volume sweep can already warm start.
+        if (R.CacheHit && SK)
+          publishDonor(*SK, *R.Artifact);
       }
 
       if (R.Artifact) {
@@ -607,7 +493,7 @@ CompileResponse CompileService::process(const CompileRequest &Request,
     }
   }
   R.LatencySec = Latency;
-  addDouble(TotalLatencySec, Latency);
+  TotalLatencySec.fetch_add(Latency, std::memory_order_relaxed);
   met().LatencySec.observe(Latency);
   Completed.fetch_add(1, std::memory_order_relaxed);
   met().Completed.add();
@@ -615,11 +501,8 @@ CompileResponse CompileService::process(const CompileRequest &Request,
     Failed.fetch_add(1, std::memory_order_relaxed);
     met().Failed.add();
   }
-  Span.arg("outcome", R.Deduplicated ? "join"
-                      : R.CacheHitL2 ? "hit_l2"
-                      : R.CacheHit   ? "hit"
-                                     : "miss");
-  recordDigest(Request, R, QueueWaitSec, SolveSec, Path);
+  Span.arg("outcome", obs::requestOutcomeName(Outcome));
+  recordDigest(Request, R, Outcome, QueueWaitSec, SolveSec, Path);
   return R;
 }
 
@@ -628,19 +511,19 @@ ServiceStats CompileService::stats() const {
   S.Submitted = Submitted.load(std::memory_order_relaxed);
   S.Completed = Completed.load(std::memory_order_relaxed);
   S.Failed = Failed.load(std::memory_order_relaxed);
-  S.CacheHits = CacheHits.load(std::memory_order_relaxed);
-  S.CacheHitsL2 = CacheHitsL2.load(std::memory_order_relaxed);
-  S.SingleFlightJoins = SingleFlightJoins.load(std::memory_order_relaxed);
-  S.CanonMemoHits = CanonMemoHitCount.load(std::memory_order_relaxed);
-  for (const MemoShard &Shard : Memo) {
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    S.FrontEndMemoEntries += Shard.Entries.size();
-  }
+  KeyedTableStats Memoized = Memo.stats();
+  S.CanonMemoHits = Memoized.Hits + Memoized.Joins;
+  S.FrontEndMemoEntries = Memoized.Entries;
   S.WarmMissHits = WarmMissHits.load(std::memory_order_relaxed);
   S.ShedQueueFull = ShedQueueFull.load(std::memory_order_relaxed);
   S.ShedDeadline = ShedDeadline.load(std::memory_order_relaxed);
   S.TotalLatencySec = TotalLatencySec.load(std::memory_order_relaxed);
   S.SolveSec = SolveSec.load(std::memory_order_relaxed);
   S.Cache = Cache.stats();
+  // The service fetches only through the cache's single flight, so its
+  // hits and joins are the cache's.
+  S.CacheHits = S.Cache.Hits;
+  S.CacheHitsL2 = S.Cache.HitsL2;
+  S.SingleFlightJoins = S.Cache.Joins;
   return S;
 }

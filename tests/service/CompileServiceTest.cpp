@@ -12,13 +12,17 @@
 #include "aqua/obs/FlightRecorder.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/service/ArtifactCodec.h"
+#include "aqua/store/Env.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,6 +120,8 @@ TEST(CompileService, SingleFlightDedupUnderEightThreads) {
   ServiceStats S = Service.stats();
   EXPECT_EQ(S.Cache.Insertions, 1u) << "single-flight must solve once";
   EXPECT_EQ(S.CacheHits + S.SingleFlightJoins, 7u);
+  EXPECT_EQ(S.Cache.Misses, 1u) << "a join is neither a hit nor a miss";
+  EXPECT_EQ(S.Cache.Joins, S.SingleFlightJoins);
   EXPECT_EQ(S.Completed, 8u);
 }
 
@@ -210,9 +216,9 @@ TEST(CompileService, CacheCountersMatchSolveCacheStats) {
 }
 
 TEST(CompileService, ColdMissCountsOnceAndReadsTheStoreOnce) {
-  // One cold request misses the L1 and the store once each: the
-  // single-flight re-check under the flight lock probes the L1 only. The
-  // repeat is an L1 hit that reads no store.
+  // One cold request misses the L1 and the store once each: the request
+  // that owns the miss reads the store once, then solves. The repeat is an
+  // L1 hit that reads no store.
   store::MemEnv Env;
   ServiceOptions Options;
   Options.StoreDir = "db";
@@ -237,6 +243,105 @@ TEST(CompileService, ColdMissCountsOnceAndReadsTheStoreOnce) {
   EXPECT_EQ(Warm.Misses, 1u);
   EXPECT_EQ(Warm.Hits, 1u);
   EXPECT_EQ(Service.store()->stats().Gets, 1u);
+}
+
+namespace {
+
+/// An in-memory Env whose first read after arm() waits for release(): it
+/// holds a store read open while other requests arrive.
+class HoldFirstRead : public store::MemEnv {
+public:
+  Status read(const std::string &Path, std::uint64_t Offset, std::uint64_t Len,
+              std::string &Out) override {
+    {
+      std::unique_lock<std::mutex> Lock(Mutex);
+      if (Armed) {
+        Armed = false;
+        Released.wait(Lock, [this] { return Open; });
+      }
+    }
+    return MemEnv::read(Path, Offset, Len, Out);
+  }
+  void arm() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Armed = true;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Open = true;
+    }
+    Released.notify_all();
+  }
+
+private:
+  std::mutex Mutex;
+  std::condition_variable Released;
+  bool Armed = false, Open = false;
+};
+
+} // namespace
+
+TEST(CompileService, ConcurrentFirstRequestsForAStoredKeyReadTheStoreOnce) {
+  // Eight concurrent first requests for a key held only in the store: the
+  // one that owns the miss reads and decodes it, and the other seven join
+  // it instead of reading the store themselves. Its store read is held
+  // open until the seven have joined (or 10 s have passed, so a request
+  // that reads the store itself fails the test instead of hanging it).
+  HoldFirstRead Env;
+  ServiceOptions Options;
+  Options.Threads = 1;
+  Options.StoreDir = "db";
+  Options.StoreEnv = &Env;
+  // Serve the record by reading its segment (Env::read), not a mapping.
+  Options.Store.UseIndexes = false;
+  Options.Store.BuildIndexes = false;
+  CompileRequest Glucose =
+      graphRequest("glucose", assays::buildGlucoseAssay());
+  std::string Expected;
+  {
+    CompileService Writer(Options);
+    CompileResponse R = Writer.compileNow(Glucose);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    Expected = encodeArtifact(*R.Artifact);
+  }
+
+  CompileService Service(Options);
+  ASSERT_NE(Service.store(), nullptr);
+  const store::StoreStats Before = Service.store()->stats();
+  constexpr std::uint64_t N = 8;
+  std::vector<CompileResponse> Responses(N);
+  std::vector<std::thread> Clients;
+  Env.arm();
+  for (std::uint64_t I = 0; I < N; ++I)
+    Clients.emplace_back(
+        [&, I] { Responses[I] = Service.compileNow(Glucose); });
+  const auto GiveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Service.stats().SingleFlightJoins < N - 1 &&
+         std::chrono::steady_clock::now() < GiveUp)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Env.release();
+  for (std::thread &C : Clients)
+    C.join();
+
+  const store::StoreStats After = Service.store()->stats();
+  EXPECT_EQ(After.Gets - Before.Gets, 1u) << "one store read";
+  EXPECT_EQ(After.Appends, Before.Appends) << "no solve wrote through";
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Cache.HitsL2, 1u) << "one decode";
+  EXPECT_EQ(S.Cache.L2DecodeErrors, 0u);
+  EXPECT_EQ(S.Cache.Misses, 0u) << "no solve";
+  EXPECT_EQ(S.SolveSec, 0.0);
+  EXPECT_EQ(S.SingleFlightJoins, N - 1);
+  EXPECT_EQ(S.CacheHitsL2, 1u);
+  std::uint64_t Joined = 0;
+  for (const CompileResponse &R : Responses) {
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(encodeArtifact(*R.Artifact), Expected);
+    Joined += R.Deduplicated;
+  }
+  EXPECT_EQ(Joined, N - 1);
 }
 
 TEST(CompileService, UnknownVolumeAssaysCompileRelative) {
