@@ -12,7 +12,8 @@
 /// glucose panel submitted plate after plate) three ways:
 ///
 ///  1. a fixed-size worker pool drains a shared queue, so independent
-///     requests compile concurrently;
+///     requests compile concurrently, while a request the cache already
+///     holds is served on the submitting thread without queueing;
 ///  2. a front-end memo maps a request's source bytes (or graph object)
 ///     to its lowered graph and canonical form, and the solve cache
 ///     (SolveCache.h) maps the canonical request fingerprint
@@ -30,17 +31,20 @@
 /// control sheds work instead of queueing unboundedly: a request past
 /// `ServiceOptions::MaxQueueDepth` is rejected at submit (unless
 /// high-priority), and a request whose deadline expired while it waited is
-/// shed at dequeue without running the pipeline. Shed responses carry a
-/// distinct `CompileResponse::Shed` reason so clients can tell overload
-/// from failure.
+/// shed at dequeue without running the pipeline. Only queued work waits or
+/// sheds: a cache hit bypasses pause() and depth admission. Shed responses
+/// carry a distinct `CompileResponse::Shed` reason so clients can tell
+/// overload from failure.
 ///
 /// Thread-safety contract: every public method may be called from any
 /// thread. No code path holds two locks: a memo claim, an L1 claim, the
-/// donor index and the queue each take their own mutex alone, and a
-/// request lowers, reads the store, solves or waits for another's result
-/// with none held. Artifacts are immutable and shared by
-/// `shared_ptr<const>`; callers must not mutate through the pointer. The
-/// destructor drains outstanding work and joins the workers.
+/// donor index and the queue each take their own mutex alone (the
+/// submitting caller's hit probe takes a memo shard's and then an L1
+/// shard's, one at a time, before the queue's), and a request lowers,
+/// reads the store, solves or waits for another's result with none held.
+/// Artifacts are immutable and shared by `shared_ptr<const>`; callers
+/// must not mutate through the pointer. The destructor drains outstanding
+/// work and joins the workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +66,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -154,7 +159,8 @@ struct ServiceOptions {
   store::Env *StoreEnv = nullptr;
   /// Queue-depth admission budget: a normal-priority submit that would
   /// push the queue past this is shed with ShedReason::QueueFull. 0 means
-  /// unbounded (no admission control).
+  /// unbounded (no admission control). A cache hit never queues, so it is
+  /// never shed on depth.
   std::size_t MaxQueueDepth = 0;
   /// Warm-miss basis reuse: a cache miss whose *structure* key (the
   /// request fingerprint with MaxCapacityNl / PinnedVolumeNl masked, see
@@ -208,13 +214,19 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Enqueues one request; the future resolves when a worker finishes it.
-  /// Under admission control the future may already hold a shed response.
+  /// Submits one request. When the front-end memo holds its source (or
+  /// graph) and the L1 holds its artifact, it is served on the calling
+  /// thread and the returned future is already ready, even while paused
+  /// or with a full queue. Otherwise it is enqueued and the future
+  /// resolves when a worker finishes it; under admission control it may
+  /// already hold a shed response. A request whose deadline has passed
+  /// is always enqueued, and sheds at dequeue.
   std::future<CompileResponse> submit(CompileRequest Request);
 
-  /// Enqueues a whole batch (one lock acquisition and one wakeup for the
-  /// lot) and blocks until every request is done. Responses are in
-  /// request order; admission control applies per request.
+  /// Submits a whole batch as submit() does each request (the enqueued
+  /// rest take one lock acquisition and one wakeup for the lot) and
+  /// blocks until every request is done. Responses are in request order;
+  /// admission control applies per request.
   std::vector<CompileResponse> compileBatch(std::vector<CompileRequest> Batch);
 
   /// Runs one request synchronously on the calling thread (still goes
@@ -224,7 +236,8 @@ public:
   /// Stops workers from dequeueing (in-flight requests finish). Submits
   /// still enqueue -- with admission control they shed past the budget,
   /// which is how tests build a deterministically full queue (pause right
-  /// after construction, while the queue is still empty).
+  /// after construction, while the queue is still empty). Cache hits are
+  /// still served on the submitting thread.
   void pause();
   /// Resumes dequeueing.
   void resume();
@@ -242,22 +255,6 @@ public:
   static constexpr std::size_t FrontEndMemoCapacity = 256;
 
 private:
-  struct Job {
-    CompileRequest Request;
-    std::promise<CompileResponse> Promise;
-    /// Trace-epoch submit time (obs::Tracer::nowMicros); the worker that
-    /// dequeues the job turns it into the queue-wait histogram.
-    std::uint64_t EnqueueMicros = 0;
-  };
-  void workerLoop();
-  /// The one way into the queue. Under one QueueMutex hold it assigns
-  /// trace ids, applies queue-depth admission (HighPriority bypasses it
-  /// and goes to the front), begins each admitted request's flow arc and
-  /// sets the queue-depth gauge; then it wakes parked workers. Returns one
-  /// future per request, in request order; a shed request's future is
-  /// already ready.
-  std::vector<std::future<CompileResponse>>
-  enqueue(std::span<CompileRequest> Requests);
   /// What the front end makes of a request: the lowered graph and its
   /// canonical form, or (both null) the lowering error.
   struct FrontEnd {
@@ -265,15 +262,50 @@ private:
     std::shared_ptr<const ir::CanonicalForm> Canon;
     std::string Error;
   };
+  /// What the submitting caller learnt before it queued a request: the
+  /// memoized front end and the request fingerprint (FE.Graph is null when
+  /// the memo missed), and the seconds it spent learning them.
+  struct Probe {
+    FrontEnd FE;
+    ir::Fingerprint Key;
+    double Sec = 0.0;
+  };
+  struct Job {
+    CompileRequest Request;
+    std::promise<CompileResponse> Promise;
+    /// Trace-epoch submit time (obs::Tracer::nowMicros); the worker that
+    /// dequeues the job turns it into the queue-wait histogram.
+    std::uint64_t EnqueueMicros = 0;
+    /// The caller's memo hit, if it had one: the worker starts at the L1.
+    Probe Pre;
+  };
+  void workerLoop();
+  /// The one way into the queue. It assigns each request its trace id
+  /// and serves the ones the L1 holds on the calling thread (serveHit),
+  /// taking no queue lock. For the rest it begins their flow arcs, then
+  /// under one QueueMutex hold applies queue-depth admission
+  /// (HighPriority bypasses it and goes to the front) and sets the
+  /// queue-depth gauge; then it sheds what admission turned away and
+  /// wakes parked workers. Returns one future per request, in request
+  /// order; a hit's or a shed request's future is already ready.
+  std::vector<std::future<CompileResponse>>
+  enqueue(std::span<CompileRequest> Requests);
+  /// The caller-side hit path: probes the front-end memo and, on a memo
+  /// hit, the L1 under the request fingerprint, counting hits only. An L1
+  /// hit is completed here and returned; otherwise \p Pre keeps what the
+  /// probe found for the worker.
+  std::optional<CompileResponse> serveHit(const CompileRequest &Request,
+                                          Probe &Pre);
   /// Lowers (source text) and canonicalizes \p Request, or reuses the
   /// memoized result of an earlier request with the same key. \p Path
   /// receives which of the two the request paid for.
   FrontEnd frontEnd(const CompileRequest &Request, obs::FrontEndPath &Path);
-  /// Runs the pipeline for one admitted request. \p QueueWaitSec feeds the
-  /// request digest; \p EndFlow ends the submit-side flow arc inside the
-  /// request span (true only when submit began one, i.e. queued paths).
-  CompileResponse process(const CompileRequest &Request,
-                          double QueueWaitSec = 0.0, bool EndFlow = false);
+  /// Runs the pipeline for one admitted request, from the L1 when \p Pre
+  /// holds the caller's memo hit. \p QueueWaitSec feeds the request
+  /// digest; \p EndFlow ends the submit-side flow arc inside the request
+  /// span (true only when submit began one, i.e. queued paths).
+  CompileResponse process(const CompileRequest &Request, Probe Pre,
+                          double QueueWaitSec, bool EndFlow);
   /// The uncached pipeline tail: compileGraph on a lowered graph.
   /// \p StructKey, when non-null, keys the warm-start donor lookup (a
   /// same-structure sibling's optimal LP basis) and the publication of
@@ -282,6 +314,11 @@ private:
   solveAndGenerate(const CompileRequest &Request, const ir::AssayGraph &G,
                    const ir::Fingerprint *StructKey = nullptr,
                    double *SolveSecOut = nullptr);
+  /// Counts \p R, whose LatencySec is set, as a completion in ServiceStats
+  /// and the service.* metrics, and records its digest.
+  void complete(const CompileRequest &Request, const CompileResponse &R,
+                obs::RequestOutcome Outcome, double QueueWaitSec,
+                double SolveSec, obs::FrontEndPath Path);
   /// Records the request's flight-recorder digest.
   static void recordDigest(const CompileRequest &Request,
                            const CompileResponse &R,
@@ -294,9 +331,10 @@ private:
                     const CompileArtifact &Artifact);
   /// Sheds \p Request for \p Reason: counts it in ServiceStats and the
   /// service.shed_* metrics, records its digest and returns the rejection
-  /// response. \p QueueWaitSec is how long it waited before the decision.
+  /// response. \p QueueWaitSec is how long it waited before the decision;
+  /// \p EndFlow ends the request's flow arc at the shed.
   CompileResponse shed(const CompileRequest &Request, ShedReason Reason,
-                       double QueueWaitSec);
+                       double QueueWaitSec, bool EndFlow);
 
   ServiceOptions Options;
   SolveCache Cache;
@@ -353,6 +391,8 @@ private:
              (X.Graph || std::string_view(X.Source) == Y.Source);
     }
   };
+  /// \p Request's memo key, viewing its source bytes or graph.
+  static MemoProbe memoProbe(const CompileRequest &Request);
   /// Front-end memo: a repeated request skips parse, lower and WL
   /// canonicalization. Concurrent first submissions of a key wait on one
   /// lowering, which runs outside the shard lock; a failed lowering is

@@ -139,13 +139,15 @@ public:
   template <class Q> Claim claim(const Q &Probe) { return Claim(*this, Probe); }
 
   /// The resident value for \p Probe's key, or a value-initialized V on a
-  /// miss. Never waits: a pending key misses.
-  template <class Q> V find(const Q &Probe) {
+  /// miss. Never waits: a pending key misses. A hit counts as one; a miss
+  /// counts only when \p CountMiss is set, so a caller whose miss goes on
+  /// to claim() the key counts one outcome in all.
+  template <class Q> V find(const Q &Probe, bool CountMiss = true) {
     Shard &S = shardFor(Probe);
     std::lock_guard<std::mutex> Lock(S.Mutex);
     auto It = S.Entries.find(Probe);
     if (It == S.Entries.end()) {
-      ++S.Count.Misses;
+      S.Count.Misses += CountMiss;
       return V();
     }
     return hitLocked(S, It->second);

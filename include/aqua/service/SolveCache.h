@@ -103,6 +103,11 @@ public:
   Value fetch(const ir::Fingerprint &Key, SolveFn &&Solve,
               obs::RequestOutcome &How);
 
+  /// The L1-resident artifact for \p Key, or nullptr. Counts a hit and
+  /// nothing else: the caller's miss goes on to fetch(), which counts the
+  /// request's outcome. Never reads the store and never waits.
+  Value probe(const ir::Fingerprint &Key) { return L1.find(Key, false); }
+
   /// Returns the cached artifact or nullptr; a hit makes the entry its
   /// shard's most recently used. On an L1 miss with an L2 attached,
   /// consults the store and promotes any hit into L1 without writing it

@@ -118,7 +118,14 @@ CompileService::~CompileService() {
 }
 
 CompileResponse CompileService::shed(const CompileRequest &Request,
-                                     ShedReason Reason, double QueueWaitSec) {
+                                     ShedReason Reason, double QueueWaitSec,
+                                     bool EndFlow) {
+  if (EndFlow) {
+    // The request's flow arc terminates at the shed decision.
+    obs::SpanGuard Span("service.shed", "service");
+    Span.arg("cause", obs::shedCauseName(Reason));
+    obs::traceFlowEnd("service.request", Request.TraceId);
+  }
   if (Reason == ShedReason::QueueFull) {
     ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
     met().ShedQueueFull.add();
@@ -193,17 +200,12 @@ void CompileService::workerLoop() {
       // is dead on arrival -- running the pipeline for it only delays the
       // rest of the queue.
       if (J.Request.DeadlineMicros != 0 && Now > J.Request.DeadlineMicros) {
-        {
-          // The request's flow arc terminates at the shed decision.
-          obs::SpanGuard Span("service.shed", "service");
-          Span.arg("cause", "deadline");
-          obs::traceFlowEnd("service.request", J.Request.TraceId);
-        }
-        J.Promise.set_value(
-            shed(J.Request, ShedReason::DeadlineExpired, QueueWaitSec));
+        J.Promise.set_value(shed(J.Request, ShedReason::DeadlineExpired,
+                                 QueueWaitSec, /*EndFlow=*/true));
         continue;
       }
-      J.Promise.set_value(process(J.Request, QueueWaitSec, /*EndFlow=*/true));
+      J.Promise.set_value(process(J.Request, std::move(J.Pre), QueueWaitSec,
+                                  /*EndFlow=*/true));
     }
   }
 }
@@ -214,33 +216,51 @@ CompileService::enqueue(std::span<CompileRequest> Requests) {
   Futures.reserve(Requests.size());
   Submitted.fetch_add(Requests.size(), std::memory_order_relaxed);
   met().Submitted.add(Requests.size());
-  const std::uint64_t Now = obs::Tracer::nowMicros();
-  std::size_t Enqueued = 0, Parked = 0;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    for (CompileRequest &R : Requests) {
-      if (R.TraceId == 0)
-        R.TraceId = obs::newTraceId();
-      Job J;
-      J.EnqueueMicros = Now;
-      Futures.push_back(J.Promise.get_future());
-      // Queue-depth admission: shed normal work past the budget; priority
-      // work always gets in, and goes to the front.
-      if (Options.MaxQueueDepth != 0 && !R.HighPriority &&
-          Queue.size() >= Options.MaxQueueDepth) {
-        J.Promise.set_value(shed(R, ShedReason::QueueFull, 0.0));
+  // An L1 hit is served here, on the caller's thread and before any queue
+  // lock: its probe costs less than the handoff to a worker. An expired
+  // request is not probed; it takes the queue and sheds at dequeue.
+  std::vector<Job> Jobs;
+  for (CompileRequest &R : Requests) {
+    if (R.TraceId == 0)
+      R.TraceId = obs::newTraceId();
+    Job J;
+    Futures.push_back(J.Promise.get_future());
+    if (Options.EnableCache &&
+        (R.DeadlineMicros == 0 ||
+         obs::Tracer::nowMicros() <= R.DeadlineMicros)) {
+      if (std::optional<CompileResponse> Hit = serveHit(R, J.Pre)) {
+        J.Promise.set_value(std::move(*Hit));
         continue;
       }
-      // The flow arc's 's' end: begun only for requests actually enqueued,
-      // so every arc that starts also ends (at the worker, or at a shed).
-      if (obs::Tracer::enabled()) {
-        obs::SpanGuard Span("service.submit", "service");
-        Span.arg("name", R.Name);
-        obs::traceFlowBegin("service.request", R.TraceId);
+    }
+    // The flow arc's 's' end: every queued request's arc ends at the
+    // worker, or at a shed.
+    if (obs::Tracer::enabled()) {
+      obs::SpanGuard Span("service.submit", "service");
+      Span.arg("name", R.Name);
+      obs::traceFlowBegin("service.request", R.TraceId);
+    }
+    J.Request = std::move(R);
+    Jobs.push_back(std::move(J));
+  }
+  if (Jobs.empty())
+    return Futures;
+
+  std::vector<Job *> Full; // Shed once QueueMutex is released.
+  std::size_t Enqueued = 0, Parked = 0;
+  const std::uint64_t Now = obs::Tracer::nowMicros();
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    for (Job &J : Jobs) {
+      // Queue-depth admission: shed normal work past the budget; priority
+      // work always gets in, and goes to the front.
+      if (Options.MaxQueueDepth != 0 && !J.Request.HighPriority &&
+          Queue.size() >= Options.MaxQueueDepth) {
+        Full.push_back(&J);
+        continue;
       }
-      const bool Priority = R.HighPriority;
-      J.Request = std::move(R);
-      if (Priority)
+      J.EnqueueMicros = Now;
+      if (J.Request.HighPriority)
         Queue.push_front(std::move(J));
       else
         Queue.push_back(std::move(J));
@@ -249,6 +269,9 @@ CompileService::enqueue(std::span<CompileRequest> Requests) {
     met().QueueDepth.set(static_cast<double>(Queue.size()));
     Parked = static_cast<std::size_t>(IdleWorkers);
   }
+  for (Job *J : Full)
+    J->Promise.set_value(
+        shed(J->Request, ShedReason::QueueFull, 0.0, /*EndFlow=*/true));
   // Only signal parked workers: busy ones re-check the queue on their next
   // loop anyway, and the skipped futex wake is most of submit's cost under
   // saturation.
@@ -260,6 +283,41 @@ CompileService::enqueue(std::span<CompileRequest> Requests) {
         QueueCV.notify_one();
   }
   return Futures;
+}
+
+std::optional<CompileResponse>
+CompileService::serveHit(const CompileRequest &Request, Probe &Pre) {
+  obs::RequestScope Scope(Request.TraceId);
+  obs::SpanGuard Span("service.probe", "service");
+  CompileResponse R;
+  {
+    ScopedTimer Timer(Pre.Sec);
+    // A memo miss stops here: lowering is a worker's job.
+    Pre.FE = Memo.find(memoProbe(Request), /*CountMiss=*/false);
+    if (Pre.FE.Graph) {
+      met().CanonMemoHits.add();
+      Pre.Key = requestFingerprint(*Pre.FE.Canon, Request.Spec,
+                                   Request.Manage, Request.Layout);
+      R.Artifact = Cache.probe(Pre.Key);
+    }
+    if (R.Artifact) {
+      R.Name = Request.Name;
+      R.TraceId = Request.TraceId;
+      R.Key = Pre.Key;
+      R.CacheHit = true;
+      R.Ok = R.Artifact->Ok;
+      if (!R.Ok)
+        R.Error = R.Artifact->Error;
+    }
+  }
+  Span.arg("outcome", R.Artifact ? "hit" : "queued");
+  if (!R.Artifact)
+    return std::nullopt;
+  met().CacheHits.add();
+  R.LatencySec = Pre.Sec;
+  complete(Request, R, obs::RequestOutcome::Hit, 0.0, 0.0,
+           obs::FrontEndPath::Memo);
+  return R;
 }
 
 std::future<CompileResponse> CompileService::submit(CompileRequest Request) {
@@ -284,8 +342,8 @@ CompileResponse CompileService::compileNow(const CompileRequest &Request) {
     Traced.TraceId = obs::newTraceId();
   if (Traced.DeadlineMicros != 0 &&
       obs::Tracer::nowMicros() > Traced.DeadlineMicros)
-    return shed(Traced, ShedReason::DeadlineExpired, 0.0);
-  return process(Traced);
+    return shed(Traced, ShedReason::DeadlineExpired, 0.0, /*EndFlow=*/false);
+  return process(Traced, {}, 0.0, /*EndFlow=*/false);
 }
 
 void CompileService::pause() {
@@ -304,6 +362,16 @@ void CompileService::resume() {
 std::size_t CompileService::queueDepth() const {
   std::lock_guard<std::mutex> Lock(QueueMutex);
   return Queue.size();
+}
+
+CompileService::MemoProbe
+CompileService::memoProbe(const CompileRequest &Request) {
+  std::size_t Hash =
+      Request.Graph
+          ? (reinterpret_cast<std::uintptr_t>(Request.Graph.get()) >> 4) *
+                0x9e3779b97f4a7c15ULL
+          : std::hash<std::string_view>{}(Request.Source);
+  return MemoProbe{Hash, Request.Source, Request.Graph};
 }
 
 CompileService::FrontEnd
@@ -336,11 +404,7 @@ CompileService::frontEnd(const CompileRequest &Request,
   // compileAssay is a pure function of the source bytes, so equal bytes
   // may share one lowering; a graph is immutable, so one object may share
   // one canonical form.
-  std::size_t Hash =
-      FromSource ? std::hash<std::string_view>{}(Request.Source)
-                 : (reinterpret_cast<std::uintptr_t>(Request.Graph.get()) >>
-                    4) * 0x9e3779b97f4a7c15ULL;
-  auto Claim = Memo.claim(MemoProbe{Hash, Request.Source, Request.Graph});
+  auto Claim = Memo.claim(memoProbe(Request));
   if (Claim.found() != decltype(Memo)::Found::Owner) {
     Path = obs::FrontEndPath::Memo;
     met().CanonMemoHits.add();
@@ -415,7 +479,8 @@ CompileService::solveAndGenerate(const CompileRequest &Request,
 }
 
 CompileResponse CompileService::process(const CompileRequest &Request,
-                                        double QueueWaitSec, bool EndFlow) {
+                                        Probe Pre, double QueueWaitSec,
+                                        bool EndFlow) {
   // Everything below (cache, LP, store I/O) runs with the request's id as
   // the thread's ambient trace context: every span closed in here carries
   // it as a `trace` arg.
@@ -437,22 +502,27 @@ CompileResponse CompileService::process(const CompileRequest &Request,
     // ----- Front end and canonical fingerprint: the cache and dedup
     // key. Parse, lower and WL canonicalization dominate the cost of a
     // cache hit; a repeated source text or shared DAG reuses the memoized
-    // graph and form and pays only the (cheap) fingerprint mixes. The
+    // graph and form and pays only the (cheap) fingerprint mixes -- on
+    // the submitting caller's thread when it found them (\p Pre). The
     // structure key (volume inputs masked) keys the warm-start donor
     // index.
-    FrontEnd FE;
+    FrontEnd FE = std::move(Pre.FE);
+    R.Key = Pre.Key;
     ir::Fingerprint StructKey;
     {
       obs::SpanGuard FpSpan("service.fingerprint", "service");
-      FE = frontEnd(Request, Path);
-      FpSpan.arg("frontend", obs::frontEndPathName(Path));
-      if (FE.Canon) {
-        R.Key = requestFingerprint(*FE.Canon, Request.Spec, Request.Manage,
-                                   Request.Layout);
-        if (Options.WarmMiss)
-          StructKey = structureFingerprint(*FE.Canon, Request.Spec,
-                                           Request.Manage, Request.Layout);
+      if (FE.Graph) {
+        Path = obs::FrontEndPath::Memo;
+      } else {
+        FE = frontEnd(Request, Path);
+        if (FE.Canon)
+          R.Key = requestFingerprint(*FE.Canon, Request.Spec, Request.Manage,
+                                     Request.Layout);
       }
+      FpSpan.arg("frontend", obs::frontEndPathName(Path));
+      if (FE.Canon && Options.WarmMiss)
+        StructKey = structureFingerprint(*FE.Canon, Request.Spec,
+                                         Request.Manage, Request.Layout);
     }
     if (!FE.Graph)
       R.Error = FE.Error;
@@ -478,10 +548,11 @@ CompileResponse CompileService::process(const CompileRequest &Request,
          : R.Deduplicated ? met().Joins
                           : met().CacheMisses)
             .add();
-        // A hit still seeds the donor index: after a daemon restart the
+        // A store hit seeds the donor index: after a daemon restart the
         // L2-decoded artifact carries its basis, so the first *miss* in a
-        // volume sweep can already warm start.
-        if (R.CacheHit && SK)
+        // volume sweep can already warm start. An L1 hit's basis was
+        // published when it entered the L1.
+        if (R.CacheHitL2 && SK)
           publishDonor(*SK, *R.Artifact);
       }
 
@@ -492,18 +563,26 @@ CompileResponse CompileService::process(const CompileRequest &Request,
       }
     }
   }
-  R.LatencySec = Latency;
-  TotalLatencySec.fetch_add(Latency, std::memory_order_relaxed);
-  met().LatencySec.observe(Latency);
+  R.LatencySec = Pre.Sec + Latency;
+  Span.arg("outcome", obs::requestOutcomeName(Outcome));
+  complete(Request, R, Outcome, QueueWaitSec, SolveSec, Path);
+  return R;
+}
+
+void CompileService::complete(const CompileRequest &Request,
+                              const CompileResponse &R,
+                              obs::RequestOutcome Outcome,
+                              double QueueWaitSec, double SolveSec,
+                              obs::FrontEndPath Path) {
+  TotalLatencySec.fetch_add(R.LatencySec, std::memory_order_relaxed);
+  met().LatencySec.observe(R.LatencySec);
   Completed.fetch_add(1, std::memory_order_relaxed);
   met().Completed.add();
   if (!R.Ok) {
     Failed.fetch_add(1, std::memory_order_relaxed);
     met().Failed.add();
   }
-  Span.arg("outcome", obs::requestOutcomeName(Outcome));
   recordDigest(Request, R, Outcome, QueueWaitSec, SolveSec, Path);
-  return R;
 }
 
 ServiceStats CompileService::stats() const {
@@ -520,8 +599,8 @@ ServiceStats CompileService::stats() const {
   S.TotalLatencySec = TotalLatencySec.load(std::memory_order_relaxed);
   S.SolveSec = SolveSec.load(std::memory_order_relaxed);
   S.Cache = Cache.stats();
-  // The service fetches only through the cache's single flight, so its
-  // hits and joins are the cache's.
+  // The service reads the cache only through probe() and its single
+  // flight, so its hits and joins are the cache's.
   S.CacheHits = S.Cache.Hits;
   S.CacheHitsL2 = S.Cache.HitsL2;
   S.SingleFlightJoins = S.Cache.Joins;

@@ -9,10 +9,10 @@
 #include "aqua/obs/Log.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Trace.h"
+#include "aqua/support/Crc32c.h"
 #include "aqua/support/StringUtils.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <unordered_set>
 
@@ -50,26 +50,6 @@ constexpr std::uint64_t IdxEmptySlot = ~std::uint64_t{0};
 
 std::uint64_t slotHash(std::uint64_t Hi, std::uint64_t Lo) {
   return Hi ^ (Lo * 0x9e3779b97f4a7c15ULL);
-}
-
-/// CRC-32C (Castagnoli), reflected polynomial 0x82F63B78; table-driven.
-std::uint32_t crc32c(const void *Data, std::size_t Len,
-                     std::uint32_t Seed = 0) {
-  static const auto Table = [] {
-    std::array<std::uint32_t, 256> T{};
-    for (std::uint32_t I = 0; I < 256; ++I) {
-      std::uint32_t C = I;
-      for (int K = 0; K < 8; ++K)
-        C = (C & 1) ? 0x82F63B78u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-    return T;
-  }();
-  std::uint32_t Crc = ~Seed;
-  const auto *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I)
-    Crc = Table[(Crc ^ P[I]) & 0xFF] ^ (Crc >> 8);
-  return ~Crc;
 }
 
 void putU32(std::string &Out, std::uint32_t V) {

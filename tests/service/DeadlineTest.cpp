@@ -262,7 +262,9 @@ TEST(ServiceShedding, EveryEntryPointKeepsTheBooks) {
   // workers and a queue budget of two, with expired deadlines and
   // priority work in the mix. Every response must come back in its
   // request's place with a shed reason that request allows, and at
-  // quiescence every submission is either a completion or a shed.
+  // quiescence every submission is either a completion or a shed. Each
+  // request has its own capacity, so none is a cache hit: a hit is served
+  // on the submitting thread and never queues or sheds on depth.
   ServiceOptions O;
   O.Threads = 2;
   O.MaxQueueDepth = 2;
@@ -283,6 +285,7 @@ TEST(ServiceShedding, EveryEntryPointKeepsTheBooks) {
         R.Name = std::to_string(C) + "/" + std::to_string(Round) + "/" +
                  std::to_string(I);
         R.Graph = Graph;
+        R.Spec.MaxCapacityNl = 100.0 + (C * Rounds + Round) * PerRound + I;
         R.DeadlineMicros = I % 3 == 2 ? Expired : 0;
         R.HighPriority = I % 4 == 3;
         Requests.push_back(std::move(R));
