@@ -30,6 +30,7 @@
 #include "aqua/lp/BasisLU.h"
 #include "aqua/lp/Presolve.h"
 #include "aqua/lp/RevisedSimplex.h"
+#include "aqua/obs/Metrics.h"
 
 #include <cmath>
 
@@ -50,8 +51,13 @@ int main() {
   int Blown = 0;
 
   std::printf("Enzyme-N scaling sweep (N dilutions -> N^3 combinations)\n");
-  std::printf("  %3s %7s %7s %9s %12s %14s %10s\n", "N", "nodes", "edges",
-              "LP-cons", "DAGSolve", "LP", "pivots");
+  std::printf("  %3s %7s %7s %9s %12s %14s %10s %8s\n", "N", "nodes",
+              "edges", "LP-cons", "DAGSolve", "LP", "pivots", "crashed");
+  // Per cold solve: the structurals the crash basis seated and the crash
+  // bases that failed to factor. A crash that silently stops firing reads
+  // as a drop in the first.
+  obs::Counter &CrashTaken = obs::metrics().counter("lp.crash_structurals");
+  obs::Counter &CrashFallbacks = obs::metrics().counter("lp.crash_fallbacks");
 
   for (int N : {2, 3, 4, 5, 6, 7, 8, 10, 12, 14}) {
     AssayGraph G = assays::buildEnzymeAssay(N, /*MaxRatioExp=*/1);
@@ -60,6 +66,7 @@ int main() {
 
     std::string LpStr = "skipped";
     std::string Pivots = "-";
+    std::string Crashed = "-";
     Formulation F = buildVolumeModel(G, Spec);
     BenchRecord &R = Json.add("enzyme_n" + std::to_string(N));
     R.param("n", std::to_string(N))
@@ -79,15 +86,22 @@ int main() {
       // this file).
       double Sec = lp::Infinity;
       bool Finished = false;
+      int Solves = 0;
+      const std::uint64_t Taken0 = CrashTaken.value(),
+                          Fallbacks0 = CrashFallbacks.value();
       for (int Rep = 0; Rep < (N <= 6 ? 5 : N <= 10 ? 3 : 1); ++Rep) {
         Sec = std::min(Sec, onceSeconds([&] {
                          Sol = lp::solve(F.Model, SOpts, &Info);
                        }));
+        ++Solves;
         Finished = Sol.Status == lp::SolveStatus::Optimal ||
                    Sol.Status == lp::SolveStatus::Infeasible;
         if (!Finished)
           break; // A budget-truncated solve is not worth repeating.
       }
+      const double Taken =
+          static_cast<double>(CrashTaken.value() - Taken0) / Solves;
+      Crashed = std::to_string(static_cast<long long>(Taken));
       if (Finished) {
         LpStr = fmtSeconds(Sec) + " (" +
                 lp::solveStatusName(Sol.Status) + ")";
@@ -100,7 +114,11 @@ int main() {
       R.param("lp_status", lp::solveStatusName(Sol.Status))
           .param("lp_pricing", lp::lpPricingName(SOpts.Simplex.Pricing))
           .metric("lp_sec", Sec)
-          .metric("lp_pivots", static_cast<double>(Sol.Iterations));
+          .metric("lp_pivots", static_cast<double>(Sol.Iterations))
+          .metric("crash_structurals", Taken)
+          .metric("crash_fallbacks",
+                  static_cast<double>(CrashFallbacks.value() - Fallbacks0) /
+                      Solves);
       if (Sol.Iterations > 0)
         R.metric("lp_usec_per_pivot", Sec * 1e6 / Sol.Iterations);
       if (Info.OptBasis) {
@@ -121,10 +139,10 @@ int main() {
     } else {
       R.param("lp_status", "skipped");
     }
-    std::printf("  %3d %7d %7d %9d %12s %14s %10s\n", N, G.numNodes(),
+    std::printf("  %3d %7d %7d %9d %12s %14s %10s %8s\n", N, G.numNodes(),
                 G.numEdges(), F.CountedConstraints,
                 fmtSeconds(Dag.MedianSec).c_str(), LpStr.c_str(),
-                Pivots.c_str());
+                Pivots.c_str(), Crashed.c_str());
   }
 
   // Per-pivot growth from n4 to n10, the ratio CI gates. One ratio of two

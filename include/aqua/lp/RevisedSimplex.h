@@ -28,12 +28,17 @@
 ///    bound change on a basis leaves reduced costs -- which depend only on
 ///    the basis -- untouched, so the parent's optimum stays dual feasible
 ///    and `reoptimizeDual()` typically needs a handful of pivots where a
-///    cold solve needs hundreds. This is the classic warm-start that makes
-///    LP-based branch-and-bound tractable.
+///    cold solve needs hundreds (325 on enzyme_n6). This is the classic
+///    warm-start that makes LP-based branch-and-bound tractable.
 ///
-/// Cold solves use a composite phase-1 primal (minimize total bound
-/// violation of the logical basis, no artificial columns) followed by the
-/// bounded primal phase 2. All tolerances come from aqua/lp/Tolerances.h.
+/// Cold solves start from a triangular crash basis rather than the
+/// all-logical one (after Bixby, "Implementing the simplex method: the
+/// initial basis", ORSA J. Computing 4(3), 1992): structurals are swapped
+/// in for logicals along a lower triangle whose every step keeps the
+/// start at least as feasible as the all-logical point, and the basis is
+/// factored once. A composite phase-1 primal (minimize the total bound
+/// violation of that basis, no artificial columns) and the bounded primal
+/// phase 2 follow. All tolerances come from aqua/lp/Tolerances.h.
 ///
 /// The engine reports `SolveStatus::NumericFail` instead of guessing when
 /// pivoting stalls past the watchdog, exceeds the pivot safety cap, or the
@@ -119,7 +124,11 @@ public:
     Upper[V] = RootUpper[V];
   }
 
-  /// Cold solve: installs the all-logical basis, then primal phase 1 + 2.
+  /// Cold solve: installs the crash basis (the all-logical one only if
+  /// the crash cannot be factored), then primal phase 1 and phase 2.
+  /// Every cold start -- lp::solve, presolve's reduced model,
+  /// branch-and-bound roots, reoptimizeDual's fallbacks -- comes through
+  /// here.
   SolveStatus solve(const SolveOptions &Opts = {});
 
   /// Warm solve from \p Start (typically the parent node's optimal basis):
@@ -169,7 +178,17 @@ public:
 
 private:
   // --- setup
+  /// Starts every cold solve from the crash basis, factored once; the
+  /// all-logical basis only when that factor fails.
+  void installColdBasis();
+  /// Sets the all-logical statuses and BasicCol.
   void installLogicalBasis();
+  /// Swaps structurals in for logicals of the all-logical basis along a
+  /// lower triangle that never adds bound violation. Returns the number
+  /// of structurals made basic.
+  int crashStructurals();
+  /// Nonbasic status at the column's finite bound (Free when it has none).
+  VarStatus restingStatus(int Col) const;
   bool installBasis(const Basis &B);
   bool refactorize();
   /// Factors BasicCol into Base, timing it into lp.refactor_sec.
@@ -293,7 +312,7 @@ private:
   std::vector<double> PrimalD;
   /// Devex reference weights (one per column). Persist across solves so
   /// branch-and-bound children inherit the parent's pricing history;
-  /// reset only when the logical basis is installed fresh.
+  /// reset only on a cold start.
   std::vector<double> DevexW;
   /// Pivot-row alpha scratch: values, touched-column list, touch marks.
   std::vector<double> AlphaR;

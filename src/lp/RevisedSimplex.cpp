@@ -62,8 +62,14 @@ struct SimplexMetrics {
   /// factorization beyond tolerance and were repaired in place.
   obs::Counter &PricingDriftRepairs =
       obs::metrics().counter("lp.pricing_drift_repairs");
-  /// Devex reference-framework resets (fresh logical-basis installs).
+  /// Devex reference-framework resets (fresh cold-basis installs).
   obs::Counter &DevexResets = obs::metrics().counter("lp.devex_resets");
+  /// Structurals the crash made basic, summed over cold solves (none when
+  /// a solve fell back to the all-logical basis).
+  obs::Counter &CrashStructurals =
+      obs::metrics().counter("lp.crash_structurals");
+  /// Crash bases that failed to factor; those solves start all-logical.
+  obs::Counter &CrashFallbacks = obs::metrics().counter("lp.crash_fallbacks");
   /// FTRAN results with a sparse nonzero pattern (< 10% of m) vs dense;
   /// the hypersparse-vs-dense solve mix of the pivot loops.
   obs::Counter &FtranHypersparse =
@@ -73,8 +79,8 @@ struct SimplexMetrics {
   /// snapshot, skipping the O(m^2) dual recomputation.
   obs::Counter &WarmDualInherits =
       obs::metrics().counter("lp.warm_dual_inherits");
-  /// Wall time of each basis factorization (refactorizations and logical
-  /// installs).
+  /// Wall time of each basis factorization (refactorizations and
+  /// cold-basis installs).
   obs::Histogram &RefactorSec = obs::metrics().histogram(
       "lp.refactor_sec", {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
                           1e-2, 3e-2, 1e-1});
@@ -255,31 +261,147 @@ void RevisedSimplex::gatherRowAlphas(const double *Rho,
   }
 }
 
+VarStatus RevisedSimplex::restingStatus(int Col) const {
+  if (colLower(Col) != -Infinity)
+    return VarStatus::AtLower;
+  if (colUpper(Col) != Infinity)
+    return VarStatus::AtUpper;
+  return VarStatus::Free;
+}
+
 void RevisedSimplex::installLogicalBasis() {
+  for (int C = 0; C < NumStruct; ++C)
+    Status[C] = restingStatus(C);
+  for (int R = 0; R < NumRows; ++R) {
+    Status[NumStruct + R] = VarStatus::Basic;
+    BasicCol[R] = NumStruct + R;
+  }
+}
+
+int RevisedSimplex::crashStructurals() {
+  // Candidates in Bixby's class order: free columns (which never want to
+  // leave), then one-bounded, then boxed; fixed columns never enter.
+  // Within a class the model's own column order: the volume formulations
+  // list edge volumes in the order the DAG was built. On enzyme_n6 that
+  // seats as many structurals as sparsest-first (435) but picks rows that
+  // leave 325 pivots instead of 360.
+  std::vector<std::pair<int, int>> Order; // (class, column)
+  Order.reserve(NumStruct);
+  for (int C = 0; C < NumStruct; ++C) {
+    const bool HasL = Lower[C] != -Infinity, HasU = Upper[C] != Infinity;
+    if (HasL && HasU && Lower[C] == Upper[C])
+      continue;
+    Order.push_back({static_cast<int>(HasL) + static_cast<int>(HasU), C});
+  }
+  std::sort(Order.begin(), Order.end());
+
+  // The all-logical start: each structural at its resting value, each
+  // logical holding its row's slack. Every pick keeps X and Slack exact.
+  std::vector<double> X(NumStruct), Slack = Rhs;
+  for (int C = 0; C < NumStruct; ++C) {
+    X[C] = nonbasicValue(C);
+    for (const SparseMatrix::Entry *E = Cols->colBegin(C),
+                                   *End = Cols->colEnd(C);
+         E != End; ++E)
+      Slack[E->Row] -= E->Value * X[C];
+  }
+  auto violation = [&](int R, double S) {
+    return S < LogLower[R] - tol::Feas   ? LogLower[R] - S
+           : S > LogUpper[R] + tol::Feas ? S - LogUpper[R]
+                                         : 0.0;
+  };
+
+  // The lower triangle. A pick may have no nonzero in a row an earlier
+  // pick took, so the earlier picks' values never move. It moves off its
+  // bound by the step that makes its pivot row tight, which sends that
+  // row's logical to its finite bound: 0 for every row kind, the upper
+  // bound of a GE row's (-inf, 0] logical. The step must keep the pick
+  // within its own bounds and must not add to the total bound violation,
+  // so the crash start is never less feasible than the all-logical one:
+  // an infeasible model proves so in fewer phase-1 pivots, not more.
+  // An entry under 1% of the column's largest is never the pivot. Among
+  // the rows that qualify the one that removes the most violation wins,
+  // then the largest entry; only the first few rows of a long column are
+  // tried, which keeps the crash O(nnz).
+  constexpr int MaxRowsTried = 8;
+  std::vector<unsigned char> Took(NumRows, 0);
+  int Taken = 0;
+  for (const auto &[Class, C] : Order) {
+    const SparseMatrix::Entry *Begin = Cols->colBegin(C),
+                              *End = Cols->colEnd(C);
+    double Gamma = 0.0;
+    bool Blocked = false;
+    for (const SparseMatrix::Entry *E = Begin; E != End && !Blocked; ++E) {
+      Blocked = E->Value != 0.0 && Took[E->Row];
+      Gamma = std::max(Gamma, std::fabs(E->Value));
+    }
+    if (Blocked)
+      continue;
+    int Row = -1, Tried = 0;
+    double Step = 0.0, BestChange = 0.0, BestMag = 0.0;
+    for (const SparseMatrix::Entry *P = Begin; P != End && Tried < MaxRowsTried;
+         ++P) {
+      const double Mag = std::fabs(P->Value);
+      if (Mag == 0.0 || Mag < 0.01 * Gamma)
+        continue;
+      ++Tried;
+      const double Delta = Slack[P->Row] / P->Value;
+      if (X[C] + Delta < Lower[C] - tol::Feas ||
+          X[C] + Delta > Upper[C] + tol::Feas)
+        continue;
+      double Change = -violation(P->Row, Slack[P->Row]);
+      for (const SparseMatrix::Entry *E = Begin; E != End; ++E)
+        if (E != P && E->Value != 0.0)
+          Change += violation(E->Row, Slack[E->Row] - E->Value * Delta) -
+                    violation(E->Row, Slack[E->Row]);
+      if (Change > tol::Feas)
+        continue;
+      if (Row < 0 || Change < BestChange - tol::Feas ||
+          (Change <= BestChange + tol::Feas && Mag > BestMag)) {
+        Row = P->Row;
+        Step = Delta;
+        BestChange = Change;
+        BestMag = Mag;
+      }
+    }
+    if (Row < 0)
+      continue;
+    X[C] += Step;
+    for (const SparseMatrix::Entry *E = Begin; E != End; ++E)
+      Slack[E->Row] -= E->Value * Step;
+    Slack[Row] = 0.0;
+    Took[Row] = 1;
+    Status[NumStruct + Row] = restingStatus(NumStruct + Row);
+    Status[C] = VarStatus::Basic;
+    BasicCol[Row] = C;
+    ++Taken;
+  }
+  return Taken;
+}
+
+void RevisedSimplex::installColdBasis() {
   // Fresh start: the devex reference framework restarts with it.
   std::fill(DevexW.begin(), DevexW.end(), 1.0);
   met().DevexResets.add();
-  for (int C = 0; C < NumCols; ++C) {
-    if (C >= NumStruct) {
-      Status[C] = VarStatus::Basic;
-      continue;
-    }
-    if (Lower[C] != -Infinity)
-      Status[C] = VarStatus::AtLower;
-    else if (Upper[C] != Infinity)
-      Status[C] = VarStatus::AtUpper;
-    else
-      Status[C] = VarStatus::Free;
-  }
-  std::fill(RowOfBasic.begin(), RowOfBasic.end(), -1);
-  for (int R = 0; R < NumRows; ++R) {
-    BasicCol[R] = NumStruct + R;
-    RowOfBasic[NumStruct + R] = R;
-  }
+  installLogicalBasis();
+  int Taken = crashStructurals();
+  auto factorInstalled = [&] {
+    std::fill(RowOfBasic.begin(), RowOfBasic.end(), -1);
+    for (int R = 0; R < NumRows; ++R)
+      RowOfBasic[BasicCol[R]] = R;
+    return factorBase();
+  };
   clearEtas();
-  // The all-logical basis is the identity: its factorization is m trivial
-  // singleton pivots and cannot fail.
-  factorBase();
+  if (!factorInstalled()) {
+    // A pivot the crash's relative test accepted is below the factor's
+    // absolute one. The all-logical basis is the identity: m trivial
+    // singleton pivots that cannot fail.
+    met().CrashFallbacks.add();
+    installLogicalBasis();
+    Taken = 0;
+    factorInstalled();
+  }
+  met().CrashStructurals.add(static_cast<std::uint64_t>(Taken));
 }
 
 bool RevisedSimplex::installBasis(const Basis &B) {
@@ -960,7 +1082,7 @@ SolveStatus RevisedSimplex::solve(const SolveOptions &Opts) {
   UsedBland = Opts.Pricing == LpPricing::Bland;
   // Primal pivots rebuild the dual-state cache below only on success.
   DualStateValid = false;
-  installLogicalBasis();
+  installColdBasis();
   SolveStatus S = primal(Opts, /*Phase1=*/true);
   if (S != SolveStatus::Optimal)
     return S;

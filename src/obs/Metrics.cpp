@@ -236,7 +236,8 @@ void aqua::obs::preregisterPipelineMetrics(MetricsRegistry &R) {
        {"lp.pivots", "lp.refactorizations", "lp.cold_solves",
         "lp.warm_reopts", "lp.warm_fast_path", "lp.warm_cold_fallbacks",
         "lp.pricing_full_recomputes", "lp.pricing_drift_repairs",
-        "lp.devex_resets", "lp.ftran_hypersparse", "lp.ftran_dense",
+        "lp.devex_resets", "lp.crash_structurals", "lp.crash_fallbacks",
+        "lp.ftran_hypersparse", "lp.ftran_dense",
         "lp.warm_dual_inherits", "lp.warm_shape_repairs",
         "lp.cuts_generated", "lp.cuts_active", "lp.cut_rounds",
         "lp.bb.solves", "lp.bb.nodes", "lp.bb.pruned", "lp.bb.incumbents",

@@ -503,12 +503,9 @@ CompileResponse CompileService::process(const CompileRequest &Request,
     // key. Parse, lower and WL canonicalization dominate the cost of a
     // cache hit; a repeated source text or shared DAG reuses the memoized
     // graph and form and pays only the (cheap) fingerprint mixes -- on
-    // the submitting caller's thread when it found them (\p Pre). The
-    // structure key (volume inputs masked) keys the warm-start donor
-    // index.
+    // the submitting caller's thread when it found them (\p Pre).
     FrontEnd FE = std::move(Pre.FE);
     R.Key = Pre.Key;
-    ir::Fingerprint StructKey;
     {
       obs::SpanGuard FpSpan("service.fingerprint", "service");
       if (FE.Graph) {
@@ -520,18 +517,26 @@ CompileResponse CompileService::process(const CompileRequest &Request,
                                      Request.Layout);
       }
       FpSpan.arg("frontend", obs::frontEndPathName(Path));
-      if (FE.Canon && Options.WarmMiss)
-        StructKey = structureFingerprint(*FE.Canon, Request.Spec,
-                                         Request.Manage, Request.Layout);
     }
     if (!FE.Graph)
       R.Error = FE.Error;
 
     if (const ir::AssayGraph *Graph = FE.Graph.get()) {
-      const ir::Fingerprint *SK = Options.WarmMiss ? &StructKey : nullptr;
+      // The structure key (volume inputs masked) keys the warm-start donor
+      // index. Only a solve and an L2 hit use it, so it is computed there
+      // and an L1 hit never pays for it.
+      std::optional<ir::Fingerprint> StructKey;
+      auto structKey = [&]() -> const ir::Fingerprint * {
+        if (!Options.WarmMiss)
+          return nullptr;
+        if (!StructKey)
+          StructKey = structureFingerprint(*FE.Canon, Request.Spec,
+                                           Request.Manage, Request.Layout);
+        return &*StructKey;
+      };
 
       if (!Options.EnableCache) {
-        R.Artifact = solveAndGenerate(Request, *Graph, SK, &SolveSec);
+        R.Artifact = solveAndGenerate(Request, *Graph, structKey(), &SolveSec);
       } else {
         // ----- Single flight: at most one solve per fingerprint, ever.
         // The first request to miss the L1 owns the key, reads the L2 and
@@ -539,7 +544,10 @@ CompileResponse CompileService::process(const CompileRequest &Request,
         // owner's artifact.
         R.Artifact = Cache.fetch(
             R.Key,
-            [&] { return solveAndGenerate(Request, *Graph, SK, &SolveSec); },
+            [&] {
+              return solveAndGenerate(Request, *Graph, structKey(),
+                                      &SolveSec);
+            },
             Outcome);
         R.CacheHitL2 = Outcome == obs::RequestOutcome::HitL2;
         R.CacheHit = R.CacheHitL2 || Outcome == obs::RequestOutcome::Hit;
@@ -552,8 +560,9 @@ CompileResponse CompileService::process(const CompileRequest &Request,
         // L2-decoded artifact carries its basis, so the first *miss* in a
         // volume sweep can already warm start. An L1 hit's basis was
         // published when it entered the L1.
-        if (R.CacheHitL2 && SK)
-          publishDonor(*SK, *R.Artifact);
+        if (R.CacheHitL2)
+          if (const ir::Fingerprint *SK = structKey())
+            publishDonor(*SK, *R.Artifact);
       }
 
       if (R.Artifact) {

@@ -39,11 +39,11 @@ TEST(BranchAndBound, NumericFailEndsTheSearchUnproven) {
   // so the search must stop there and say so -- neither prune the node as
   // infeasible and go on to claim Optimal, nor lose the incumbent.
   Model M;
-  M.addVar("x", 0.0, 5.0, 6.0);
-  M.addVar("y", 0.0, 5.0, 8.0);
-  M.addVar("z", 0.0, 4.0, 6.0);
-  M.addRow("a", RowKind::LE, 17.5, {{0, 5.0}, {1, 7.0}, {2, 4.0}});
-  M.addRow("b", RowKind::LE, 14.5, {{0, 1.0}, {1, 6.0}, {2, 3.0}});
+  M.addVar("x", 0.0, 6.0, 8.0);
+  M.addVar("y", 0.0, 3.0, 6.0);
+  M.addVar("z", 0.0, 6.0, 4.0);
+  M.addRow("a", RowKind::LE, 15.5, {{0, 7.0}, {1, 6.0}, {2, 4.0}});
+  M.addRow("b", RowKind::LE, 10.5, {{0, 3.0}, {1, 8.0}, {2, 4.0}});
   IntSolution Proven = solveInteger(M, {});
   ASSERT_EQ(Proven.Status, SolveStatus::Optimal);
 
@@ -53,8 +53,8 @@ TEST(BranchAndBound, NumericFailEndsTheSearchUnproven) {
   EXPECT_EQ(S.Status, SolveStatus::NumericFail);
   ASSERT_TRUE(S.HasIncumbent);
   EXPECT_LE(S.Objective, Proven.Objective + 1e-9);
-  EXPECT_LE(5 * S.Values[0] + 7 * S.Values[1] + 4 * S.Values[2], 17.5);
-  EXPECT_LE(S.Values[0] + 6 * S.Values[1] + 3 * S.Values[2], 14.5);
+  EXPECT_LE(7 * S.Values[0] + 6 * S.Values[1] + 4 * S.Values[2], 15.5);
+  EXPECT_LE(3 * S.Values[0] + 8 * S.Values[1] + 4 * S.Values[2], 10.5);
   for (double V : S.Values)
     EXPECT_EQ(V, std::round(V));
 }

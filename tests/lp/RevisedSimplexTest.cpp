@@ -8,12 +8,17 @@
 // from a previously optimal basis must land on the same optimum as a cold
 // solve of the modified model. Randomized models cross-check the engine
 // against the dense tableau, and a numeric failure reaches lp::solve's
-// caller as a status, never as a dense re-solve.
+// caller as a status, never as a dense re-solve. Cold solves start from
+// the crash basis: it must cut enzyme_n6's pivots, agree with the dense
+// tableau on every row kind and column class, and leave a solvable start
+// when it takes nothing or its basis is singular.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aqua/lp/RevisedSimplex.h"
 
+#include "aqua/assays/PaperAssays.h"
+#include "aqua/core/Formulation.h"
 #include "aqua/lp/Simplex.h"
 #include "aqua/lp/Solver.h"
 #include "aqua/obs/Metrics.h"
@@ -67,14 +72,57 @@ Model randomModel(SplitMix64 &Rng) {
   return M;
 }
 
-/// A fully degenerate chain: max sum x_i with x_i +- x_{i+1} <= 0 and
-/// x >= 0 forces x = 0, so the objective never improves and every pivot
-/// is degenerate.
+/// A random LP with every row kind (LE, GE, EQ) and every column class:
+/// free, lower-bounded, upper-bounded and boxed.
+Model mixedModel(SplitMix64 &Rng) {
+  Model M;
+  M.setMaximize(Rng.nextInRange(0, 1) == 1);
+  const int N = static_cast<int>(Rng.nextInRange(3, 6));
+  for (int I = 0; I < N; ++I) {
+    const double Lo = static_cast<double>(Rng.nextInRange(-3, 1));
+    const double Hi = Lo + static_cast<double>(Rng.nextInRange(1, 6));
+    const double Cost = static_cast<double>(Rng.nextInRange(-3, 3));
+    switch (I % 4) {
+    case 0:
+      M.addVar("free", -Infinity, Infinity, Cost);
+      break;
+    case 1:
+      M.addVar("lower", Lo, Infinity, Cost);
+      break;
+    case 2:
+      M.addVar("upper", -Infinity, Hi, Cost);
+      break;
+    default:
+      M.addVar("boxed", Lo, Hi, Cost);
+      break;
+    }
+  }
+  const int R = static_cast<int>(Rng.nextInRange(3, 6));
+  for (int J = 0; J < R; ++J) {
+    std::vector<Term> Terms;
+    for (int I = 0; I < N; ++I) {
+      const double C = static_cast<double>(Rng.nextInRange(-2, 3));
+      if (C != 0.0)
+        Terms.push_back({I, C});
+    }
+    if (Terms.empty())
+      continue;
+    M.addRow("r", static_cast<RowKind>(J % 3),
+             static_cast<double>(Rng.nextInRange(-4, 8)), Terms);
+  }
+  return M;
+}
+
+/// A fully degenerate chain: max sum (i+1) x_i with x_i +- x_{i+1} <= 0
+/// and x >= 0 forces x = 0, so the objective never improves and every
+/// pivot is degenerate. The rising costs keep the crash start from being
+/// optimal: the crash ignores costs, and phase 2 still has to pivot the
+/// costlier columns in at zero step.
 Model degenerateChain() {
   Model M;
   std::vector<VarId> X;
   for (int I = 0; I < 6; ++I)
-    X.push_back(M.addVar("x", 0.0, Infinity, 1.0));
+    X.push_back(M.addVar("x", 0.0, Infinity, I + 1.0));
   for (int I = 0; I + 1 < 6; ++I) {
     M.addRow("p", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], 1.0}});
     M.addRow("m", RowKind::LE, 0.0, {{X[I], 1.0}, {X[I + 1], -1.0}});
@@ -244,4 +292,98 @@ TEST(RevisedSimplex, NumericFailSurfacesFromSolveWithoutDenseFallback) {
   Solution Dense = solve(M, O);
   ASSERT_EQ(Dense.Status, SolveStatus::Optimal);
   EXPECT_NEAR(Dense.Objective, 0.0, 1e-9);
+}
+
+TEST(RevisedSimplex, CrashSolvesEnzymeN6ColdInFewPivots) {
+  // enzyme_n6 at 1000 nl, as the scaling sweep builds it. From the
+  // all-logical basis its cold solve took 760 pivots, about one per
+  // structural brought in: its optimal basis holds 669 of the 670
+  // presolved structurals. The crash starts with 435 of them basic.
+  core::MachineSpec Spec;
+  Spec.MaxCapacityNl = 1000.0;
+  core::Formulation F =
+      core::buildVolumeModel(assays::buildEnzymeAssay(6, 1), Spec);
+  obs::Counter &Taken = obs::metrics().counter("lp.crash_structurals");
+  obs::Counter &Fallbacks = obs::metrics().counter("lp.crash_fallbacks");
+  const std::uint64_t Taken0 = Taken.value(), Fallbacks0 = Fallbacks.value();
+  Solution S = solve(F.Model);
+  ASSERT_EQ(S.Status, SolveStatus::Optimal);
+  EXPECT_LE(S.Iterations, 400);
+  EXPECT_GE(Taken.value() - Taken0, 400u);
+  EXPECT_EQ(Fallbacks.value() - Fallbacks0, 0u);
+  // The dense tableau's optimum of the same model (solveSimplex; it takes
+  // about 20 s, too long to re-run here).
+  constexpr double DenseObjective = 1211.1712738671918;
+  EXPECT_NEAR(S.Objective, DenseObjective, 1e-9 * DenseObjective);
+}
+
+class CrashMixedRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CrashMixedRandomTest, ColdSolveMatchesDense) {
+  // Every row kind and column class: the crash takes free columns first,
+  // leaves each replaced logical at its finite bound (GE logicals at
+  // their upper bound 0), and phase 1 starts from whatever it leaves
+  // infeasible. Status and optimum must match the dense tableau.
+  SplitMix64 Rng(static_cast<std::uint64_t>(GetParam()) * 0x9E3779B9u + 7);
+  obs::Counter &Taken = obs::metrics().counter("lp.crash_structurals");
+  const std::uint64_t Taken0 = Taken.value();
+  int Optimal = 0;
+  for (int Case = 0; Case < 40; ++Case) {
+    Model M = mixedModel(Rng);
+    Solution Dense = solveSimplex(M);
+    RevisedSimplex Engine(M);
+    const SolveStatus S = Engine.solve();
+    ASSERT_EQ(S, Dense.Status) << "status divergence (case " << Case << ")";
+    if (S != SolveStatus::Optimal)
+      continue;
+    EXPECT_NEAR(Engine.objective(), Dense.Objective, 1e-6)
+        << "optimum divergence (case " << Case << ")";
+    EXPECT_NEAR(M.objectiveValue(Engine.values()), Engine.objective(), 1e-6);
+    ++Optimal;
+  }
+  EXPECT_GE(Optimal, 5);
+  EXPECT_GT(Taken.value() - Taken0, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrashMixedRandomTest, ::testing::Range(0, 6));
+
+TEST(RevisedSimplex, CrashThatTakesNothingStillSolves) {
+  // Every column is fixed, so the crash takes none and the solve starts
+  // all-logical; the rows are then checked by phase 1 alone.
+  Model M;
+  M.addVar("x", 2.0, 2.0, 1.0);
+  M.addVar("y", 1.0, 1.0, 3.0);
+  M.addRow("le", RowKind::LE, 4.0, {{0, 1.0}, {1, 1.0}});
+  M.addRow("ge", RowKind::GE, 1.0, {{0, 1.0}, {1, -1.0}});
+  obs::Counter &Taken = obs::metrics().counter("lp.crash_structurals");
+  obs::Counter &Fallbacks = obs::metrics().counter("lp.crash_fallbacks");
+  const std::uint64_t Taken0 = Taken.value(), Fallbacks0 = Fallbacks.value();
+  RevisedSimplex Engine(M);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
+  EXPECT_NEAR(Engine.objective(), 5.0, 1e-9);
+  EXPECT_EQ(Taken.value() - Taken0, 0u);
+  EXPECT_EQ(Fallbacks.value() - Fallbacks0, 0u);
+}
+
+TEST(RevisedSimplex, SingularCrashFallsBackAndSolves) {
+  // x's only entry, 1e-9, is its largest, and row "tiny" is tight at the
+  // all-logical start, so the crash takes x there at zero step; BasisLU
+  // refuses a pivot that small. The solve must start all-logical, count
+  // the fallback, and reach the optimum the dense tableau finds.
+  Model M;
+  M.addVar("x", 0.0, 5.0, 1.0);
+  M.addVar("y", 0.0, 3.0, 1.0);
+  M.addRow("tiny", RowKind::LE, 0.0, {{0, 1e-9}, {1, -1.0}});
+  M.addRow("cap", RowKind::LE, 1.0, {{1, 1.0}});
+  obs::Counter &Taken = obs::metrics().counter("lp.crash_structurals");
+  obs::Counter &Fallbacks = obs::metrics().counter("lp.crash_fallbacks");
+  const std::uint64_t Taken0 = Taken.value(), Fallbacks0 = Fallbacks.value();
+  RevisedSimplex Engine(M);
+  ASSERT_EQ(Engine.solve(), SolveStatus::Optimal);
+  EXPECT_EQ(Fallbacks.value() - Fallbacks0, 1u);
+  EXPECT_EQ(Taken.value() - Taken0, 0u);
+  Solution Dense = solveSimplex(M);
+  ASSERT_EQ(Dense.Status, SolveStatus::Optimal);
+  EXPECT_NEAR(Engine.objective(), Dense.Objective, 1e-9);
+  EXPECT_NEAR(Engine.objective(), 6.0, 1e-9);
 }
