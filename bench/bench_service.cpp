@@ -37,6 +37,12 @@
 //                promotion per worker and key; target: >= 10,000 req/s); one
 //                pass over that store from L2 (l2_first_touch; hard gate:
 //                every key through a mapped side-car index).
+//  decode     -- decodeArtifact over the stored payloads of the sweep
+//                (decode_sweep) and of the manifest (decode_manifest), the
+//                work an L2 hit does after the store read: microseconds and
+//                heap allocations per decode (hard gate: every payload
+//                decodes; CI gates allocs_per_decode at the committed
+//                record, a count that repeats exactly for a build).
 //
 // The mp group runs first, its repetitions back to back: its walls run
 // from the first fork to the last reap, and they read 5-15% slower when
@@ -63,7 +69,9 @@
 #include "aqua/ir/AssayGraph.h"
 #include "aqua/obs/Metrics.h"
 #include "aqua/obs/Trace.h"
+#include "aqua/service/ArtifactCodec.h"
 #include "aqua/service/CompileService.h"
+#include "aqua/store/SolveStore.h"
 #include "aqua/support/Json.h"
 #include "aqua/support/StringUtils.h"
 
@@ -78,6 +86,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -88,6 +97,26 @@
 
 using namespace aqua;
 using namespace benchutil;
+
+/// Heap allocations made by this thread, counted by the replaced global
+/// operator new below. Per thread, so reading it costs no shared cache
+/// line and a phase that reads it around single-threaded work gets an
+/// exact count.
+thread_local std::uint64_t ThreadAllocs = 0;
+
+// GCC pairs operator new with operator delete by name, not by what they
+// call; both are replaced here, so free() does get malloc()'s pointers.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void *operator new(std::size_t Size) {
+  ++ThreadAllocs;
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -1018,6 +1047,68 @@ bool hitpathRep(const Requests &Sweep, Run &Out) {
   return true;
 }
 
+/// Decodes the stored payload of every request in \p Reqs \p Passes times
+/// on this thread: the work an L2 hit does once the store has verified the
+/// record. The payloads are read back from a sealed store, byte for byte
+/// what an L2 hit decodes.
+bool decodeRep(const char *Name, const Requests &Reqs, int Passes, Run &Out) {
+  TempDir Store("store");
+  if (!Store.ok())
+    return false;
+  std::vector<ir::Fingerprint> Keys;
+  {
+    service::ServiceOptions Options;
+    Options.Threads = 1;
+    Options.StoreDir = Store.path();
+    service::CompileService Service(Options);
+    for (const service::CompileRequest &R : Reqs) {
+      service::CompileResponse Resp = Service.compileNow(R);
+      if (!Resp.Ok) {
+        std::fprintf(stderr, "%s: %s failed: %s\n", Name, R.Name.c_str(),
+                     Resp.Error.c_str());
+        return false;
+      }
+      Keys.push_back(Resp.Key);
+    }
+  }
+  auto St = store::SolveStore::open(Store.path());
+  if (!St.ok()) {
+    std::fprintf(stderr, "%s: %s\n", Name, St.message().c_str());
+    return false;
+  }
+  std::vector<std::string> Payloads(Keys.size());
+  std::uint64_t Bytes = 0;
+  for (std::size_t I = 0; I < Keys.size(); ++I) {
+    if (!(*St)->get(Keys[I], Payloads[I])) {
+      std::fprintf(stderr, "%s: payload %zu missing from the store\n", Name,
+                   I);
+      return false;
+    }
+    Bytes += Payloads[I].size();
+  }
+
+  std::uint64_t Failures = 0;
+  std::uint64_t AllocsBefore = ThreadAllocs;
+  WallTimer Wall;
+  for (int Pass = 0; Pass < Passes; ++Pass)
+    for (const std::string &P : Payloads)
+      Failures += !service::decodeArtifact(P).ok();
+  double WallSec = Wall.seconds();
+  std::uint64_t Allocs = ThreadAllocs - AllocsBefore;
+  const double Decodes = static_cast<double>(Passes) * Payloads.size();
+  add(Out, Name)
+      .param("payloads", std::to_string(Payloads.size()))
+      .param("passes", std::to_string(Passes))
+      .metric("mean_payload_bytes",
+              static_cast<double>(Bytes) / Payloads.size())
+      .timed("us_per_decode", WallSec * 1e6 / Decodes)
+      .metric("allocs_per_decode", Allocs / Decodes)
+      .metric("failures", Failures);
+  if (Failures)
+    std::fprintf(stderr, "%s: %" PRIu64 " decodes failed\n", Name, Failures);
+  return Failures == 0;
+}
+
 } // namespace
 
 int main() {
@@ -1081,6 +1172,16 @@ int main() {
                    metricOf(recordOf(H, "mp_warm_hitpath"), "throughput_rps"),
                    10000.0) &&
         Met;
+
+  const Requests ManifestOnce = cycle(Manifest, Manifest.size());
+  Run D;
+  if (!repeat(Json, "Decode: stored payloads, as an L2 hit reads them",
+              [&](Run &R) {
+                return decodeRep("decode_sweep", SharedSweep, 40, R) &&
+                       decodeRep("decode_manifest", ManifestOnce, 400, R);
+              },
+              D))
+    return 1;
   Json.write();
   return Met ? 0 : 1;
 }

@@ -140,6 +140,12 @@ public:
   /// Redirects the source of \p E to \p NewSrc.
   void setEdgeSource(EdgeId E, NodeId NewSrc);
 
+  /// Replaces every slot with \p NewNodes and \p NewEdges as given: dead
+  /// flags and adjacency order included, nothing rebuilt. Every edge
+  /// endpoint must name a node slot and every adjacency id an edge slot
+  /// (the artifact decoder checks both before it hands the slots over).
+  void adoptSlots(std::vector<Node> NewNodes, std::vector<Edge> NewEdges);
+
   int numNodeSlots() const { return static_cast<int>(Nodes.size()); }
   int numEdgeSlots() const { return static_cast<int>(Edges.size()); }
 

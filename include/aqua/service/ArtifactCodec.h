@@ -14,16 +14,20 @@
 ///
 /// The encoding is *bit-faithful*: doubles are stored as their IEEE-754 bit
 /// patterns, rationals as exact numerator/denominator pairs, and the assay
-/// graph is replayed slot-for-slot (dead slots, adjacency-list order, and
-/// all) so `encode(decode(encode(A))) == encode(A)` and a reloaded artifact
+/// graph slot for slot (dead slots, adjacency-list order, and all) so
+/// `encode(decode(encode(A))) == encode(A)` and a reloaded artifact
 /// simulates identically to the in-memory one. The `store` oracle in
 /// aqua/check holds the codec to exactly that property on every generated
 /// program.
 ///
-/// Decoding is defensive: it never trusts the input (the store's checksums
-/// catch disk rot, but a version skew or a truncated payload must fail
-/// cleanly, not crash), so every length and every graph/program index is
-/// bounds-checked before use.
+/// Decoding is one pass that writes the final objects: words and numeric
+/// arrays are loaded with a copy each, and the graph's node and edge slots
+/// are filled in place and adopted whole (ir::AssayGraph::adoptSlots), not
+/// rebuilt through the graph's mutators. It is defensive: it never trusts
+/// the input (the store's checksums catch disk rot, but a version skew or a
+/// truncated payload must fail cleanly, not crash), so every length and
+/// every graph/program index is bounds-checked before use, and every stored
+/// rational comes back reduced.
 ///
 //===----------------------------------------------------------------------===//
 

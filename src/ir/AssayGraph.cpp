@@ -113,6 +113,12 @@ void AssayGraph::setEdgeSource(EdgeId E, NodeId NewSrc) {
   Nodes[NewSrc].Out.push_back(E);
 }
 
+void AssayGraph::adoptSlots(std::vector<Node> NewNodes,
+                            std::vector<Edge> NewEdges) {
+  Nodes = std::move(NewNodes);
+  Edges = std::move(NewEdges);
+}
+
 int AssayGraph::numNodes() const {
   return static_cast<int>(std::count_if(
       Nodes.begin(), Nodes.end(), [](const Node &N) { return !N.Dead; }));

@@ -9,6 +9,8 @@
 #include "aqua/lp/RevisedSimplex.h"
 #include "aqua/support/StringUtils.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -69,6 +71,12 @@ private:
 // Bounds-checked reader
 //===----------------------------------------------------------------------===//
 
+// The payload is little-endian, so on a little-endian host a stored word
+// is its own in-memory image: the reader loads words, and whole arrays of
+// them, with one bounds check and one copy.
+static_assert(std::endian::native == std::endian::little,
+              "the reader loads the little-endian payload words directly");
+
 class Reader {
 public:
   explicit Reader(std::string_view Data) : Data(Data) {}
@@ -76,42 +84,14 @@ public:
   bool failed() const { return Failed; }
   bool done() const { return Pos == Data.size(); }
 
-  std::uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return static_cast<std::uint8_t>(Data[Pos++]);
-  }
+  std::uint8_t u8() { return word<std::uint8_t>(); }
   bool b() { return u8() != 0; }
-
-  std::uint32_t u32() {
-    if (!need(4))
-      return 0;
-    std::uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | static_cast<unsigned char>(Data[Pos + I]);
-    Pos += 4;
-    return V;
-  }
-
-  std::uint64_t u64() {
-    if (!need(8))
-      return 0;
-    std::uint64_t V = 0;
-    for (int I = 7; I >= 0; --I)
-      V = (V << 8) | static_cast<unsigned char>(Data[Pos + I]);
-    Pos += 8;
-    return V;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  double f64() {
-    std::uint64_t Bits = u64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
+  std::uint32_t u32() { return word<std::uint32_t>(); }
+  std::uint64_t u64() { return word<std::uint64_t>(); }
+  std::int32_t i32() { return word<std::int32_t>(); }
+  std::int64_t i64() { return word<std::int64_t>(); }
+  /// The stored bit pattern, so NaNs and -0.0 come back exactly.
+  double f64() { return word<double>(); }
 
   std::string str() {
     std::uint64_t Len = u64();
@@ -129,7 +109,8 @@ public:
       Failed = true;
       return Rational(0);
     }
-    return Rational(Num, Den);
+    // Reduced, whatever was stored: the result is always canonical.
+    return Den == 1 ? Rational(Num) : Rational(Num, Den);
   }
 
   /// A count about to drive a loop/allocation; bounded by the bytes left
@@ -145,7 +126,27 @@ public:
     return N;
   }
 
+  /// A count-prefixed array of words, the layout Writer emits for every
+  /// numeric vector; \p Out is left empty on failure.
+  template <typename T> void words(std::vector<T> &Out) {
+    std::uint64_t N = count(sizeof(T));
+    if (N == 0 || !need(N * sizeof(T)))
+      return;
+    Out.resize(N);
+    std::memcpy(Out.data(), Data.data() + Pos, N * sizeof(T));
+    Pos += N * sizeof(T);
+  }
+
 private:
+  template <typename T> T word() {
+    T V{};
+    if (need(sizeof(T))) {
+      std::memcpy(&V, Data.data() + Pos, sizeof(T));
+      Pos += sizeof(T);
+    }
+    return V;
+  }
+
   bool need(std::uint64_t N) {
     if (Failed || N > Data.size() - Pos) {
       Failed = true;
@@ -198,23 +199,20 @@ void encodeGraph(Writer &W, const ir::AssayGraph &G) {
   }
 }
 
-/// Rebuilds a graph slot-for-slot. The public mutators are replayed to
-/// create the slots, then every field (flags, adjacency order) is restored
-/// verbatim, so the result is state-identical to the encoded graph.
+/// Fills the node and edge slots straight from the payload -- dead flags
+/// and adjacency lists in their stored order -- so the result is
+/// state-identical to the encoded graph. Every edge endpoint and adjacency
+/// id is range-checked before the graph adopts the slots.
 bool decodeGraph(Reader &R, ir::AssayGraph &G) {
   std::uint64_t NumNodes = R.count(16);
-  struct NodeExtra {
-    bool Dead = false;
-    std::vector<ir::EdgeId> In, Out;
-  };
-  std::vector<NodeExtra> Extra(NumNodes);
-  for (std::uint64_t I = 0; I < NumNodes && !R.failed(); ++I) {
+  std::vector<ir::Node> Nodes(NumNodes);
+  for (ir::Node &Nd : Nodes) {
     std::uint8_t Kind = R.u8();
-    if (Kind > static_cast<std::uint8_t>(ir::NodeKind::Excess))
+    if (R.failed() || Kind > static_cast<std::uint8_t>(ir::NodeKind::Excess))
       return false;
-    Extra[I].Dead = R.b();
-    ir::NodeId N = G.addNode(static_cast<ir::NodeKind>(Kind), R.str());
-    ir::Node &Nd = G.node(N);
+    Nd.Kind = static_cast<ir::NodeKind>(Kind);
+    Nd.Dead = R.b();
+    Nd.Name = R.str();
     Nd.OutFraction = R.rat();
     Nd.UnknownVolume = R.b();
     Nd.NoExcess = R.b();
@@ -224,57 +222,34 @@ bool decodeGraph(Reader &R, ir::AssayGraph &G) {
     Nd.Params.Flavor = R.str();
     Nd.Params.Matrix = R.str();
     Nd.Params.Pusher = R.str();
-    std::uint64_t NIn = R.count(4);
-    for (std::uint64_t J = 0; J < NIn && !R.failed(); ++J)
-      Extra[I].In.push_back(R.i32());
-    std::uint64_t NOut = R.count(4);
-    for (std::uint64_t J = 0; J < NOut && !R.failed(); ++J)
-      Extra[I].Out.push_back(R.i32());
+    R.words(Nd.In);
+    R.words(Nd.Out);
   }
-  if (R.failed())
-    return false;
 
   std::uint64_t NumEdges = R.count(25);
-  struct EdgeRec {
-    ir::NodeId Src, Dst;
-    Rational Fraction;
-    bool Dead;
+  std::vector<ir::Edge> Edges(NumEdges);
+  auto IsNode = [&](ir::NodeId N) {
+    return N >= 0 && static_cast<std::uint64_t>(N) < NumNodes;
   };
-  std::vector<EdgeRec> EdgeRecs;
-  EdgeRecs.reserve(NumEdges);
-  for (std::uint64_t I = 0; I < NumEdges && !R.failed(); ++I) {
-    EdgeRec Rec;
-    Rec.Src = R.i32();
-    Rec.Dst = R.i32();
-    Rec.Fraction = R.rat();
-    Rec.Dead = R.b();
-    if (Rec.Src < 0 || Rec.Dst < 0 ||
-        Rec.Src >= static_cast<ir::NodeId>(NumNodes) ||
-        Rec.Dst >= static_cast<ir::NodeId>(NumNodes))
+  for (ir::Edge &Ed : Edges) {
+    Ed.Src = R.i32();
+    Ed.Dst = R.i32();
+    Ed.Fraction = R.rat();
+    Ed.Dead = R.b();
+    if (R.failed() || !IsNode(Ed.Src) || !IsNode(Ed.Dst))
       return false;
-    EdgeRecs.push_back(Rec);
   }
   if (R.failed())
     return false;
 
-  // addEdge builds default adjacency (and asserts endpoints are alive, so
-  // dead flags wait until after); both are overwritten verbatim below.
-  for (const EdgeRec &Rec : EdgeRecs) {
-    ir::EdgeId E = G.addEdge(Rec.Src, Rec.Dst, Rec.Fraction);
-    G.edge(E).Dead = Rec.Dead;
-  }
-  for (std::uint64_t I = 0; I < NumNodes; ++I) {
-    for (ir::EdgeId E : Extra[I].In)
-      if (E < 0 || E >= static_cast<ir::EdgeId>(NumEdges))
-        return false;
-    for (ir::EdgeId E : Extra[I].Out)
-      if (E < 0 || E >= static_cast<ir::EdgeId>(NumEdges))
-        return false;
-    ir::Node &Nd = G.node(static_cast<ir::NodeId>(I));
-    Nd.In = std::move(Extra[I].In);
-    Nd.Out = std::move(Extra[I].Out);
-    Nd.Dead = Extra[I].Dead;
-  }
+  auto IsEdge = [&](ir::EdgeId E) {
+    return E >= 0 && static_cast<std::uint64_t>(E) < NumEdges;
+  };
+  for (const ir::Node &Nd : Nodes)
+    if (!std::all_of(Nd.In.begin(), Nd.In.end(), IsEdge) ||
+        !std::all_of(Nd.Out.begin(), Nd.Out.end(), IsEdge))
+      return false;
+  G.adoptSlots(std::move(Nodes), std::move(Edges));
   return true;
 }
 
@@ -288,14 +263,8 @@ void encodeAssignment(Writer &W, const core::VolumeAssignment &A) {
 }
 
 bool decodeAssignment(Reader &R, core::VolumeAssignment &A) {
-  std::uint64_t N = R.count(8);
-  A.NodeVolumeNl.reserve(N);
-  for (std::uint64_t I = 0; I < N && !R.failed(); ++I)
-    A.NodeVolumeNl.push_back(R.f64());
-  std::uint64_t M = R.count(8);
-  A.EdgeVolumeNl.reserve(M);
-  for (std::uint64_t I = 0; I < M && !R.failed(); ++I)
-    A.EdgeVolumeNl.push_back(R.f64());
+  R.words(A.NodeVolumeNl);
+  R.words(A.EdgeVolumeNl);
   return !R.failed();
 }
 
@@ -313,14 +282,8 @@ void encodeRounded(Writer &W, const core::IntegerAssignment &A) {
 }
 
 bool decodeRounded(Reader &R, core::IntegerAssignment &A) {
-  std::uint64_t N = R.count(8);
-  A.NodeUnits.reserve(N);
-  for (std::uint64_t I = 0; I < N && !R.failed(); ++I)
-    A.NodeUnits.push_back(R.i64());
-  std::uint64_t M = R.count(8);
-  A.EdgeUnits.reserve(M);
-  for (std::uint64_t I = 0; I < M && !R.failed(); ++I)
-    A.EdgeUnits.push_back(R.i64());
+  R.words(A.NodeUnits);
+  R.words(A.EdgeUnits);
   A.MaxRatioErrorPct = R.f64();
   A.MeanRatioErrorPct = R.f64();
   A.Underflow = R.b();
@@ -359,7 +322,7 @@ bool decodeProgram(Reader &R, codegen::AISProgram &P, int NodeSlots) {
   std::uint64_t N = R.count(48);
   P.Instrs.reserve(N);
   for (std::uint64_t I = 0; I < N && !R.failed(); ++I) {
-    codegen::Instruction In;
+    codegen::Instruction &In = P.Instrs.emplace_back();
     std::uint8_t Op = R.u8();
     if (Op > static_cast<std::uint8_t>(codegen::Opcode::Output))
       return false;
@@ -383,7 +346,6 @@ bool decodeProgram(Reader &R, codegen::AISProgram &P, int NodeSlots) {
     In.Node = R.i32();
     if (In.Node < ir::InvalidNode || (NodeSlots >= 0 && In.Node >= NodeSlots))
       return false;
-    P.Instrs.push_back(std::move(In));
   }
   P.UsedReservoirs = R.i32();
   P.UsedMixers = R.i32();
@@ -430,22 +392,12 @@ bool decodeBasisBlock(Reader &R, core::ManagerResult &VM) {
       return false;
     B->Status.push_back(static_cast<lp::VarStatus>(S));
   }
-  std::uint64_t NB = R.count(4);
-  B->BasicCol.reserve(NB);
-  for (std::uint64_t I = 0; I < NB && !R.failed(); ++I) {
-    int C = R.i32();
-    if (C < 0 || C >= static_cast<int>(NS))
+  R.words(B->BasicCol);
+  for (int C : B->BasicCol)
+    if (C < 0 || static_cast<std::uint64_t>(C) >= NS)
       return false;
-    B->BasicCol.push_back(C);
-  }
-  std::uint64_t NR = R.count(8);
-  B->RedCost.reserve(NR);
-  for (std::uint64_t I = 0; I < NR && !R.failed(); ++I)
-    B->RedCost.push_back(R.f64());
-  std::uint64_t ND = R.count(8);
-  B->DevexW.reserve(ND);
-  for (std::uint64_t I = 0; I < ND && !R.failed(); ++I)
-    B->DevexW.push_back(R.f64());
+  R.words(B->RedCost);
+  R.words(B->DevexW);
   if (R.failed())
     return false;
   VM.LpBasis = std::move(B);

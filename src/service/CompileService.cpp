@@ -523,8 +523,8 @@ CompileResponse CompileService::process(const CompileRequest &Request,
 
     if (const ir::AssayGraph *Graph = FE.Graph.get()) {
       // The structure key (volume inputs masked) keys the warm-start donor
-      // index. Only a solve and an L2 hit use it, so it is computed there
-      // and an L1 hit never pays for it.
+      // index. Only a solve and an L2 hit that carries a basis use it, so
+      // it is computed there and an L1 hit never pays for it.
       std::optional<ir::Fingerprint> StructKey;
       auto structKey = [&]() -> const ir::Fingerprint * {
         if (!Options.WarmMiss)
@@ -560,7 +560,7 @@ CompileResponse CompileService::process(const CompileRequest &Request,
         // L2-decoded artifact carries its basis, so the first *miss* in a
         // volume sweep can already warm start. An L1 hit's basis was
         // published when it entered the L1.
-        if (R.CacheHitL2)
+        if (R.CacheHitL2 && R.Artifact->VM.LpBasis)
           if (const ir::Fingerprint *SK = structKey())
             publishDonor(*SK, *R.Artifact);
       }

@@ -9,6 +9,7 @@
 #include "aqua/support/Fatal.h"
 
 #include <limits>
+#include <numeric>
 
 using namespace aqua;
 
@@ -34,11 +35,24 @@ Rational Rational::makeReduced(__int128 N, __int128 D) {
   }
   if (N == 0)
     return Rational();
+  constexpr __int128 Max = std::numeric_limits<std::int64_t>::max();
+  constexpr __int128 Min = std::numeric_limits<std::int64_t>::min();
+  // |N| and D both fit in 64 bits (the common case: any constructor call
+  // without INT64_MIN, and sums and products of small fractions): reduce
+  // with 64-bit division, which the hardware does directly, instead of
+  // the libgcc 128-bit routine. Both paths give the same reduced pair.
+  if (N >= -Max && N <= Max && D <= Max) {
+    std::int64_t N64 = static_cast<std::int64_t>(N);
+    std::uint64_t Mag = static_cast<std::uint64_t>(N64 < 0 ? -N64 : N64);
+    std::uint64_t G64 = std::gcd(Mag, static_cast<std::uint64_t>(D));
+    Rational R;
+    R.Num = N64 / static_cast<std::int64_t>(G64);
+    R.Den = static_cast<std::int64_t>(static_cast<std::uint64_t>(D) / G64);
+    return R;
+  }
   __int128 G = gcd128(N, D);
   N /= G;
   D /= G;
-  constexpr __int128 Max = std::numeric_limits<std::int64_t>::max();
-  constexpr __int128 Min = std::numeric_limits<std::int64_t>::min();
   if (N > Max || N < Min || D > Max)
     reportFatalError("Rational: 64-bit overflow after reduction");
   Rational R;

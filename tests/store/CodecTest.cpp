@@ -8,8 +8,11 @@
 //
 //  * bit-faithful round-trips on real pipeline output, managed and
 //    relative-mode alike: encode(decode(encode(A))) == encode(A);
+//  * slot-faithful graphs: dead slots, adjacency order and parameters
+//    come back exactly as they were;
 //  * defensive decoding: truncation at *every* byte length, garbage
-//    input, bad magic, and version skew all fail cleanly, never crash.
+//    input, bad magic, version skew, and out-of-range graph ids all fail
+//    cleanly, never crash; a stored rational always decodes canonical.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 
@@ -55,6 +60,121 @@ void expectRoundTrip(const CompileArtifact &A) {
   EXPECT_EQ(D->Error, A.Error);
   EXPECT_EQ(D->Program.str(), A.Program.str());
 }
+
+/// Every slot of \p B equals the same slot of \p A, field by field.
+void expectSameSlots(const ir::AssayGraph &A, const ir::AssayGraph &B) {
+  ASSERT_EQ(A.numNodeSlots(), B.numNodeSlots());
+  ASSERT_EQ(A.numEdgeSlots(), B.numEdgeSlots());
+  for (ir::NodeId N = 0; N < A.numNodeSlots(); ++N) {
+    const ir::Node &X = A.node(N), &Y = B.node(N);
+    EXPECT_EQ(X.Kind, Y.Kind) << "node " << N;
+    EXPECT_EQ(X.Name, Y.Name) << "node " << N;
+    EXPECT_EQ(X.Dead, Y.Dead) << "node " << N;
+    EXPECT_EQ(X.OutFraction, Y.OutFraction) << "node " << N;
+    EXPECT_EQ(X.UnknownVolume, Y.UnknownVolume) << "node " << N;
+    EXPECT_EQ(X.NoExcess, Y.NoExcess) << "node " << N;
+    EXPECT_EQ(X.ExcessShare, Y.ExcessShare) << "node " << N;
+    EXPECT_EQ(X.Params.Seconds, Y.Params.Seconds) << "node " << N;
+    EXPECT_EQ(X.Params.TempC, Y.Params.TempC) << "node " << N;
+    EXPECT_EQ(X.Params.Flavor, Y.Params.Flavor) << "node " << N;
+    EXPECT_EQ(X.Params.Matrix, Y.Params.Matrix) << "node " << N;
+    EXPECT_EQ(X.Params.Pusher, Y.Params.Pusher) << "node " << N;
+    EXPECT_EQ(X.In, Y.In) << "node " << N;
+    EXPECT_EQ(X.Out, Y.Out) << "node " << N;
+  }
+  for (ir::EdgeId E = 0; E < A.numEdgeSlots(); ++E) {
+    const ir::Edge &X = A.edge(E), &Y = B.edge(E);
+    EXPECT_EQ(X.Src, Y.Src) << "edge " << E;
+    EXPECT_EQ(X.Dst, Y.Dst) << "edge " << E;
+    EXPECT_EQ(X.Fraction, Y.Fraction) << "edge " << E;
+    EXPECT_EQ(X.Dead, Y.Dead) << "edge " << E;
+  }
+}
+
+/// A payload written field by field, independently of encodeArtifact: a
+/// default artifact around a two-node graph `a -> b` whose edge endpoints,
+/// adjacency ids and rationals a test can set to anything.
+struct HandPayload {
+  ir::NodeId Src = 0, Dst = 1;
+  ir::EdgeId OutOfA = 0, IntoB = 0;
+  std::int64_t FracNum = 1, FracDen = 1;
+  std::int64_t OutFracNum = 1, OutFracDen = 1;
+
+  std::string build() const {
+    std::string P;
+    auto Le = [&](std::uint64_t V, int Bytes) {
+      for (int I = 0; I < Bytes; ++I)
+        P.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
+    };
+    auto U8 = [&](std::uint64_t V) { Le(V, 1); };
+    auto U64 = [&](std::uint64_t V) { Le(V, 8); };
+    auto I32 = [&](std::int64_t V) { Le(static_cast<std::uint32_t>(V), 4); };
+    auto Rat = [&](std::int64_t N, std::int64_t D) {
+      U64(static_cast<std::uint64_t>(N));
+      U64(static_cast<std::uint64_t>(D));
+    };
+    auto Str = [&](const std::string &S) {
+      U64(S.size());
+      P += S;
+    };
+    auto Node = [&](ir::NodeKind Kind, const char *Name, bool HasIn,
+                    bool HasOut) {
+      U8(static_cast<std::uint8_t>(Kind));
+      U8(0); // Dead
+      Str(Name);
+      Rat(OutFracNum, OutFracDen);
+      U8(0); // UnknownVolume
+      U8(0); // NoExcess
+      Rat(0, 1);
+      U64(0); // Seconds: +0.0
+      U64(0); // TempC
+      Str("");
+      Str("");
+      Str("");
+      U64(HasIn);
+      if (HasIn)
+        I32(IntoB);
+      U64(HasOut);
+      if (HasOut)
+        I32(OutOfA);
+    };
+    Le(0x52415141u, 4); // "AQAR"
+    Le(ArtifactCodecVersion, 4);
+    U8(1); // Ok
+    U8(1); // Managed
+    Str("");
+    U8(1); // Feasible
+    U8(0); // Method
+    U64(2);
+    Node(ir::NodeKind::Input, "a", false, true);
+    Node(ir::NodeKind::Output, "b", true, false);
+    U64(1);
+    I32(Src);
+    I32(Dst);
+    Rat(FracNum, FracDen);
+    U8(0); // Dead
+    U64(0); // RVol node volumes
+    U64(0); // RVol edge volumes
+    U64(0); // IVol node units
+    U64(0); // IVol edge units
+    U64(0); // MaxRatioErrorPct
+    U64(0); // MeanRatioErrorPct
+    U8(0);  // Underflow
+    U8(0);  // Overflow
+    I32(0); // CascadesApplied
+    I32(0); // ReplicationsApplied
+    U64(0); // MinDispenseNl
+    Str(""); // Log
+    U64(0); // metered node volumes
+    U64(0); // metered edge volumes
+    U64(0); // instructions
+    for (int I = 0; I < 6; ++I)
+      I32(0); // Used* resource counts
+    U64(0); // LP shape hash
+    U8(0);  // no basis
+    return P;
+  }
+};
 
 } // namespace
 
@@ -244,4 +364,110 @@ TEST(ArtifactCodec, DecodesVersion1PayloadsWithoutBasisBlock) {
   std::string Mixed = V2;
   Mixed[4] = 1;
   EXPECT_FALSE(decodeArtifact(Mixed).ok());
+}
+
+TEST(ArtifactCodec, DecodedGraphMatchesSlotForSlot) {
+  // Dead node and edge slots, a rewired edge (so adjacency order is not
+  // creation order) and every parameter string set.
+  ir::AssayGraph G;
+  ir::NodeId A = G.addInput("A");
+  ir::NodeId B = G.addInput("B");
+  ir::NodeId C = G.addInput("C");
+  ir::NodeId M = G.addMix("M", {{A, 1}, {B, 3}}, 12.5);
+  ir::NodeId S = G.addUnary(ir::NodeKind::Separate, "S", M);
+  G.node(S).OutFraction = Rational(2, 5);
+  G.node(S).UnknownVolume = true;
+  G.node(S).NoExcess = true;
+  G.node(S).Params = {30.0, 37.0, "AF", "matrix-fluid", "pusher-buffer"};
+  ir::NodeId X = G.addUnary(ir::NodeKind::Excess, "X", S);
+  G.node(X).ExcessShare = Rational(9, 10);
+  ir::NodeId Gone = G.addUnary(ir::NodeKind::Sense, "gone", M);
+  G.addUnary(ir::NodeKind::Output, "out", S);
+  G.removeNode(Gone);
+  G.setEdgeSource(G.node(M).In.front(), C);
+  ASSERT_TRUE(G.node(Gone).Dead);
+
+  CompileArtifact Art;
+  Art.VM.Graph = G;
+  auto D = decodeArtifact(encodeArtifact(Art));
+  ASSERT_TRUE(D.ok()) << D.message();
+  expectSameSlots(G, D->VM.Graph);
+  EXPECT_TRUE(D->VM.Graph.node(Gone).Dead);
+  EXPECT_LT(D->VM.Graph.numEdges(), D->VM.Graph.numEdgeSlots());
+  EXPECT_EQ(D->VM.Graph.node(S).Params.Pusher, "pusher-buffer");
+
+  // The transformed graphs real compiles leave behind.
+  for (auto &Compiled : {compiled(assays::buildEnzymeAssay(4)),
+                         compiled(assays::buildMicPanel(6))}) {
+    ASSERT_TRUE(Compiled && Compiled->Ok);
+    auto RT = decodeArtifact(encodeArtifact(*Compiled));
+    ASSERT_TRUE(RT.ok()) << RT.message();
+    expectSameSlots(Compiled->VM.Graph, RT->VM.Graph);
+  }
+}
+
+TEST(ArtifactCodec, HandBuiltPayloadDecodes) {
+  // The hand-written layout the rejection tests below corrupt.
+  std::string P = HandPayload{}.build();
+  auto D = decodeArtifact(P);
+  ASSERT_TRUE(D.ok()) << D.message();
+  EXPECT_EQ(encodeArtifact(*D), P);
+  const ir::AssayGraph &G = D->VM.Graph;
+  ASSERT_EQ(G.numNodeSlots(), 2);
+  ASSERT_EQ(G.numEdgeSlots(), 1);
+  EXPECT_EQ(G.edge(0).Src, 0);
+  EXPECT_EQ(G.edge(0).Dst, 1);
+  EXPECT_EQ(G.node(0).Out, std::vector<ir::EdgeId>{0});
+  EXPECT_EQ(G.node(1).In, std::vector<ir::EdgeId>{0});
+}
+
+TEST(ArtifactCodec, RejectsIdsOnePastTheEnd) {
+  // Two node slots and one edge slot: node id 2 and edge id 1 are one past
+  // the end, -1 is one before the start.
+  for (ir::NodeId Bad : {2, -1}) {
+    HandPayload Src, Dst;
+    Src.Src = Bad;
+    Dst.Dst = Bad;
+    EXPECT_FALSE(decodeArtifact(Src.build()).ok()) << "edge source " << Bad;
+    EXPECT_FALSE(decodeArtifact(Dst.build()).ok()) << "edge target " << Bad;
+  }
+  for (ir::EdgeId Bad : {1, -1}) {
+    HandPayload Out, In;
+    Out.OutOfA = Bad;
+    In.IntoB = Bad;
+    EXPECT_FALSE(decodeArtifact(Out.build()).ok()) << "out-edge id " << Bad;
+    EXPECT_FALSE(decodeArtifact(In.build()).ok()) << "in-edge id " << Bad;
+  }
+}
+
+TEST(ArtifactCodec, StoredRationalsDecodeReduced) {
+  struct Case {
+    std::int64_t Num, Den, WantNum, WantDen;
+  };
+  for (Case C : {Case{2, 4, 1, 2}, Case{6, 3, 2, 1}, Case{0, 7, 0, 1},
+                 Case{-9, 12, -3, 4}, Case{5, 1, 5, 1},
+                 Case{INT64_MAX - 1, INT64_MAX - 1, 1, 1}}) {
+    HandPayload P;
+    P.FracNum = C.Num;
+    P.FracDen = C.Den;
+    P.OutFracNum = C.Num;
+    P.OutFracDen = C.Den;
+    auto D = decodeArtifact(P.build());
+    ASSERT_TRUE(D.ok()) << C.Num << "/" << C.Den << ": " << D.message();
+    for (const Rational &R :
+         {D->VM.Graph.edge(0).Fraction, D->VM.Graph.node(0).OutFraction}) {
+      EXPECT_EQ(R.numerator(), C.WantNum) << C.Num << "/" << C.Den;
+      EXPECT_EQ(R.denominator(), C.WantDen) << C.Num << "/" << C.Den;
+      EXPECT_EQ(std::gcd(R.numerator(), R.denominator()), 1)
+          << C.Num << "/" << C.Den;
+    }
+  }
+  // Rational's invariant is Den > 0: a zero or negative stored
+  // denominator is corruption, not a value to normalize.
+  for (std::int64_t Den : {0, -4}) {
+    HandPayload P;
+    P.FracNum = 2;
+    P.FracDen = Den;
+    EXPECT_FALSE(decodeArtifact(P.build()).ok()) << "denominator " << Den;
+  }
 }

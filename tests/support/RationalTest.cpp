@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <random>
+#include <utility>
+#include <vector>
+
 using aqua::Rational;
 
 TEST(Rational, DefaultIsZero) {
@@ -98,6 +104,135 @@ TEST(RationalDeath, DivisionByZeroAborts) {
 TEST(RationalDeath, OverflowAborts) {
   Rational Big(std::int64_t(1) << 62);
   EXPECT_DEATH({ Rational R = Big * Big; (void)R; }, "overflow");
+}
+
+// Differential check of the 64-bit reduction against 128-bit Euclid, the
+// reduction every value took before the 64-bit path existed: both must
+// produce the same numerator and denominator bit for bit.
+namespace {
+
+constexpr std::int64_t I64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t I64Min = std::numeric_limits<std::int64_t>::min();
+
+/// N/D in lowest terms with D > 0 via 128-bit Euclid; nullopt when the
+/// reduced value does not fit in 64 bits (Rational aborts on those).
+std::optional<std::pair<std::int64_t, std::int64_t>> reduce128(__int128 N,
+                                                               __int128 D) {
+  if (D < 0) {
+    N = -N;
+    D = -D;
+  }
+  if (N == 0)
+    return std::pair<std::int64_t, std::int64_t>{0, 1};
+  __int128 A = N < 0 ? -N : N, B = D;
+  while (B != 0) {
+    __int128 T = A % B;
+    A = B;
+    B = T;
+  }
+  N /= A;
+  D /= A;
+  if (N > I64Max || N < I64Min || D > I64Max)
+    return std::nullopt;
+  return std::pair{static_cast<std::int64_t>(N), static_cast<std::int64_t>(D)};
+}
+
+/// Checks Rational(N, D) against reduce128; false when the pair overflows
+/// and was skipped.
+bool expectSameReduction(std::int64_t N, std::int64_t D) {
+  auto Ref = reduce128(N, D);
+  if (!Ref)
+    return false;
+  Rational R(N, D);
+  EXPECT_EQ(R.numerator(), Ref->first) << N << "/" << D;
+  EXPECT_EQ(R.denominator(), Ref->second) << N << "/" << D;
+  return true;
+}
+
+} // namespace
+
+TEST(RationalReduction, EdgeValuesMatch128BitEuclid) {
+  const std::vector<std::int64_t> Edge = {
+      0,          1,          -1,         2,          -2,
+      3,          -6,         12,         I64Max,     -I64Max,
+      I64Max - 1, I64Min,     I64Min + 1, I64Min / 2, std::int64_t(1) << 62,
+      -(std::int64_t(1) << 62), 3037000499, -4611686014132420609};
+  int Checked = 0;
+  for (std::int64_t N : Edge)
+    for (std::int64_t D : Edge)
+      if (D != 0)
+        Checked += expectSameReduction(N, D);
+  // Only INT64_MIN-derived results can overflow; nearly every pair runs.
+  EXPECT_GT(Checked, 17 * 17 - 2 * 17);
+  // Spot values: an INT64_MIN numerator (128-bit path) and negative
+  // denominators (sign moved to the numerator).
+  EXPECT_EQ(Rational(I64Min, 2), Rational(I64Min / 2));
+  EXPECT_EQ(Rational(I64Min, -2).numerator(), std::int64_t(1) << 62);
+  EXPECT_EQ(Rational(2, I64Min), Rational(-1, std::int64_t(1) << 62));
+  EXPECT_EQ(Rational(I64Max, -I64Max), Rational(-1));
+  EXPECT_EQ(Rational(-I64Max, I64Max - 1).denominator(), I64Max - 1);
+}
+
+TEST(RationalReduction, RandomPairsMatch128BitEuclid) {
+  std::mt19937_64 Rng(0x5EED'2026);
+  auto Small = [&] {
+    return static_cast<std::int64_t>(Rng() % 2001) - 1000;
+  };
+  int Checked = 0;
+  for (int Case = 0; Case < 10000; ++Case) {
+    std::int64_t N, D;
+    switch (Case % 4) {
+    case 0: // Full range.
+      N = static_cast<std::int64_t>(Rng());
+      D = static_cast<std::int64_t>(Rng());
+      break;
+    case 1: // Small values, as assay ratios are.
+      N = Small();
+      D = Small();
+      break;
+    default: { // A shared factor, so the gcd is not 1.
+      std::int64_t G = static_cast<std::int64_t>(Rng() % 1000000) + 1;
+      std::int64_t Lim = I64Max / G;
+      N = static_cast<std::int64_t>(Rng() % static_cast<std::uint64_t>(Lim)) *
+          G * (Rng() & 1 ? 1 : -1);
+      D = static_cast<std::int64_t>(Rng() % static_cast<std::uint64_t>(Lim)) *
+          G * (Rng() & 1 ? 1 : -1);
+      break;
+    }
+    }
+    if (D == 0)
+      D = 1;
+    Checked += expectSameReduction(N, D);
+  }
+  EXPECT_EQ(Checked, 10000);
+}
+
+TEST(RationalReduction, WideIntermediatesMatch128BitEuclid) {
+  // Operands built from 40-bit parts give ~80-bit intermediates, which
+  // take the 128-bit path, while sharing factors keeps the reduced result
+  // inside 64 bits: a/b * (b*x)/(a*y) = x/y and a/b + c/b = (a+c)/b.
+  std::mt19937_64 Rng(0xC0FFEE);
+  auto Bits = [&](int N) {
+    return static_cast<std::int64_t>(Rng() % (std::uint64_t(1) << N)) + 1;
+  };
+  auto Check = [](const Rational &Got, __int128 N, __int128 D) {
+    auto Ref = reduce128(N, D);
+    ASSERT_TRUE(Ref.has_value());
+    EXPECT_EQ(Got.numerator(), Ref->first);
+    EXPECT_EQ(Got.denominator(), Ref->second);
+  };
+  for (int Case = 0; Case < 2000; ++Case) {
+    std::int64_t A = Bits(40), B = Bits(40), C = Bits(40);
+    std::int64_t X = Bits(20), Y = Bits(20);
+    Rational P(A, B), Q(B * X, A * Y), S(C, B);
+    Check(P * Q,
+          static_cast<__int128>(P.numerator()) * Q.numerator(),
+          static_cast<__int128>(P.denominator()) * Q.denominator());
+    Check(P + S,
+          static_cast<__int128>(P.numerator()) * S.denominator() +
+              static_cast<__int128>(S.numerator()) * P.denominator(),
+          static_cast<__int128>(P.denominator()) * S.denominator());
+  }
 }
 
 // Property sweep: field axioms on a grid of small rationals.
