@@ -49,8 +49,10 @@ std::string nl3(double V) {
 
 /// The paper's replica assignment: one diluent replica per reagent class.
 void regroupByReagent(AssayGraph &G, const std::vector<NodeId> &Reps) {
-  for (NodeId Rep : Reps)
-    for (EdgeId E : G.outEdges(Rep)) {
+  for (NodeId Rep : Reps) {
+    // A copy: setEdgeSource rewrites the list being walked.
+    std::vector<EdgeId> Outs = G.outEdges(Rep);
+    for (EdgeId E : Outs) {
       const std::string &Consumer = G.node(G.edge(E).Dst).Name;
       int Class = Consumer.rfind("inh_", 0) == 0   ? 0
                   : Consumer.rfind("enz_", 0) == 0 ? 1
@@ -58,6 +60,7 @@ void regroupByReagent(AssayGraph &G, const std::vector<NodeId> &Reps) {
       if (Reps[Class] != Rep)
         G.setEdgeSource(E, Reps[Class]);
     }
+  }
 }
 
 } // namespace

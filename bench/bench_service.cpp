@@ -62,6 +62,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
 #include "BenchUtil.h"
 
 #include "aqua/assays/ExtraAssays.h"
@@ -97,26 +98,6 @@
 
 using namespace aqua;
 using namespace benchutil;
-
-/// Heap allocations made by this thread, counted by the replaced global
-/// operator new below. Per thread, so reading it costs no shared cache
-/// line and a phase that reads it around single-threaded work gets an
-/// exact count.
-thread_local std::uint64_t ThreadAllocs = 0;
-
-// GCC pairs operator new with operator delete by name, not by what they
-// call; both are replaced here, so free() does get malloc()'s pointers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void *operator new(std::size_t Size) {
-  ++ThreadAllocs;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-#pragma GCC diagnostic pop
 
 namespace {
 

@@ -11,7 +11,7 @@
 //  1. Same-program engine race: the regeneration-heavy naive Enzyme assay
 //     (the paper's Table 2 stress case) executed by aqua/check's
 //     tree-walking reference vs the bytecode VM, identical SimResults
-//     bit-for-bit. Measured ~5-8x: the baseline is already a compiled
+//     bit-for-bit. Measured ~4.5-6x: the baseline is already a compiled
 //     C++ tree-walker at ~300-400 ns/instruction, and the VM's
 //     bit-for-bit parity contract pins every double operation (the
 //     composition-row divisions cannot be reassociated), putting a
@@ -25,13 +25,20 @@
 //     costs end to end. The reference pipeline regenerates AIS per chip
 //     (per-chip metered volumes force re-codegen) and re-simulates; the
 //     VM compiles once, then patches its volume table and re-runs bound
-//     state. Measured ~10x full / ~20x dispatch-only.
+//     state. Measured ~9x full / ~17x dispatch-only.
 //
 //  3. Fleet throughput: a 1000-chip Glycomics fleet under the shared
 //     virtual-time queue with reservoir contention, reported as chips/sec
 //     and aggregate simulated instructions/sec, with the vm.* metrics
 //     snapshot folded into the record and the fleet Chrome trace written
 //     next to the JSON artifact.
+//
+//  4. Fleet allocations: heap allocations per chip of a one-thread
+//     Glycomics fleet, counted by the per-thread operator new of
+//     AllocCounter.h. The §3.5 run-time path (dispense, round and re-meter
+//     every partition) walks the assay graph per partition, so a walk
+//     that allocates shows up here. The count repeats exactly for a
+//     build; CI gates it at the committed record.
 //
 // Gates (exit 1): same-program speedup >= 3x and amortized speedup >= 5x
 // -- robust floors that catch a real regression (e.g. the VM degrading to
@@ -42,6 +49,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
 #include "BenchUtil.h"
 
 #include "aqua/assays/PaperAssays.h"
@@ -259,6 +267,27 @@ int main() {
 
     if (FR.ChipsFailed != 0) {
       std::printf("  ** %d chips failed\n", FR.ChipsFailed);
+      Ok = false;
+    }
+
+    // ----- 4. Allocations per chip: the same fleet on this thread alone,
+    // untraced, so the counter sees every allocation and only those.
+    vm::FleetOptions One = FO;
+    One.NumChips = 200;
+    One.Threads = 1;
+    std::uint64_t AllocsBefore = ThreadAllocs;
+    vm::FleetResult OneR = runFleet(*Image, One);
+    double AllocsPerChip =
+        static_cast<double>(ThreadAllocs - AllocsBefore) / One.NumChips;
+    std::printf("  one thread, %d chips: %.1f heap allocations per chip\n",
+                One.NumChips, AllocsPerChip);
+    Json.add("glycomics_fleet_allocs")
+        .param("assay", "Glycomics")
+        .metric("chips", One.NumChips)
+        .metric("chips_completed", OneR.ChipsCompleted)
+        .metric("allocs_per_chip", AllocsPerChip);
+    if (OneR.ChipsFailed != 0) {
+      std::printf("  ** %d chips failed\n", OneR.ChipsFailed);
       Ok = false;
     }
   }

@@ -83,8 +83,10 @@ int main() {
   // The paper assigns each replica to one reagent class ("one for enzyme,
   // one for substrate, and one for inhibitor"), which balances the three
   // replicas exactly; regroup the round-robin distribution the same way.
-  for (NodeId Rep : *Reps)
-    for (EdgeId E : G.outEdges(Rep)) {
+  for (NodeId Rep : *Reps) {
+    // A copy: setEdgeSource rewrites the list being walked.
+    std::vector<EdgeId> Outs = G.outEdges(Rep);
+    for (EdgeId E : Outs) {
       const std::string &Consumer = G.node(G.edge(E).Dst).Name;
       int Class = Consumer.rfind("inh_", 0) == 0   ? 0
                   : Consumer.rfind("enz_", 0) == 0 ? 1
@@ -92,6 +94,7 @@ int main() {
       if ((*Reps)[Class] != Rep)
         G.setEdgeSource(E, (*Reps)[Class]);
     }
+  }
   DagSolveResult R2 = dagSolve(G, Spec);
   report("after replicating the diluent 3x", G, R2);
   std::printf("  (the paper: minimum dispense rises ~3x to 196 pl; all "

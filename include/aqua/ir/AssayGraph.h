@@ -89,6 +89,11 @@ struct Node {
   Rational ExcessShare = Rational(0);
   OpParams Params;
   bool Dead = false;
+  /// The adjacency invariant, kept by every AssayGraph mutator and checked
+  /// by AssayGraph::verify() and the artifact decoder: In holds exactly
+  /// the live edges ending here and Out exactly the live edges starting
+  /// here, each once, in the order they were attached (addEdge, or
+  /// setEdgeSource for a rewired source). A dead node holds neither.
   std::vector<EdgeId> In;
   std::vector<EdgeId> Out;
 };
@@ -141,10 +146,10 @@ public:
   void setEdgeSource(EdgeId E, NodeId NewSrc);
 
   /// Replaces every slot with \p NewNodes and \p NewEdges as given: dead
-  /// flags and adjacency order included, nothing rebuilt. Every edge
-  /// endpoint must name a node slot and every adjacency id an edge slot
-  /// (the artifact decoder checks both before it hands the slots over).
-  void adoptSlots(std::vector<Node> NewNodes, std::vector<Edge> NewEdges);
+  /// flags and adjacency order included, nothing rebuilt. Fails, leaving
+  /// the graph as it was, unless every edge endpoint names a node slot and
+  /// the slots hold the adjacency invariant (see Node::In).
+  Status adoptSlots(std::vector<Node> NewNodes, std::vector<Edge> NewEdges);
 
   int numNodeSlots() const { return static_cast<int>(Nodes.size()); }
   int numEdgeSlots() const { return static_cast<int>(Edges.size()); }
@@ -164,10 +169,14 @@ public:
   /// Live edge ids in creation order.
   std::vector<EdgeId> liveEdges() const;
 
-  /// Live in-edges of \p N.
-  std::vector<EdgeId> inEdges(NodeId N) const;
-  /// Live out-edges of \p N.
-  std::vector<EdgeId> outEdges(NodeId N) const;
+  /// Live in-edges of \p N in attachment order. A view of Node::In, not a
+  /// copy: any mutator invalidates it (addNode reallocates the node table;
+  /// addEdge, removeEdge, setEdgeSource and removeNode rewrite the lists),
+  /// so copy it before rewiring the graph while walking it.
+  const std::vector<EdgeId> &inEdges(NodeId N) const { return Nodes[N].In; }
+  /// Live out-edges of \p N in attachment order; a view of Node::Out with
+  /// the same caveat as inEdges().
+  const std::vector<EdgeId> &outEdges(NodeId N) const { return Nodes[N].Out; }
 
   /// True if \p N has no live out-edges (an output/leaf for DAGSolve).
   bool isLeaf(NodeId N) const { return outEdges(N).empty(); }
@@ -180,8 +189,9 @@ public:
   /// the backward slice used by regeneration and static replication.
   std::vector<NodeId> backwardSlice(NodeId N) const;
 
-  /// Structural invariants: acyclicity, fraction ranges, in-edge fractions
-  /// of every non-input node summing to 1, inputs having no in-edges.
+  /// Structural invariants: the adjacency invariant (see Node::In),
+  /// acyclicity, fraction ranges, in-edge fractions of every non-input node
+  /// summing to 1, inputs having no in-edges.
   Status verify() const;
 
   /// Renders a readable listing of nodes and edges.

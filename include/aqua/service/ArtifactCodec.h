@@ -26,8 +26,9 @@
 /// rebuilt through the graph's mutators. It is defensive: it never trusts
 /// the input (the store's checksums catch disk rot, but a version skew or a
 /// truncated payload must fail cleanly, not crash), so every length and
-/// every graph/program index is bounds-checked before use, and every stored
-/// rational comes back reduced.
+/// every graph/program index is bounds-checked before use, a graph whose
+/// adjacency lists disagree with its edge table is rejected, and every
+/// stored rational comes back reduced.
 ///
 //===----------------------------------------------------------------------===//
 

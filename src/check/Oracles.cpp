@@ -198,7 +198,7 @@ bool predictCompositions(const AssayGraph &G, WeightFn Weight,
   for (NodeId N : G.topologicalOrder()) {
     const Node &Nd = G.node(N);
     Composition C;
-    std::vector<EdgeId> In = G.inEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
     if (In.empty()) {
       C[Nd.Name] = Frac::ratio(1, 1);
     } else {
@@ -767,7 +767,7 @@ private:
     }
     for (NodeId N : G.liveNodes()) {
       const Node &Nd = G.node(N);
-      std::vector<EdgeId> In = G.inEdges(N);
+      const std::vector<EdgeId> &In = G.inEdges(N);
       std::int64_t InSum = 0;
       for (EdgeId E : In)
         InSum += IVol.EdgeUnits[E];

@@ -294,7 +294,7 @@ void Generator::consumeUse(NodeId Src) {
 }
 
 bool Generator::emitOperandMoves(NodeId N, const Loc &Unit) {
-  std::vector<EdgeId> In = G.inEdges(N);
+  const std::vector<EdgeId> &In = G.inEdges(N);
   std::vector<std::int64_t> Parts;
   if (Opts.Mode == VolumeMode::Relative && In.size() > 1)
     Parts = relativeParts(G, In);

@@ -24,6 +24,7 @@ Expected<BioStreamInfo> aqua::core::biostreamMix(AssayGraph &G, NodeId M,
   const Node MN = G.node(M);
   if (MN.Kind != NodeKind::Mix)
     return RetTy::error(format("node '%s' is not a mix", MN.Name.c_str()));
+  // A copy: removeEdge below rewrites M's list.
   std::vector<EdgeId> In = G.inEdges(M);
   if (In.size() != 2)
     return RetTy::error("biostream rewriting needs a two-input mix");

@@ -51,7 +51,7 @@ int aqua::core::chooseCascadeStages(std::int64_t Small, std::int64_t Large,
 }
 
 Rational aqua::core::mixSkew(const AssayGraph &G, NodeId M) {
-  std::vector<EdgeId> In = G.inEdges(M);
+  const std::vector<EdgeId> &In = G.inEdges(M);
   if (In.size() < 2)
     return Rational(1);
   Rational Min = G.edge(In[0]).Fraction;
@@ -71,6 +71,7 @@ Expected<std::vector<NodeId>> aqua::core::binarizeMix(AssayGraph &G,
   const Node MN = G.node(M);
   if (MN.Kind != NodeKind::Mix)
     return RetTy::error(format("node '%s' is not a mix", MN.Name.c_str()));
+  // A copy: removeEdge below rewrites M's list.
   std::vector<EdgeId> In = G.inEdges(M);
   if (In.size() <= 2)
     return RetTy::error(
@@ -121,6 +122,7 @@ Expected<CascadeInfo> aqua::core::cascadeMix(AssayGraph &G, NodeId M,
   if (MN.Kind != NodeKind::Mix)
     return Expected<CascadeInfo>::error(
         format("node '%s' is not a mix", MN.Name.c_str()));
+  // A copy: the rewiring below rewrites M's list.
   std::vector<EdgeId> In = G.inEdges(M);
   if (In.size() != 2)
     return Expected<CascadeInfo>::error(

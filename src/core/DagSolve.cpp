@@ -63,7 +63,7 @@ void aqua::core::computeVnorms(const AssayGraph &G, const DagSolveOptions &Opts,
     if (Nd.Kind == NodeKind::Excess)
       continue; // Derived from the source, below.
 
-    std::vector<EdgeId> Outs = G.outEdges(N);
+    const std::vector<EdgeId> &Outs = G.outEdges(N);
     if (!Outs.empty()) {
       Rational Sum(0);
       Rational ExcessShare(0);

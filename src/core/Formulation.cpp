@@ -48,8 +48,8 @@ Formulation aqua::core::buildVolumeModel(const AssayGraph &G,
 
   for (NodeId N : G.liveNodes()) {
     const Node &Nd = G.node(N);
-    std::vector<EdgeId> In = G.inEdges(N);
-    std::vector<EdgeId> Out = G.outEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
+    const std::vector<EdgeId> &Out = G.outEdges(N);
 
     // --- Class 2: maximum capacity. For producing nodes the functional
     // unit holds the sum of the in-edge volumes; input nodes hold their own

@@ -200,6 +200,7 @@ ManagerResult aqua::core::manageVolumes(const AssayGraph &G,
       std::vector<NodeId> Extreme =
           findExtremeMixes(R.Graph, Opts.CascadeSkewThreshold);
       for (NodeId M : Extreme) {
+        // A copy: the log line below reports the size before binarizeMix.
         std::vector<EdgeId> In = R.Graph.inEdges(M);
         if (In.size() > 2) {
           // A k-ary extreme mix: split into binary mixes first; the

@@ -102,6 +102,7 @@ aqua::core::buildPartitionPlan(const AssayGraph &G,
   for (NodeId N : PG.liveNodes()) {
     if (!CutAllOut[N])
       continue;
+    // A copy: setEdgeSource below rewrites N's list.
     std::vector<EdgeId> Outs = PG.outEdges(N);
     std::int64_t Uses = static_cast<std::int64_t>(Outs.size());
     std::map<int, std::vector<EdgeId>> ByComp;
@@ -130,6 +131,7 @@ aqua::core::buildPartitionPlan(const AssayGraph &G,
   for (NodeId N : PG.liveNodes()) {
     if (PG.node(N).Kind != NodeKind::Input)
       continue;
+    // A copy: setEdgeSource below rewrites N's list.
     std::vector<EdgeId> Outs = PG.outEdges(N);
     if (Outs.empty())
       continue;

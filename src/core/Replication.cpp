@@ -23,6 +23,7 @@ aqua::core::replicateNode(AssayGraph &G, NodeId N, int Copies,
   const Node Nd = G.node(N);
   if (Nd.Kind == NodeKind::Excess)
     return RetTy::error("cannot replicate an excess node");
+  // A copy: setEdgeSource below rewrites N's list.
   std::vector<EdgeId> Outs = G.outEdges(N);
   if (static_cast<int>(Outs.size()) < Copies)
     return RetTy::error(
@@ -51,7 +52,8 @@ aqua::core::replicateNode(AssayGraph &G, NodeId N, int Copies,
     RN.NoExcess = Nd.NoExcess;
     RN.Params = Nd.Params;
     // Clone the in-edges: replicas share the original's sources, which is
-    // what increases the predecessors' use counts.
+    // what increases the predecessors' use counts. addEdge appends to the
+    // sources' and R's lists, never N's, so walking N's view is safe.
     for (EdgeId E : G.inEdges(N))
       G.addEdge(G.edge(E).Src, R, G.edge(E).Fraction);
     Replicas.push_back(R);

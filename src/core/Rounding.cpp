@@ -29,7 +29,7 @@ IntegerAssignment aqua::core::roundToLeastCount(const AssayGraph &G,
   std::int64_t Cap = Spec.capacityUnits();
   for (NodeId N : G.topologicalOrder()) {
     const Node &Nd = G.node(N);
-    std::vector<EdgeId> In = G.inEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
     if (In.empty()) {
       // Input node: round its own drawn volume.
       IVol.NodeUnits[N] = static_cast<std::int64_t>(
@@ -113,7 +113,7 @@ aqua::core::mixRatioErrorPct(const AssayGraph &G,
   for (NodeId N : G.liveNodes()) {
     if (G.node(N).Kind != NodeKind::Mix)
       continue;
-    std::vector<EdgeId> In = G.inEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
     std::int64_t Total = 0;
     for (EdgeId E : In)
       Total += IVol.EdgeUnits[E];

@@ -50,7 +50,7 @@ aqua::core::verifyAssignment(const AssayGraph &G, const VolumeAssignment &V,
 
   for (NodeId N : G.liveNodes()) {
     const Node &Nd = G.node(N);
-    std::vector<EdgeId> In = G.inEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
 
     // ----- Class 2: maximum capacity (input side).
     double InVol = 0.0;

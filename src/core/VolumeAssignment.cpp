@@ -37,7 +37,7 @@ bool VolumeAssignment::feasible(const AssayGraph &G,
     // Input-side volume is the sum of in-edge volumes (what the functional
     // unit must hold); input nodes hold their own node volume.
     double InVol = 0.0;
-    std::vector<EdgeId> In = G.inEdges(N);
+    const std::vector<EdgeId> &In = G.inEdges(N);
     if (In.empty()) {
       InVol = NodeVolumeNl[N];
     } else {

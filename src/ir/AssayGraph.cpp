@@ -113,10 +113,64 @@ void AssayGraph::setEdgeSource(EdgeId E, NodeId NewSrc) {
   Nodes[NewSrc].Out.push_back(E);
 }
 
-void AssayGraph::adoptSlots(std::vector<Node> NewNodes,
-                            std::vector<Edge> NewEdges) {
+namespace {
+
+/// Every edge endpoint names a node slot, and the adjacency invariant
+/// holds (see Node::In). It allocates only to sort a list that
+/// setEdgeSource left out of id order, so the artifact decoder can afford
+/// it on every graph it loads.
+Status checkAdjacency(const std::vector<Node> &Nodes,
+                      const std::vector<Edge> &Edges) {
+  const auto NumNodes = static_cast<NodeId>(Nodes.size());
+  const auto NumEdges = static_cast<EdgeId>(Edges.size());
+  std::size_t LiveEdges = 0;
+  for (EdgeId E = 0; E < NumEdges; ++E) {
+    const Edge &Ed = Edges[E];
+    if (Ed.Src < 0 || Ed.Src >= NumNodes || Ed.Dst < 0 || Ed.Dst >= NumNodes)
+      return Status::error(format("edge %d names a missing node slot", E));
+    LiveEdges += !Ed.Dead;
+  }
+  // An id is valid only in the list of its own endpoint, so once every
+  // list holds valid, distinct ids, equal totals mean that each live edge
+  // is listed exactly once at each end.
+  auto ValidDistinct = [&](const std::vector<EdgeId> &List, NodeId N,
+                           NodeId Edge::*End) {
+    for (EdgeId E : List)
+      if (E < 0 || E >= NumEdges || Edges[E].Dead || Edges[E].*End != N)
+        return false;
+    if (std::is_sorted(List.begin(), List.end()))
+      return std::adjacent_find(List.begin(), List.end()) == List.end();
+    std::vector<EdgeId> Sorted = List;
+    std::sort(Sorted.begin(), Sorted.end());
+    return std::adjacent_find(Sorted.begin(), Sorted.end()) == Sorted.end();
+  };
+  std::size_t InIds = 0, OutIds = 0;
+  for (NodeId N = 0; N < NumNodes; ++N) {
+    const Node &Nd = Nodes[N];
+    if (Nd.Dead && (!Nd.In.empty() || !Nd.Out.empty()))
+      return Status::error(format("dead node %d lists edges", N));
+    if (!ValidDistinct(Nd.In, N, &Edge::Dst) ||
+        !ValidDistinct(Nd.Out, N, &Edge::Src))
+      return Status::error(format("node %d lists an edge that is dead, not "
+                                  "incident there, or listed twice",
+                                  N));
+    InIds += Nd.In.size();
+    OutIds += Nd.Out.size();
+  }
+  if (InIds != LiveEdges || OutIds != LiveEdges)
+    return Status::error("a live edge is missing from its endpoints' lists");
+  return Status::success();
+}
+
+} // namespace
+
+Status AssayGraph::adoptSlots(std::vector<Node> NewNodes,
+                              std::vector<Edge> NewEdges) {
+  if (Status S = checkAdjacency(NewNodes, NewEdges); !S.ok())
+    return S;
   Nodes = std::move(NewNodes);
   Edges = std::move(NewEdges);
+  return Status::success();
 }
 
 int AssayGraph::numNodes() const {
@@ -140,22 +194,6 @@ std::vector<NodeId> AssayGraph::liveNodes() const {
 std::vector<EdgeId> AssayGraph::liveEdges() const {
   std::vector<EdgeId> Result;
   for (EdgeId E = 0; E < numEdgeSlots(); ++E)
-    if (!Edges[E].Dead)
-      Result.push_back(E);
-  return Result;
-}
-
-std::vector<EdgeId> AssayGraph::inEdges(NodeId N) const {
-  std::vector<EdgeId> Result;
-  for (EdgeId E : Nodes[N].In)
-    if (!Edges[E].Dead)
-      Result.push_back(E);
-  return Result;
-}
-
-std::vector<EdgeId> AssayGraph::outEdges(NodeId N) const {
-  std::vector<EdgeId> Result;
-  for (EdgeId E : Nodes[N].Out)
     if (!Edges[E].Dead)
       Result.push_back(E);
   return Result;
@@ -212,6 +250,10 @@ std::vector<NodeId> AssayGraph::backwardSlice(NodeId Target) const {
 }
 
 Status AssayGraph::verify() const {
+  // First, so the walks below can trust every listed id.
+  if (Status S = checkAdjacency(Nodes, Edges); !S.ok())
+    return S;
+
   // Acyclicity via Kahn's algorithm.
   {
     std::vector<int> Pending(numNodeSlots(), 0);
@@ -236,8 +278,6 @@ Status AssayGraph::verify() const {
 
   for (EdgeId E : liveEdges()) {
     const Edge &Ed = Edges[E];
-    if (Nodes[Ed.Src].Dead || Nodes[Ed.Dst].Dead)
-      return Status::error(format("edge %d touches a dead node", E));
     if (Ed.Fraction <= Rational(0) || Ed.Fraction > Rational(1))
       return Status::error(
           format("edge %d fraction %s outside (0, 1]", E,
@@ -246,7 +286,7 @@ Status AssayGraph::verify() const {
 
   for (NodeId N : liveNodes()) {
     const Node &Nd = Nodes[N];
-    std::vector<EdgeId> In = inEdges(N);
+    const std::vector<EdgeId> &In = inEdges(N);
     switch (Nd.Kind) {
     case NodeKind::Input:
       if (!In.empty())
@@ -308,7 +348,7 @@ std::string AssayGraph::str() const {
       Out += " [unknown-volume]";
     if (Nd.OutFraction != Rational(1))
       Out += format(" [yield %s]", Nd.OutFraction.str().c_str());
-    std::vector<EdgeId> In = inEdges(N);
+    const std::vector<EdgeId> &In = inEdges(N);
     if (!In.empty()) {
       Out += "  <- ";
       for (size_t I = 0; I < In.size(); ++I) {

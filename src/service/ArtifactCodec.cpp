@@ -9,7 +9,6 @@
 #include "aqua/lp/RevisedSimplex.h"
 #include "aqua/support/StringUtils.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -201,8 +200,9 @@ void encodeGraph(Writer &W, const ir::AssayGraph &G) {
 
 /// Fills the node and edge slots straight from the payload -- dead flags
 /// and adjacency lists in their stored order -- so the result is
-/// state-identical to the encoded graph. Every edge endpoint and adjacency
-/// id is range-checked before the graph adopts the slots.
+/// state-identical to the encoded graph. The graph adopts the slots only if
+/// every id is in range and the lists hold the adjacency invariant
+/// (ir::Node::In), which its edge views rely on.
 bool decodeGraph(Reader &R, ir::AssayGraph &G) {
   std::uint64_t NumNodes = R.count(16);
   std::vector<ir::Node> Nodes(NumNodes);
@@ -228,29 +228,13 @@ bool decodeGraph(Reader &R, ir::AssayGraph &G) {
 
   std::uint64_t NumEdges = R.count(25);
   std::vector<ir::Edge> Edges(NumEdges);
-  auto IsNode = [&](ir::NodeId N) {
-    return N >= 0 && static_cast<std::uint64_t>(N) < NumNodes;
-  };
   for (ir::Edge &Ed : Edges) {
     Ed.Src = R.i32();
     Ed.Dst = R.i32();
     Ed.Fraction = R.rat();
     Ed.Dead = R.b();
-    if (R.failed() || !IsNode(Ed.Src) || !IsNode(Ed.Dst))
-      return false;
   }
-  if (R.failed())
-    return false;
-
-  auto IsEdge = [&](ir::EdgeId E) {
-    return E >= 0 && static_cast<std::uint64_t>(E) < NumEdges;
-  };
-  for (const ir::Node &Nd : Nodes)
-    if (!std::all_of(Nd.In.begin(), Nd.In.end(), IsEdge) ||
-        !std::all_of(Nd.Out.begin(), Nd.Out.end(), IsEdge))
-      return false;
-  G.adoptSlots(std::move(Nodes), std::move(Edges));
-  return true;
+  return !R.failed() && G.adoptSlots(std::move(Nodes), std::move(Edges)).ok();
 }
 
 void encodeAssignment(Writer &W, const core::VolumeAssignment &A) {

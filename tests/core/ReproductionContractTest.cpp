@@ -80,13 +80,16 @@ TEST(ReproductionContract, Figure14Chain) {
   NodeId Diluent = findNode(G, "diluent");
   auto Reps = replicateNode(G, Diluent, 3, Spec);
   ASSERT_TRUE(Reps.ok());
-  for (NodeId Rep : *Reps)
-    for (EdgeId E : G.outEdges(Rep)) {
+  for (NodeId Rep : *Reps) {
+    // A copy: setEdgeSource rewrites the list being walked.
+    std::vector<EdgeId> Outs = G.outEdges(Rep);
+    for (EdgeId E : Outs) {
       const std::string &C = G.node(G.edge(E).Dst).Name;
       int Class = C.rfind("inh_", 0) == 0 ? 0 : C.rfind("enz_", 0) == 0 ? 1 : 2;
       if ((*Reps)[Class] != Rep)
         G.setEdgeSource(E, (*Reps)[Class]);
     }
+  }
   DagSolveResult R2 = dagSolve(G, Spec);
   EXPECT_TRUE(R2.Feasible);
   EXPECT_NEAR(R2.MinDispenseNl * 1000.0, 196.5, 0.5); // 196 pl.

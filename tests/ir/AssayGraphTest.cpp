@@ -139,6 +139,29 @@ TEST(AssayGraphVerify, ExcessShareRange) {
   EXPECT_TRUE(G.verify().ok());
 }
 
+TEST(AssayGraphVerify, AdjacencyListsMustMatchEdges) {
+  AssayGraph G;
+  NodeId A = G.addInput("A");
+  NodeId B = G.addInput("B");
+  NodeId M1 = G.addMix("M1", {{A, 1}, {B, 1}}); // Edges 0 and 1.
+  G.addMix("M2", {{A, 1}, {B, 1}});             // Edges 2 and 3.
+  G.setEdgeSource(0, B); // B's out-list is now {1, 3, 0}: out of id order.
+  ASSERT_TRUE(G.verify().ok()) << G.verify().message();
+
+  // An id listed twice, with the list length unchanged, hides a live edge
+  // that is listed nowhere; in an id-ordered list and in a rewired one.
+  AssayGraph Sorted = G;
+  Sorted.node(M1).In = {0, 0};
+  EXPECT_FALSE(Sorted.verify().ok());
+  AssayGraph Rewired = G;
+  Rewired.node(B).Out = {1, 3, 1};
+  EXPECT_FALSE(Rewired.verify().ok());
+
+  AssayGraph Dead = G;
+  Dead.edge(2).Dead = true; // Still listed at A and M2.
+  EXPECT_FALSE(Dead.verify().ok());
+}
+
 TEST(AssayGraph, PrintAndDot) {
   AssayGraph G = assays::buildFigure2Example();
   std::string Text = G.str();

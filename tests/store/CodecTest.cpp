@@ -11,8 +11,9 @@
 //  * slot-faithful graphs: dead slots, adjacency order and parameters
 //    come back exactly as they were;
 //  * defensive decoding: truncation at *every* byte length, garbage
-//    input, bad magic, version skew, and out-of-range graph ids all fail
-//    cleanly, never crash; a stored rational always decodes canonical.
+//    input, bad magic, version skew, out-of-range graph ids and adjacency
+//    lists that disagree with the edge table all fail cleanly, never
+//    crash; a stored rational always decodes canonical.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <vector>
 
 using namespace aqua;
 using namespace aqua::service;
@@ -93,10 +95,11 @@ void expectSameSlots(const ir::AssayGraph &A, const ir::AssayGraph &B) {
 
 /// A payload written field by field, independently of encodeArtifact: a
 /// default artifact around a two-node graph `a -> b` whose edge endpoints,
-/// adjacency ids and rationals a test can set to anything.
+/// dead flags, adjacency lists and rationals a test can set to anything.
 struct HandPayload {
   ir::NodeId Src = 0, Dst = 1;
-  ir::EdgeId OutOfA = 0, IntoB = 0;
+  std::vector<ir::EdgeId> AIn, AOut{0}, BIn{0}, BOut;
+  bool ADead = false, EdgeDead = false;
   std::int64_t FracNum = 1, FracDen = 1;
   std::int64_t OutFracNum = 1, OutFracDen = 1;
 
@@ -117,10 +120,16 @@ struct HandPayload {
       U64(S.size());
       P += S;
     };
-    auto Node = [&](ir::NodeKind Kind, const char *Name, bool HasIn,
-                    bool HasOut) {
+    auto Ids = [&](const std::vector<ir::EdgeId> &List) {
+      U64(List.size());
+      for (ir::EdgeId E : List)
+        I32(E);
+    };
+    auto Node = [&](ir::NodeKind Kind, const char *Name, bool Dead,
+                    const std::vector<ir::EdgeId> &In,
+                    const std::vector<ir::EdgeId> &Out) {
       U8(static_cast<std::uint8_t>(Kind));
-      U8(0); // Dead
+      U8(Dead);
       Str(Name);
       Rat(OutFracNum, OutFracDen);
       U8(0); // UnknownVolume
@@ -131,12 +140,8 @@ struct HandPayload {
       Str("");
       Str("");
       Str("");
-      U64(HasIn);
-      if (HasIn)
-        I32(IntoB);
-      U64(HasOut);
-      if (HasOut)
-        I32(OutOfA);
+      Ids(In);
+      Ids(Out);
     };
     Le(0x52415141u, 4); // "AQAR"
     Le(ArtifactCodecVersion, 4);
@@ -146,13 +151,13 @@ struct HandPayload {
     U8(1); // Feasible
     U8(0); // Method
     U64(2);
-    Node(ir::NodeKind::Input, "a", false, true);
-    Node(ir::NodeKind::Output, "b", true, false);
+    Node(ir::NodeKind::Input, "a", ADead, AIn, AOut);
+    Node(ir::NodeKind::Output, "b", false, BIn, BOut);
     U64(1);
     I32(Src);
     I32(Dst);
     Rat(FracNum, FracDen);
-    U8(0); // Dead
+    U8(EdgeDead);
     U64(0); // RVol node volumes
     U64(0); // RVol edge volumes
     U64(0); // IVol node units
@@ -433,11 +438,43 @@ TEST(ArtifactCodec, RejectsIdsOnePastTheEnd) {
   }
   for (ir::EdgeId Bad : {1, -1}) {
     HandPayload Out, In;
-    Out.OutOfA = Bad;
-    In.IntoB = Bad;
+    Out.AOut = {Bad};
+    In.BIn = {Bad};
     EXPECT_FALSE(decodeArtifact(Out.build()).ok()) << "out-edge id " << Bad;
     EXPECT_FALSE(decodeArtifact(In.build()).ok()) << "in-edge id " << Bad;
   }
+}
+
+TEST(ArtifactCodec, RejectsListsThatDisagreeWithTheEdgeTable) {
+  // Each case breaks one rule of the adjacency invariant the graph's edge
+  // views rely on; every id stays in range.
+  HandPayload DeadEdgeListed;
+  DeadEdgeListed.EdgeDead = true;
+  EXPECT_FALSE(decodeArtifact(DeadEdgeListed.build()).ok())
+      << "lists name a dead edge";
+
+  HandPayload InWrongEnd, OutWrongEnd;
+  InWrongEnd.AIn = {0}; // Edge 0 ends at b, not a.
+  OutWrongEnd.BOut = {0}; // Edge 0 starts at a, not b.
+  EXPECT_FALSE(decodeArtifact(InWrongEnd.build()).ok())
+      << "an in-list names an edge ending elsewhere";
+  EXPECT_FALSE(decodeArtifact(OutWrongEnd.build()).ok())
+      << "an out-list names an edge starting elsewhere";
+
+  HandPayload Missing;
+  Missing.BIn = {};
+  EXPECT_FALSE(decodeArtifact(Missing.build()).ok())
+      << "a live edge is missing from its target's in-list";
+
+  HandPayload DeadNode;
+  DeadNode.ADead = true; // Still lists its out-edge.
+  EXPECT_FALSE(decodeArtifact(DeadNode.build()).ok())
+      << "a dead node lists an edge";
+
+  HandPayload Twice;
+  Twice.BIn = {0, 0};
+  EXPECT_FALSE(decodeArtifact(Twice.build()).ok())
+      << "an in-list names an edge twice";
 }
 
 TEST(ArtifactCodec, StoredRationalsDecodeReduced) {
