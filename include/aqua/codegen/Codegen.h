@@ -71,6 +71,16 @@ Expected<AISProgram> generateAIS(const ir::AssayGraph &G,
                                  const MachineLayout &Layout = {},
                                  const CodegenOptions &Opts = {});
 
+/// The decisions managed code generation makes from \p V: for every mix
+/// and incubate node without an excess edge, whether its location keeps
+/// residue to clear once its last use is consumed (0 for every other node
+/// slot). Inputs and separations are always cleared, and no other kind has
+/// consumers in the graphs the front end and the manager build, so two
+/// assignments with equal shapes generate the same instruction stream up
+/// to move-abs volumes.
+std::vector<char> residueShape(const ir::AssayGraph &G,
+                               const core::VolumeAssignment &V);
+
 } // namespace aqua::codegen
 
 #endif // AQUA_CODEGEN_CODEGEN_H

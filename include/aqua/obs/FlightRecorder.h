@@ -22,9 +22,10 @@
 #ifndef AQUA_OBS_FLIGHTRECORDER_H
 #define AQUA_OBS_FLIGHTRECORDER_H
 
+#include "aqua/obs/Ring.h"
+
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,13 +85,13 @@ public:
 
   void record(RequestDigest D);
 
-  std::size_t size() const;
-  std::uint64_t recordedCount() const;
-  std::uint64_t droppedCount() const;
-  void clear();
+  std::size_t size() const { return Ring.size(); }
+  std::uint64_t recordedCount() const { return Ring.recorded(); }
+  std::uint64_t droppedCount() const { return Ring.dropped(); }
+  void clear() { Ring.clear(); }
 
   /// Held digests, oldest first.
-  std::vector<RequestDigest> snapshot() const;
+  std::vector<RequestDigest> snapshot() const { return Ring.snapshot(); }
 
   /// JSON dump (`aqua.flight.v1`): header plus one object per digest,
   /// oldest first.
@@ -101,10 +102,7 @@ public:
   bool writeJsonFile(const std::string &Path) const;
 
 private:
-  mutable std::mutex Mutex;
-  std::vector<RequestDigest> Ring; ///< Capacity slots; Recorded % cap = head.
-  std::size_t Capacity;
-  std::uint64_t Recorded = 0; ///< Guarded by Mutex.
+  BoundedRing<RequestDigest> Ring;
 };
 
 } // namespace aqua::obs

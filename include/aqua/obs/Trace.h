@@ -59,10 +59,11 @@
 #ifndef AQUA_OBS_TRACE_H
 #define AQUA_OBS_TRACE_H
 
+#include "aqua/obs/Ring.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,15 +152,15 @@ public:
   void flowEnd(std::string Name, std::uint64_t Id, const char *Cat = "aqua");
 
   /// Events currently held (<= capacity).
-  std::size_t size() const;
+  std::size_t size() const { return Ring.size(); }
   /// Events ever recorded.
-  std::uint64_t recordedCount() const;
+  std::uint64_t recordedCount() const { return Ring.recorded(); }
   /// Events overwritten by ring wraparound.
-  std::uint64_t droppedCount() const;
-  void clear();
+  std::uint64_t droppedCount() const { return Ring.dropped(); }
+  void clear() { Ring.clear(); }
 
   /// Held events, oldest first.
-  std::vector<TraceEvent> snapshot() const;
+  std::vector<TraceEvent> snapshot() const { return Ring.snapshot(); }
 
   /// The full trace-event JSON document ({"traceEvents": [...], ...}),
   /// loadable by chrome://tracing and Perfetto.
@@ -178,10 +179,7 @@ public:
 private:
   static std::atomic<bool> Enabled;
 
-  mutable std::mutex Mutex;
-  std::vector<TraceEvent> Ring; ///< Capacity slots; Recorded % cap = head.
-  std::size_t Capacity;
-  std::uint64_t Recorded = 0; ///< Guarded by Mutex.
+  BoundedRing<TraceEvent> Ring;
 };
 
 //===----------------------------------------------------------------------===//

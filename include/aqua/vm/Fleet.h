@@ -14,15 +14,25 @@
 /// The assay is compiled ONCE into a `FleetImage`: the partition plan plus
 /// one bytecode segment template per partition. Each chip then runs the
 /// wave-ordered segments on its own interpreter state with its own RNG
-/// stream, re-metering the shared template per chip by patching the VM's
-/// volume table (codegen's EdgeOfInstr introspection maps each managed
-/// move to the edge it meters, and a residue-shape check guards the one
-/// volume-dependent codegen decision; mismatches fall back to a fresh
-/// per-chip compile).
+/// stream.
 ///
-/// `runChip` is the library's partitioned executor (Section 3.5 run-time
-/// dispensing): one chip walks the partitions in wave order, dispensing
-/// each from the measured outputs of earlier ones.
+/// Every partition, on a chip or in the image compile, goes through one
+/// Section 3.5 step: *availability* (constrained inputs from the measured
+/// outputs of earlier partitions), *metering* (`dispensePartition`, the
+/// projection onto the segment's subgraph, `roundToLeastCount`,
+/// `integerToNl`) and *measurement* (a yield draw over an unknown-volume
+/// node's dispensed input, or the dispensed volume of a known-volume cut
+/// fluid). The image compile is that walk at a nominal yield, followed by
+/// template code generation. A chip walks at its own yields and re-meters
+/// the shared template by patching the VM's volume table: codegen's
+/// EdgeOfInstr maps each managed move to the edge it meters, and
+/// `codegen::residueShape` -- codegen's own record of its one
+/// volume-dependent decision -- guards the patch. A chip whose shape
+/// differs from the template's compiles the segment afresh.
+///
+/// `runChip` is the library's partitioned executor: one chip walks the
+/// partitions in wave order, dispensing each from the measured outputs of
+/// earlier ones.
 ///
 /// When a measured (statically-unknown, Section 3.5) volume comes up so
 /// short that run-time dispensing underflows the least count -- where the
@@ -93,18 +103,21 @@ struct FleetSegment {
   /// The partition's standalone subgraph (constrained inputs become
   /// ordinary input nodes).
   ir::AssayGraph SubG;
-  std::vector<ir::NodeId> ToPlanNode;        ///< Subgraph id -> plan id.
-  std::map<ir::NodeId, ir::NodeId> FromPlanNode;
+  /// Subgraph id -> plan id, ascending (members in id order), so a plan id
+  /// maps back by binary search.
+  std::vector<ir::NodeId> ToPlanNode;
   std::vector<ir::EdgeId> ToPlanEdge;
+  /// Subgraph ids of the members whose output feeds a constrained input,
+  /// in the plan's member order (the order a chip measures them in).
+  std::vector<ir::NodeId> Measured;
 
   /// Bytecode compiled from reference (nominal-yield) metered volumes.
   Program Prog;
   /// Per instruction: the subgraph edge its metered volume came from, or
   /// -1 (codegen EdgeOfInstr; 1:1 with Prog.Code).
   std::vector<ir::EdgeId> MeteredEdgeOfInstr;
-  /// Residue-output decisions codegen baked into the template (see
-  /// residueShape); a chip whose metered volumes flip any of them cannot
-  /// patch and recompiles instead.
+  /// codegen::residueShape of the template's volumes; a chip whose metered
+  /// volumes give another shape cannot patch and recompiles instead.
   std::vector<char> ResidueShape;
 };
 
@@ -180,11 +193,6 @@ ChipResult runChip(const FleetImage &Image, const FleetOptions &Opts,
 
 /// Runs the whole fleet under a shared virtual-time event queue.
 FleetResult runFleet(const FleetImage &Image, const FleetOptions &Opts);
-
-/// The volume-dependent residue-output decisions codegen makes for \p V
-/// on \p G (one entry per node slot). Exposed for tests.
-std::vector<char> residueShape(const ir::AssayGraph &G,
-                               const core::VolumeAssignment &V);
 
 } // namespace aqua::vm
 

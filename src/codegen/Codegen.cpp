@@ -43,6 +43,27 @@ std::vector<std::int64_t> relativeParts(const AssayGraph &G,
   return Parts;
 }
 
+bool hasExcessEdge(const AssayGraph &G, NodeId N) {
+  for (EdgeId E : G.outEdges(N))
+    if (G.node(G.edge(E).Dst).Kind == NodeKind::Excess)
+      return true;
+  return false;
+}
+
+/// Whether managed code for \p V strands residue in \p N's location once
+/// its last real use is consumed: its metered in-volume exceeds its
+/// metered real (non-excess) out-volume.
+bool strandsResidue(const AssayGraph &G, const core::VolumeAssignment &V,
+                    NodeId N) {
+  double In = 0.0, Out = 0.0;
+  for (EdgeId E : G.inEdges(N))
+    In += V.EdgeVolumeNl[E];
+  for (EdgeId E : G.outEdges(N))
+    if (G.node(G.edge(E).Dst).Kind != NodeKind::Excess)
+      Out += V.EdgeVolumeNl[E];
+  return In - Out > 1e-9;
+}
+
 /// The code generator: a linear walk over the DAG in topological order with
 /// reservoir allocation and unit parking.
 class Generator {
@@ -259,23 +280,11 @@ void Generator::consumeUse(NodeId Src) {
   // run-time yield is not compile-time-known. Any such residue would
   // contaminate the next value parked in the reused unit or reservoir.
   Loc L = ValueLoc[Src];
-  bool HasExcess = false;
-  for (EdgeId E : G.outEdges(Src))
-    if (G.node(G.edge(E).Dst).Kind == NodeKind::Excess)
-      HasExcess = true;
+  bool HasExcess = hasExcessEdge(G, Src);
   if (!HasExcess && Opts.Mode == VolumeMode::Managed && Opts.Volumes) {
-    const Node &Nd = G.node(Src);
-    if (Nd.Kind == NodeKind::Input || Nd.Kind == NodeKind::Separate) {
-      HasExcess = true;
-    } else {
-      double In = 0.0, Out = 0.0;
-      for (EdgeId E : G.inEdges(Src))
-        In += Opts.Volumes->EdgeVolumeNl[E];
-      for (EdgeId E : G.outEdges(Src))
-        if (G.node(G.edge(E).Dst).Kind != NodeKind::Excess)
-          Out += Opts.Volumes->EdgeVolumeNl[E];
-      HasExcess = In - Out > 1e-9;
-    }
+    NodeKind K = G.node(Src).Kind;
+    HasExcess = K == NodeKind::Input || K == NodeKind::Separate ||
+                strandsResidue(G, *Opts.Volumes, Src);
   }
   if (HasExcess) {
     Instruction I;
@@ -492,4 +501,17 @@ Expected<AISProgram> aqua::codegen::generateAIS(const AssayGraph &G,
                                                 const CodegenOptions &Opts) {
   Generator Gen(G, Layout, Opts);
   return Gen.run();
+}
+
+std::vector<char> aqua::codegen::residueShape(const AssayGraph &G,
+                                              const core::VolumeAssignment &V) {
+  std::vector<char> Shape(G.numNodeSlots(), 0);
+  for (NodeId N = 0; N < G.numNodeSlots(); ++N) {
+    const Node &Nd = G.node(N);
+    if (!Nd.Dead &&
+        (Nd.Kind == NodeKind::Mix || Nd.Kind == NodeKind::Incubate) &&
+        !hasExcessEdge(G, N))
+      Shape[N] = strandsResidue(G, V, N);
+  }
+  return Shape;
 }

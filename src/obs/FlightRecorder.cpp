@@ -89,9 +89,7 @@ FlightMetrics &flightMet() {
 } // namespace
 
 FlightRecorder::FlightRecorder(std::size_t Capacity)
-    : Capacity(std::max<std::size_t>(8, Capacity)) {
-  Ring.reserve(this->Capacity);
-}
+    : Ring(std::max<std::size_t>(8, Capacity)) {}
 
 FlightRecorder &FlightRecorder::global() {
   static FlightRecorder R;
@@ -101,49 +99,8 @@ FlightRecorder &FlightRecorder::global() {
 void FlightRecorder::record(RequestDigest D) {
   FlightMetrics &M = flightMet();
   M.Digests.add();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Ring.size() < Capacity) {
-    Ring.push_back(std::move(D));
-  } else {
-    Ring[Recorded % Capacity] = std::move(D);
+  if (Ring.push(std::move(D)).Overwrote)
     M.Overwritten.add();
-  }
-  ++Recorded;
-}
-
-std::size_t FlightRecorder::size() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Ring.size();
-}
-
-std::uint64_t FlightRecorder::recordedCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Recorded;
-}
-
-std::uint64_t FlightRecorder::droppedCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Recorded > Ring.size() ? Recorded - Ring.size() : 0;
-}
-
-void FlightRecorder::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Ring.clear();
-  Recorded = 0;
-}
-
-std::vector<RequestDigest> FlightRecorder::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::vector<RequestDigest> Out;
-  Out.reserve(Ring.size());
-  if (Ring.size() < Capacity) {
-    Out = Ring;
-  } else {
-    std::size_t Head = Recorded % Capacity; // Oldest slot.
-    for (std::size_t I = 0; I < Capacity; ++I)
-      Out.push_back(Ring[(Head + I) % Capacity]);
-  }
-  return Out;
 }
 
 std::string FlightRecorder::json() const {

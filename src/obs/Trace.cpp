@@ -48,9 +48,7 @@ TraceMetrics &traceMet() {
 } // namespace
 
 Tracer::Tracer(std::size_t Capacity)
-    : Capacity(std::max<std::size_t>(16, Capacity)) {
-  Ring.reserve(this->Capacity);
-}
+    : Ring(std::max<std::size_t>(16, Capacity)) {}
 
 Tracer &Tracer::global() {
   static Tracer T;
@@ -87,16 +85,10 @@ std::uint32_t Tracer::threadId() {
 void Tracer::record(TraceEvent E) {
   TraceMetrics &M = traceMet();
   M.Recorded.add();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Ring.size() < Capacity) {
-    Ring.push_back(std::move(E));
-  } else {
-    // Wraparound: Recorded % Capacity is the oldest slot once full.
-    Ring[Recorded % Capacity] = std::move(E);
+  auto Pushed = Ring.push(std::move(E));
+  if (Pushed.Overwrote)
     M.Dropped.add();
-  }
-  ++Recorded;
-  M.Occupancy.set(static_cast<double>(Ring.size()));
+  M.Occupancy.set(static_cast<double>(Pushed.Size));
 }
 
 void Tracer::instant(std::string Name, const char *Cat) {
@@ -143,41 +135,6 @@ void Tracer::flowEnd(std::string Name, std::uint64_t Id, const char *Cat) {
   E.Tid = threadId();
   E.FlowId = Id;
   record(std::move(E));
-}
-
-std::size_t Tracer::size() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Ring.size();
-}
-
-std::uint64_t Tracer::recordedCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Recorded;
-}
-
-std::uint64_t Tracer::droppedCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Recorded > Ring.size() ? Recorded - Ring.size() : 0;
-}
-
-void Tracer::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Ring.clear();
-  Recorded = 0;
-}
-
-std::vector<TraceEvent> Tracer::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::vector<TraceEvent> Out;
-  Out.reserve(Ring.size());
-  if (Ring.size() < Capacity) {
-    Out = Ring;
-  } else {
-    std::size_t Head = Recorded % Capacity; // Oldest slot.
-    for (std::size_t I = 0; I < Capacity; ++I)
-      Out.push_back(Ring[(Head + I) % Capacity]);
-  }
-  return Out;
 }
 
 namespace {

@@ -2,15 +2,16 @@
 //
 // Part of AquaVol. MIT license.
 //
-// A chip's normal path mirrors aqua/check's reference executor
+// Every partition goes through one step, written once in PlanWalk and
+// ChipRunner::runSegment: availability, metering, measurement. A chip's
+// normal path mirrors aqua/check's reference executor
 // (check/ReferencePartitioned.cpp) step for step: same availability chain,
 // same dispensing, same RNG stream layout (yields from Seed ^ 0xa55a,
 // partition P simulated at Seed + 17 * P), so with online re-management
 // disabled the two ChipResults are bit-for-bit equal. The difference is
 // compile-once execution: instead of regenerating AIS per partition per
 // run, the chip patches the shared segment template's volume table,
-// guarded by the residue-shape check (the single volume-dependent codegen
-// decision).
+// guarded by codegen's residue shape.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -59,36 +61,162 @@ FleetMetrics &met() {
   return M;
 }
 
+/// The yield the image compile meters its templates at. The template's
+/// volumes only seed the instruction structure; every chip re-meters.
+constexpr double NominalYield = 0.45;
+
+/// The subgraph id of plan node \p N in \p S, or InvalidNode.
+NodeId subNode(const FleetSegment &S, NodeId N) {
+  auto It = std::lower_bound(S.ToPlanNode.begin(), S.ToPlanNode.end(), N);
+  if (It == S.ToPlanNode.end() || *It != N)
+    return InvalidNode;
+  return static_cast<NodeId>(It - S.ToPlanNode.begin());
+}
+
 /// Extracts one partition as a standalone graph (the same construction as
 /// the reference executor: members sorted, in-edges in plan order, so
 /// subgraph floating-point summation orders match the plan's).
 FleetSegment extractSegment(const PartitionPlan &Plan, int PartIndex) {
   const AssayGraph &PG = Plan.Graph;
+  const std::vector<NodeId> &Members = Plan.Parts[PartIndex].Members;
   FleetSegment S;
-  std::vector<NodeId> Members = Plan.Parts[PartIndex].Members;
-  std::sort(Members.begin(), Members.end());
-  for (NodeId N : Members) {
+  S.ToPlanNode = Members;
+  std::sort(S.ToPlanNode.begin(), S.ToPlanNode.end());
+  for (NodeId N : S.ToPlanNode) {
     const Node &Src = PG.node(N);
-    NodeId Clone = S.SubG.addNode(Src.Kind, Src.Name);
-    Node &Dst = S.SubG.node(Clone);
+    Node &Dst = S.SubG.node(S.SubG.addNode(Src.Kind, Src.Name));
     Dst.OutFraction = Src.OutFraction;
     Dst.UnknownVolume = Src.UnknownVolume;
     Dst.NoExcess = Src.NoExcess;
     Dst.ExcessShare = Src.ExcessShare;
     Dst.Params = Src.Params;
-    S.ToPlanNode.push_back(N);
-    S.FromPlanNode[N] = Clone;
   }
-  for (NodeId N : Members)
+  for (NodeId N : S.ToPlanNode)
     for (EdgeId E : PG.inEdges(N)) {
       const Edge &Ed = PG.edge(E);
-      assert(S.FromPlanNode.count(Ed.Src) &&
+      assert(subNode(S, Ed.Src) != InvalidNode &&
              "partition member consumes a non-member value");
-      S.SubG.addEdge(S.FromPlanNode[Ed.Src], S.FromPlanNode[N], Ed.Fraction);
+      S.SubG.addEdge(subNode(S, Ed.Src), subNode(S, N), Ed.Fraction);
       S.ToPlanEdge.push_back(E);
     }
+  for (NodeId N : Members)
+    if (std::any_of(Plan.Inputs.begin(), Plan.Inputs.end(),
+                    [N](const PartitionPlan::ConstrainedInput &CI) {
+                      return CI.Source == N;
+                    }))
+      S.Measured.push_back(subNode(S, N));
   return S;
 }
+
+/// Template code generation and bytecode compilation of partition \p P on
+/// \p G at \p Metered volumes.
+Expected<Program> compileSegment(std::size_t P, const AssayGraph &G,
+                                 const VolumeAssignment &Metered,
+                                 const MachineSpec &Spec,
+                                 std::vector<EdgeId> *EdgeOfInstr = nullptr) {
+  codegen::CodegenOptions CG;
+  CG.Mode = codegen::VolumeMode::Managed;
+  CG.Volumes = &Metered;
+  CG.EdgeOfInstr = EdgeOfInstr;
+  auto Prog = codegen::generateAIS(G, {}, CG);
+  if (!Prog.ok())
+    return Expected<Program>::error(
+        format("partition %zu codegen: %s", P, Prog.message().c_str()));
+  CompileOptions CO;
+  CO.Spec = Spec;
+  CO.Graph = &G;
+  auto BC = compile(*Prog, CO);
+  if (!BC.ok())
+    return Expected<Program>::error(
+        format("partition %zu compile: %s", P, BC.message().c_str()));
+  return BC;
+}
+
+/// One partition's metering, over its segment's subgraph.
+struct Metering {
+  VolumeAssignment Dispensed; ///< Run-time dispensing, before rounding.
+  VolumeAssignment Metered;   ///< Rounded to the least count.
+  bool Underflow = false;     ///< Some edge rounds below one least count.
+};
+
+/// One walk over the plan in wave order (Section 3.5): what earlier
+/// partitions measured, and the constrained-input availability dispensing
+/// reads. The image compile walks it once at the nominal yield; every chip
+/// walks its own at its own yields.
+struct PlanWalk {
+  PlanWalk(const PartitionPlan &Plan, const MachineSpec &Spec)
+      : Plan(Plan), Spec(Spec), MeasuredNl(Plan.Graph.numNodeSlots()),
+        Available(Plan.Inputs.size(), -1.0) {}
+
+  /// Availability: partition \p P's constrained inputs from earlier
+  /// measurements. Returns the source of one not yet measured, or
+  /// InvalidNode.
+  NodeId refresh(std::size_t P) {
+    for (int Ref : Plan.Parts[P].InputRefs) {
+      const PartitionPlan::ConstrainedInput &CI = Plan.Inputs[Ref];
+      // Port inputs (Share * capacity) and same-partition inputs
+      // (scale-invariant) are dispensePartition's own.
+      if (CI.FromInputPort ||
+          Plan.NodePartition[CI.Source] == static_cast<int>(P))
+        continue;
+      if (!MeasuredNl[CI.Source])
+        return CI.Source;
+      Available[Ref] = CI.Share.toDouble() * *MeasuredNl[CI.Source];
+    }
+    return InvalidNode;
+  }
+
+  /// Metering: dispenses partition \p P from the current availability,
+  /// projects the volumes onto \p Seg's subgraph and rounds them to the
+  /// least count.
+  Metering meter(std::size_t P, const FleetSegment &Seg) const {
+    VolumeAssignment V =
+        dispensePartition(Plan, static_cast<int>(P), Available, Spec);
+    Metering M;
+    M.Dispensed.NodeVolumeNl.resize(Seg.ToPlanNode.size());
+    M.Dispensed.EdgeVolumeNl.resize(Seg.ToPlanEdge.size());
+    for (std::size_t J = 0; J < Seg.ToPlanNode.size(); ++J)
+      M.Dispensed.NodeVolumeNl[J] = V.NodeVolumeNl[Seg.ToPlanNode[J]];
+    for (std::size_t J = 0; J < Seg.ToPlanEdge.size(); ++J)
+      M.Dispensed.EdgeVolumeNl[J] = V.EdgeVolumeNl[Seg.ToPlanEdge[J]];
+    IntegerAssignment IVol = roundToLeastCount(Seg.SubG, M.Dispensed, Spec);
+    M.Underflow = IVol.Underflow;
+    M.Metered = integerToNl(Seg.SubG, IVol, Spec);
+    return M;
+  }
+
+  /// Measurement: what \p Seg's members that feed constrained inputs put
+  /// out. \p G is the segment's subgraph or a re-managed form of it (the
+  /// members keep their ids) and \p Dispensed its pre-rounding volumes. An
+  /// unknown-volume node yields \p Yield() of its dispensed input (the
+  /// on-chip volume sensor); a known-volume cut fluid its dispensed volume.
+  template <typename YieldFn>
+  void measure(const FleetSegment &Seg, const AssayGraph &G,
+               const VolumeAssignment &Dispensed, YieldFn Yield,
+               std::map<std::string, double> *Named = nullptr) {
+    for (NodeId S : Seg.Measured) {
+      NodeId N = Seg.ToPlanNode[S];
+      const Node &Nd = Plan.Graph.node(N);
+      double Nl;
+      if (Nd.UnknownVolume) {
+        double InputVol = 0.0;
+        for (EdgeId E : G.inEdges(S))
+          InputVol += Dispensed.EdgeVolumeNl[E];
+        Nl = InputVol * Yield();
+      } else {
+        Nl = Dispensed.NodeVolumeNl[S];
+      }
+      MeasuredNl[N] = Nl;
+      if (Named)
+        (*Named)[Nd.Name] = Nl;
+    }
+  }
+
+  const PartitionPlan &Plan;
+  const MachineSpec &Spec;
+  std::vector<std::optional<double>> MeasuredNl; ///< Per plan node slot.
+  std::vector<double> Available; ///< Per constrained input; -1 unset.
+};
 
 /// Shared refilling pools, one per external input fluid. All timing is on
 /// the fleet's virtual clock; draws always succeed volumetrically and a
@@ -142,10 +270,9 @@ public:
   ChipRunner(const FleetImage &Image, const FleetOptions &Opts,
              std::uint64_t Seed, int Chip, ReservoirBank *Bank)
       : Image(Image), Plan(Image.Plan), Opts(Opts), Seed(Seed), Chip(Chip),
-        Bank(Bank), Yields(Seed ^ 0xa55aULL) {
+        Bank(Bank), Yields(Seed ^ 0xa55aULL), Walk(Image.Plan, Image.Spec) {
     Res.Volumes.NodeVolumeNl.assign(Plan.Graph.numNodeSlots(), 0.0);
     Res.Volumes.EdgeVolumeNl.assign(Plan.Graph.numEdgeSlots(), 0.0);
-    Available.assign(Plan.Inputs.size(), -1.0);
   }
 
   bool done() const {
@@ -158,44 +285,23 @@ public:
     return std::move(Res);
   }
 
-  /// Runs the chip's next partition (dispense, patch-or-recompile,
-  /// execute, publish), applying Section 3.5 online re-management when
-  /// dispensing underflows.
+  /// Runs the chip's next partition (availability, metering,
+  /// patch-or-recompile, execution, measurement), applying Section 3.5
+  /// online re-management when dispensing underflows.
   void runNextPartition(Interp &I) {
     std::size_t P = NextPart;
     const FleetSegment &Seg = Image.Segments[P];
-
-    // ----- Constrained-input availability from earlier measurements.
     if (!refreshAvailability(P))
       return;
 
     int Attempt = 0;
     for (;;) {
-      VolumeAssignment V = dispensePartition(Plan, static_cast<int>(P),
-                                             Available, Image.Spec);
-      for (NodeId N : Plan.Parts[P].Members) {
-        Res.Volumes.NodeVolumeNl[N] = V.NodeVolumeNl[N];
-        for (EdgeId E : Plan.Graph.inEdges(N))
-          Res.Volumes.EdgeVolumeNl[E] = V.EdgeVolumeNl[E];
-      }
-      VolumeAssignment SubV;
-      SubV.NodeVolumeNl.assign(Seg.SubG.numNodeSlots(), 0.0);
-      SubV.EdgeVolumeNl.assign(Seg.SubG.numEdgeSlots(), 0.0);
-      for (int J = 0; J < Seg.SubG.numNodeSlots(); ++J)
-        SubV.NodeVolumeNl[J] = V.NodeVolumeNl[Seg.ToPlanNode[J]];
-      for (int J = 0; J < Seg.SubG.numEdgeSlots(); ++J)
-        SubV.EdgeVolumeNl[J] = V.EdgeVolumeNl[Seg.ToPlanEdge[J]];
-
-      IntegerAssignment IVol =
-          roundToLeastCount(Seg.SubG, SubV, Image.Spec);
-      if (!IVol.Underflow) {
-        VolumeAssignment Metered = integerToNl(Seg.SubG, IVol, Image.Spec);
-        if (!execSegment(I, P, Seg, Seg.SubG, Metered, /*AllowPatch=*/true))
-          return;
-        // Publishing reads the *dispensed* (pre-rounding) volumes, like
-        // the reference executor.
-        publishMeasured(P, Seg, Seg.SubG, SubV);
-        ++NextPart;
+      Metering M = Walk.meter(P, Seg);
+      recordVolumes(Seg, M.Dispensed);
+      if (!M.Underflow) {
+        if (runSegment(I, P, Seg, Seg.SubG, M.Metered, M.Dispensed,
+                       /*AllowPatch=*/true))
+          ++NextPart;
         return;
       }
 
@@ -213,14 +319,11 @@ public:
                     P, Opts.MaxOnlineRetries));
         return;
       }
-      int Re = tryRemanage(I, P, Seg);
-      if (Re > 0) {
+      if (tryRemanage(I, P, Seg)) {
         if (Res.Error.empty())
           ++NextPart;
         return;
       }
-      if (Re < 0)
-        return; // Hard error recorded.
       // The manager could not help under this availability: regeneration
       // storm -- re-run the producing partitions for a fresh measurement.
       if (!rerunProducers(I, P))
@@ -255,28 +358,30 @@ private:
   }
 
   bool refreshAvailability(std::size_t P) {
-    for (int Ref : Plan.Parts[P].InputRefs) {
-      const PartitionPlan::ConstrainedInput &CI = Plan.Inputs[Ref];
-      if (CI.FromInputPort)
-        continue; // Share * capacity, handled by dispensePartition.
-      if (Plan.NodePartition[CI.Source] == static_cast<int>(P))
-        continue; // Same-partition input: scale-invariant.
-      auto It = Measured.find(CI.Source);
-      if (It == Measured.end()) {
-        fail(format("partition %zu consumes '%s' before it was measured", P,
-                    Plan.Graph.node(CI.Source).Name.c_str()));
-        return false;
-      }
-      Available[Ref] = CI.Share.toDouble() * It->second;
-    }
-    return true;
+    NodeId Missing = Walk.refresh(P);
+    if (Missing == InvalidNode)
+      return true;
+    fail(format("partition %zu consumes '%s' before it was measured", P,
+                Plan.Graph.node(Missing).Name.c_str()));
+    return false;
   }
 
-  /// Patches (or recompiles) and executes one segment; accumulates its
-  /// SimResult into the chip.
-  bool execSegment(Interp &I, std::size_t P, const FleetSegment &Seg,
-                   const AssayGraph &UsedG, const VolumeAssignment &Metered,
-                   bool AllowPatch) {
+  /// Records a partition's dispensed volumes (over its subgraph) in the
+  /// chip's plan-indexed result.
+  void recordVolumes(const FleetSegment &Seg, const VolumeAssignment &SubV) {
+    for (std::size_t J = 0; J < Seg.ToPlanNode.size(); ++J)
+      Res.Volumes.NodeVolumeNl[Seg.ToPlanNode[J]] = SubV.NodeVolumeNl[J];
+    for (std::size_t J = 0; J < Seg.ToPlanEdge.size(); ++J)
+      Res.Volumes.EdgeVolumeNl[Seg.ToPlanEdge[J]] = SubV.EdgeVolumeNl[J];
+  }
+
+  /// Patches (or recompiles) and executes one segment on \p UsedG at
+  /// \p Metered volumes, accumulates its SimResult into the chip, then
+  /// measures its outputs from the \p Dispensed (pre-rounding) volumes,
+  /// like the reference executor.
+  bool runSegment(Interp &I, std::size_t P, const FleetSegment &Seg,
+                  const AssayGraph &UsedG, const VolumeAssignment &Metered,
+                  const VolumeAssignment &Dispensed, bool AllowPatch) {
     RunOptions RO;
     RO.EnableRegeneration = Opts.EnableRegeneration;
     RO.Seed = Seed + 17 * P;
@@ -288,7 +393,8 @@ private:
     RO.FleetChip = Chip;
 
     const Program *Run = nullptr;
-    if (AllowPatch && residueShape(Seg.SubG, Metered) == Seg.ResidueShape) {
+    if (AllowPatch &&
+        codegen::residueShape(Seg.SubG, Metered) == Seg.ResidueShape) {
       // Fast path: the template's instruction stream is valid for these
       // volumes; re-meter by patching the volume table.
       I.bind(Seg.Prog);
@@ -301,20 +407,9 @@ private:
     } else {
       ++Res.SegmentRecompiles;
       met().SegmentRecompiles.add();
-      codegen::CodegenOptions CG;
-      CG.Mode = codegen::VolumeMode::Managed;
-      CG.Volumes = &Metered;
-      auto Prog = codegen::generateAIS(UsedG, {}, CG);
-      if (!Prog.ok()) {
-        fail(format("partition %zu codegen: %s", P, Prog.message().c_str()));
-        return false;
-      }
-      CompileOptions CO;
-      CO.Spec = Image.Spec;
-      CO.Graph = &UsedG;
-      auto BC = vm::compile(*Prog, CO);
+      auto BC = compileSegment(P, UsedG, Metered, Image.Spec);
       if (!BC.ok()) {
-        fail(format("partition %zu compile: %s", P, BC.message().c_str()));
+        fail(BC.message());
         return false;
       }
       Scratch = std::move(*BC);
@@ -344,45 +439,18 @@ private:
     Res.WasteNl += Sim.WasteNl;
     ++Res.PartitionsExecuted;
     Clock += Sim.FluidSeconds;
+    Walk.measure(Seg, UsedG, Dispensed, [this] { return drawYield(); },
+                 &Res.MeasuredNl);
     return true;
-  }
-
-  /// Publishes this partition's outputs to later constrained inputs
-  /// (unknown volumes "measured" by the yield stream standing in for the
-  /// on-chip volume sensor). \p UsedVol holds pre-rounding volumes over
-  /// \p UsedG, whose original node/edge ids coincide with Seg.SubG's.
-  void publishMeasured(std::size_t P, const FleetSegment &Seg,
-                       const AssayGraph &UsedG,
-                       const VolumeAssignment &UsedVol) {
-    for (NodeId N : Plan.Parts[P].Members) {
-      const Node &Nd = Plan.Graph.node(N);
-      bool FeedsConstrainedInput = false;
-      for (const PartitionPlan::ConstrainedInput &CI : Plan.Inputs)
-        if (CI.Source == N)
-          FeedsConstrainedInput = true;
-      if (!FeedsConstrainedInput)
-        continue;
-      NodeId S = Seg.FromPlanNode.at(N);
-      double MeasuredNl;
-      if (Nd.UnknownVolume) {
-        double InputVol = 0.0;
-        for (EdgeId E : UsedG.inEdges(S))
-          InputVol += UsedVol.EdgeVolumeNl[E];
-        MeasuredNl = InputVol * drawYield();
-      } else {
-        MeasuredNl = UsedVol.NodeVolumeNl[S];
-      }
-      Measured[N] = MeasuredNl;
-      Res.MeasuredNl[Nd.Name] = MeasuredNl;
-    }
   }
 
   /// Section 3.5 online re-management: re-solve the partition's subgraph
   /// with the most binding constrained input pinned at its measured
-  /// availability. Returns 1 when the partition ran (or a hard error was
-  /// recorded: -1), 0 when the manager cannot help (caller escalates to a
+  /// availability. Returns true when the partition ran or failed for good,
+  /// false when the manager cannot help (caller escalates to a
   /// regeneration storm).
-  int tryRemanage(Interp &I, std::size_t P, const FleetSegment &Seg) {
+  bool tryRemanage(Interp &I, std::size_t P, const FleetSegment &Seg) {
+    const std::vector<double> &Available = Walk.Available;
     NodeId PinSub = InvalidNode;
     double PinVol = 0.0;
     double BestRatio = 0.0;
@@ -394,12 +462,12 @@ private:
       double Ratio = Vnorm > 0.0 ? Available[Ref] / Vnorm : 1e300;
       if (PinSub == InvalidNode || Ratio < BestRatio) {
         BestRatio = Ratio;
-        PinSub = Seg.FromPlanNode.at(CI.Node);
+        PinSub = subNode(Seg, CI.Node);
         PinVol = Available[Ref];
       }
     }
     if (PinSub == InvalidNode)
-      return 0; // Nothing measurable to pin; storm.
+      return false; // Nothing measurable to pin; storm.
 
     ManagerOptions MO;
     // The LP fallback ignores the pin, so stay on the DagSolve + transform
@@ -409,14 +477,14 @@ private:
     MO.DagOptions.PinnedVolumeNl = PinVol;
     ManagerResult R = manageVolumes(Seg.SubG, Image.Spec, MO);
     if (!R.Feasible || R.Rounded.Underflow)
-      return 0;
+      return false;
     for (int Ref : Plan.Parts[P].InputRefs) {
       const PartitionPlan::ConstrainedInput &CI = Plan.Inputs[Ref];
       if (CI.FromInputPort || Available[Ref] < 0.0)
         continue;
-      NodeId S = Seg.FromPlanNode.at(CI.Node);
-      if (R.Volumes.NodeVolumeNl[S] > Available[Ref] + 1e-9)
-        return 0; // Solution overdraws the measured supply.
+      if (R.Volumes.NodeVolumeNl[subNode(Seg, CI.Node)] >
+          Available[Ref] + 1e-9)
+        return false; // Solution overdraws the measured supply.
     }
 
     ++Res.OnlineRemanages;
@@ -428,17 +496,11 @@ private:
 
     VolumeAssignment Metered = integerToNl(R.Graph, R.Rounded, Image.Spec);
     bool Transformed = R.CascadesApplied + R.ReplicationsApplied > 0;
-    if (!Transformed) {
-      // Same structure: update the plan-level bookkeeping in place.
-      for (int J = 0; J < Seg.SubG.numNodeSlots(); ++J)
-        Res.Volumes.NodeVolumeNl[Seg.ToPlanNode[J]] = R.Volumes.NodeVolumeNl[J];
-      for (int J = 0; J < Seg.SubG.numEdgeSlots(); ++J)
-        Res.Volumes.EdgeVolumeNl[Seg.ToPlanEdge[J]] = R.Volumes.EdgeVolumeNl[J];
-    }
-    if (!execSegment(I, P, Seg, R.Graph, Metered, /*AllowPatch=*/!Transformed))
-      return -1;
-    publishMeasured(P, Seg, R.Graph, R.Volumes);
-    return 1;
+    if (!Transformed)
+      recordVolumes(Seg, R.Volumes); // Same structure, same slots.
+    runSegment(I, P, Seg, R.Graph, Metered, R.Volumes,
+               /*AllowPatch=*/!Transformed);
+    return true;
   }
 
   /// Regeneration storm: re-run every producing partition of \p P's
@@ -460,25 +522,16 @@ private:
     }
     for (int Q : Producers) {
       const FleetSegment &Seg = Image.Segments[Q];
-      VolumeAssignment V = dispensePartition(Plan, Q, Available, Image.Spec);
-      VolumeAssignment SubV;
-      SubV.NodeVolumeNl.assign(Seg.SubG.numNodeSlots(), 0.0);
-      SubV.EdgeVolumeNl.assign(Seg.SubG.numEdgeSlots(), 0.0);
-      for (int J = 0; J < Seg.SubG.numNodeSlots(); ++J)
-        SubV.NodeVolumeNl[J] = V.NodeVolumeNl[Seg.ToPlanNode[J]];
-      for (int J = 0; J < Seg.SubG.numEdgeSlots(); ++J)
-        SubV.EdgeVolumeNl[J] = V.EdgeVolumeNl[Seg.ToPlanEdge[J]];
-      IntegerAssignment IVol = roundToLeastCount(Seg.SubG, SubV, Image.Spec);
-      if (IVol.Underflow) {
+      Metering M = Walk.meter(Q, Seg);
+      if (M.Underflow) {
         fail(format("partition %d underflows while regenerating for "
                     "partition %zu",
                     Q, P));
         return false;
       }
-      VolumeAssignment Metered = integerToNl(Seg.SubG, IVol, Image.Spec);
-      if (!execSegment(I, Q, Seg, Seg.SubG, Metered, /*AllowPatch=*/true))
+      if (!runSegment(I, Q, Seg, Seg.SubG, M.Metered, M.Dispensed,
+                      /*AllowPatch=*/true))
         return false;
-      publishMeasured(Q, Seg, Seg.SubG, SubV);
       ++Res.PartitionReruns;
       met().PartitionReruns.add();
     }
@@ -492,9 +545,8 @@ private:
   int Chip;
   ReservoirBank *Bank;
   SplitMix64 Yields;
+  PlanWalk Walk;
 
-  std::map<NodeId, double> Measured;
-  std::vector<double> Available;
   std::size_t NextPart = 0;
   double Clock = 0.0;
   double ClockBase = 0.0;
@@ -504,34 +556,6 @@ private:
 };
 
 } // namespace
-
-std::vector<char> aqua::vm::residueShape(const AssayGraph &G,
-                                         const VolumeAssignment &V) {
-  // Mirrors codegen's consumeUse: the only volume-dependent emission
-  // decision is whether a fully-consumed interior (mix/incubate) value
-  // without an explicit excess edge strands residue (In - Out > 1e-9) and
-  // needs a clearing `output`.
-  std::vector<char> Shape(G.numNodeSlots(), 0);
-  for (NodeId N : G.liveNodes()) {
-    const Node &Nd = G.node(N);
-    if (Nd.Kind != NodeKind::Mix && Nd.Kind != NodeKind::Incubate)
-      continue;
-    bool HasExcess = false;
-    for (EdgeId E : G.outEdges(N))
-      if (G.node(G.edge(E).Dst).Kind == NodeKind::Excess)
-        HasExcess = true;
-    if (HasExcess)
-      continue; // Decision fixed by structure.
-    double In = 0.0, Out = 0.0;
-    for (EdgeId E : G.inEdges(N))
-      In += V.EdgeVolumeNl[E];
-    for (EdgeId E : G.outEdges(N))
-      if (G.node(G.edge(E).Dst).Kind != NodeKind::Excess)
-        Out += V.EdgeVolumeNl[E];
-    Shape[N] = In - Out > 1e-9 ? 1 : 0;
-  }
-  return Shape;
-}
 
 Expected<FleetImage> aqua::vm::compileFleetImage(const AssayGraph &G,
                                                  const MachineSpec &Spec) {
@@ -547,91 +571,26 @@ Expected<FleetImage> aqua::vm::compileFleetImage(const AssayGraph &G,
     if (G.node(N).Kind == NodeKind::Input)
       Img.ExternalFluids.insert(G.node(N).Name);
 
-  // Reference metering at the nominal yield: the template's volumes only
-  // seed the instruction structure; every chip re-meters per run.
-  const double NominalYield = 0.45;
   const PartitionPlan &Plan = Img.Plan;
-  std::map<NodeId, double> RefMeasured;
-  std::vector<double> RefAvail(Plan.Inputs.size(), -1.0);
-  VolumeAssignment PlanVol;
-  PlanVol.NodeVolumeNl.assign(Plan.Graph.numNodeSlots(), 0.0);
-  PlanVol.EdgeVolumeNl.assign(Plan.Graph.numEdgeSlots(), 0.0);
-
+  PlanWalk Walk(Plan, Spec);
   for (std::size_t P = 0; P < Plan.Parts.size(); ++P) {
-    for (int Ref : Plan.Parts[P].InputRefs) {
-      const PartitionPlan::ConstrainedInput &CI = Plan.Inputs[Ref];
-      if (CI.FromInputPort ||
-          Plan.NodePartition[CI.Source] == static_cast<int>(P))
-        continue;
-      auto It = RefMeasured.find(CI.Source);
-      if (It == RefMeasured.end())
-        return Expected<FleetImage>::error(
-            format("partition %zu consumes '%s' before any partition "
-                   "produces it",
-                   P, Plan.Graph.node(CI.Source).Name.c_str()));
-      RefAvail[Ref] = CI.Share.toDouble() * It->second;
-    }
-
-    VolumeAssignment V =
-        dispensePartition(Plan, static_cast<int>(P), RefAvail, Spec);
-    for (NodeId N : Plan.Parts[P].Members) {
-      PlanVol.NodeVolumeNl[N] = V.NodeVolumeNl[N];
-      for (EdgeId E : Plan.Graph.inEdges(N))
-        PlanVol.EdgeVolumeNl[E] = V.EdgeVolumeNl[E];
-    }
-
+    if (NodeId Missing = Walk.refresh(P); Missing != InvalidNode)
+      return Expected<FleetImage>::error(
+          format("partition %zu consumes '%s' before any partition "
+                 "produces it",
+                 P, Plan.Graph.node(Missing).Name.c_str()));
     FleetSegment Seg = extractSegment(Plan, static_cast<int>(P));
-    VolumeAssignment SubV;
-    SubV.NodeVolumeNl.assign(Seg.SubG.numNodeSlots(), 0.0);
-    SubV.EdgeVolumeNl.assign(Seg.SubG.numEdgeSlots(), 0.0);
-    for (int J = 0; J < Seg.SubG.numNodeSlots(); ++J)
-      SubV.NodeVolumeNl[J] = V.NodeVolumeNl[Seg.ToPlanNode[J]];
-    for (int J = 0; J < Seg.SubG.numEdgeSlots(); ++J)
-      SubV.EdgeVolumeNl[J] = V.EdgeVolumeNl[Seg.ToPlanEdge[J]];
-
-    // Underflow here is fine: a template with degenerate volumes still has
+    // Underflow is fine here: a template with degenerate volumes still has
     // the right structure for shape comparison, and chips never run it
     // unpatched.
-    IntegerAssignment IVol = roundToLeastCount(Seg.SubG, SubV, Spec);
-    VolumeAssignment Metered = integerToNl(Seg.SubG, IVol, Spec);
-
-    codegen::CodegenOptions CG;
-    CG.Mode = codegen::VolumeMode::Managed;
-    CG.Volumes = &Metered;
-    CG.EdgeOfInstr = &Seg.MeteredEdgeOfInstr;
-    auto Prog = codegen::generateAIS(Seg.SubG, {}, CG);
-    if (!Prog.ok())
-      return Expected<FleetImage>::error(
-          format("partition %zu codegen: %s", P, Prog.message().c_str()));
-    Seg.ResidueShape = residueShape(Seg.SubG, Metered);
-
-    CompileOptions CO;
-    CO.Spec = Spec;
-    CO.Graph = &Seg.SubG;
-    auto BC = compile(*Prog, CO);
+    Metering M = Walk.meter(P, Seg);
+    auto BC = compileSegment(P, Seg.SubG, M.Metered, Spec,
+                             &Seg.MeteredEdgeOfInstr);
     if (!BC.ok())
-      return Expected<FleetImage>::error(
-          format("partition %zu compile: %s", P, BC.message().c_str()));
+      return BC.takeStatus();
     Seg.Prog = std::move(*BC);
-
-    for (NodeId N : Plan.Parts[P].Members) {
-      const Node &Nd = Plan.Graph.node(N);
-      bool Feeds = false;
-      for (const PartitionPlan::ConstrainedInput &CI : Plan.Inputs)
-        if (CI.Source == N)
-          Feeds = true;
-      if (!Feeds)
-        continue;
-      if (Nd.UnknownVolume) {
-        double InputVol = 0.0;
-        for (EdgeId E : Plan.Graph.inEdges(N))
-          InputVol += PlanVol.EdgeVolumeNl[E];
-        RefMeasured[N] = InputVol * NominalYield;
-      } else {
-        RefMeasured[N] = PlanVol.NodeVolumeNl[N];
-      }
-    }
-
+    Seg.ResidueShape = codegen::residueShape(Seg.SubG, M.Metered);
+    Walk.measure(Seg, Seg.SubG, M.Dispensed, [] { return NominalYield; });
     Img.Segments.push_back(std::move(Seg));
   }
   return Img;
